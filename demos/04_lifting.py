@@ -2,9 +2,11 @@
 
 Given a tuple x, build an element X of the big algebra whose coefficient
 read-out is x and whose norm is at most K times the primal norm of x.
-One corrector step embeds the residual, clips the embedded element through
-its Hermitian dilation, and reads the correction back; each step halves
-the residual, so the accumulated element converges geometrically with
+One corrector step embeds the residual, clips the singular values of the
+embedded element (one eigendecomposition of its Gram Y*Y, the same operator
+as clamping the spectrum of its Hermitian dilation), and reads the
+correction back; each step halves the residual, so the accumulated element
+converges geometrically with
 
     K = clip_level / (1 - 1/2):   sqrt(2) for circular and fermionic
                                   families, sqrt(3) for signs.

@@ -39,6 +39,7 @@ from .exceptions import (
     DimensionMismatch,
     DTooLarge,
     IdentityViolation,
+    InvalidParameter,
     NckError,
     NonFinite,
     NonHermitian,
@@ -61,10 +62,8 @@ from .lifting import (
     quotient_norm_bracket,
 )
 from .linalg import (
-    HermitianEig,
     clip_remainder,
     hard_clip,
-    herm_eig,
     mat_func,
     op_norm,
     psd_ge,

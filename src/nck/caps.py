@@ -2,12 +2,14 @@
 
 ``NCK_MAX_DIM`` in the environment raises (or lowers) the dimension caps;
 the fermionic cap is hard-bounded at 12 because those matrices have side
-``2**d``.
+``2**d``.  A value that is not an integer raises :class:`InvalidParameter`.
 """
 
 from __future__ import annotations
 
 import os
+
+from .exceptions import InvalidParameter
 
 CAR_DIM_DEFAULT = 10
 CAR_DIM_HARD_MAX = 12
@@ -23,7 +25,7 @@ def _env_override() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise InvalidParameter(f"NCK_MAX_DIM must be an integer, got {raw!r}") from None
 
 
 def car_dim_cap() -> int:

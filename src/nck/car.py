@@ -22,20 +22,14 @@ on the probability spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from . import caps
-from .exceptions import (
-    DimensionMismatch,
-    DTooLarge,
-    IdentityViolation,
-    NotOrthonormal,
-    SizeMismatch,
-)
+from .exceptions import DimensionMismatch, DTooLarge, NotOrthonormal, SizeMismatch
 from .norms import as_matrix_tuple, as_weights
-from .reports import CheckReport
+from .reports import CheckReport, psd_violation, raise_if_failed, rel_dev
 
 __all__ = [
     "SubspaceModel",
@@ -152,27 +146,21 @@ class CarSystem:
     def dim(self) -> int:
         return self.density.shape[0]
 
-    @property
-    def functional_kernels(self) -> tuple:
-        """Matrices ``K_i = rho a_i* + a_i* rho`` so that ``phi_i(b) = Tr(K_i b)``."""
-        return _kernels_for(self)
+    @cached_property
+    def functional_kernels(self) -> np.ndarray:
+        """Matrices ``K_i = rho a_i* + a_i* rho`` so that ``phi_i(b) = Tr(K_i b)``.
 
-
-_KERNEL_CACHE: dict = {}
-
-
-def _kernels_for(sys: CarSystem) -> tuple:
-    key = (sys.d, tuple(np.round(sys.nu, 15)))
-    kern = _KERNEL_CACHE.get(key)
-    if kern is None:
-        rho = sys.density
-        kern = tuple(rho @ g.conj().T + g.conj().T @ rho for g in sys.generators)
-        for k in kern:
-            k.setflags(write=False)
-        if len(_KERNEL_CACHE) > 64:
-            _KERNEL_CACHE.clear()
-        _KERNEL_CACHE[key] = kern
-    return kern
+        The density is diagonal, so ``K_i = a_i* * (r_a + r_b)`` entrywise
+        with ``r = diag(rho)``; shape ``(d, dim, dim)``.
+        """
+        r = np.diag(self.density)
+        w = r[:, None] + r[None, :]
+        # filled in place: stacked (d, dim, dim) temporaries raise peak RSS
+        kern = np.empty((self.d, self.dim, self.dim), dtype=complex)
+        for k, g in zip(kern, self.generators):
+            np.multiply(g.conj().T, w, out=k)
+        kern.setflags(write=False)
+        return kern
 
 
 def car_system(nu) -> CarSystem:
@@ -264,8 +252,7 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
         )
     n = a.shape[0] // q
     ar = a.reshape(n, q, n, q)
-    kernels = np.stack(sys.functional_kernels)
-    return np.einsum("iab,pbqa->ipq", kernels, ar)
+    return np.einsum("iab,pbqa->ipq", sys.functional_kernels, ar)
 
 
 def _id_otimes_state(sys: CarSystem, w: np.ndarray, n: int) -> np.ndarray:
@@ -291,7 +278,7 @@ def anticommutation_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
             dev_plain = max(dev_plain, float(np.abs(plain).max()))
     report.record("anticommutator-mixed", dev_mixed)
     report.record("anticommutator-plain", dev_plain)
-    _raise_if_failed(report)
+    raise_if_failed(report)
     return report
 
 
@@ -308,7 +295,7 @@ def second_moment_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
             dev_a = max(dev_a, abs(state_eval(sys, gi @ gj.conj().T) - target))
     report.record("two-point-creation", dev_c)
     report.record("two-point-annihilation", dev_a)
-    _raise_if_failed(report)
+    raise_if_failed(report)
     return report
 
 
@@ -333,7 +320,7 @@ def state_weight_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
         )
     report.record("weight-split-left", dev_left)
     report.record("weight-split-right", dev_right)
-    _raise_if_failed(report)
+    raise_if_failed(report)
     return report
 
 
@@ -388,7 +375,7 @@ def orthogonality_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     report.record("pairwise-orthogonality-annihilation", float(np.abs(gram_g[off]).max(initial=0.0)))
     report.record("squared-norms-creation", float(np.abs(np.diag(gram_f) - norms).max()))
     report.record("squared-norms-annihilation", float(np.abs(np.diag(gram_g) - norms).max()))
-    _raise_if_failed(report)
+    raise_if_failed(report)
     return report
 
 
@@ -436,40 +423,16 @@ def fourth_moment_check(sys: CarSystem, y, tol: float = 1e-11) -> CheckReport:
     )
 
     report = CheckReport(name="fourth-moments", tolerance=tol)
-    report.record("second-moment-column", _rel_dev(m2_col, col2))
-    report.record("second-moment-row", _rel_dev(m2_row, row2))
-    report.record("fourth-moment-column", _rel_dev(m4_col, col4))
-    report.record("fourth-moment-row", _rel_dev(m4_row, row4))
+    report.record("second-moment-column", rel_dev(m2_col, col2))
+    report.record("second-moment-row", rel_dev(m2_row, row2))
+    report.record("fourth-moment-column", rel_dev(m4_col, col4))
+    report.record("fourth-moment-row", rel_dev(m4_row, row4))
 
     factor = float(
         np.linalg.eigvalsh(0.5 * (col2 + col2.conj().T))[-1]
         + np.linalg.eigvalsh(0.5 * (row2 + row2.conj().T))[-1]
     )
-    report.record("fourth-psd-column", _psd_violation(m4_col, factor * m2_col))
-    report.record("fourth-psd-row", _psd_violation(m4_row, factor * m2_row))
-    _raise_if_failed(report)
+    report.record("fourth-psd-column", psd_violation(m4_col, factor * m2_col))
+    report.record("fourth-psd-row", psd_violation(m4_row, factor * m2_row))
+    raise_if_failed(report)
     return report
-
-
-def _rel_dev(actual: np.ndarray, expected: np.ndarray) -> float:
-    scale = 1.0 + float(np.abs(expected).max(initial=0.0))
-    return float(np.abs(actual - expected).max(initial=0.0)) / scale
-
-
-def _psd_violation(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    diff = rhs - lhs
-    diff = 0.5 * (diff + diff.conj().T)
-    lam_min = float(np.linalg.eigvalsh(diff)[0])
-    scale = 1.0 + float(np.abs(lhs).max(initial=0.0)) + float(np.abs(rhs).max(initial=0.0))
-    return max(0.0, -lam_min) / scale
-
-
-def _raise_if_failed(report: CheckReport):
-    if not report.passed:
-        tag, dev = report.worst()
-        raise IdentityViolation(
-            f"{report.name}: identity {tag!r} deviates by {dev:.3e} "
-            f"(tol {report.tolerance:.1e})",
-            max_deviation=dev,
-            report=report,
-        )

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import caps
 from .car import car_system
-from .exceptions import DTooLarge, IdentityViolation
+from .exceptions import DTooLarge, IdentityViolation, InvalidParameter
 from .linalg import mat_func, trace_norm
 from .norms import dual_norm
-from .spaces import gamma_ratio, gaussian_space, l1_s1_norm, lacunary_space, rademacher_space, steinhauss_space
+from .spaces import build, gamma_ratio, gaussian_space, l1_s1_norm
 
 __all__ = [
     "ConstantReport",
@@ -56,7 +56,7 @@ def gaussian_c1_bound_sequence(m: int) -> float:
     Strictly decreasing in ``m`` with limit ``1/sqrt(2)``.
     """
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise InvalidParameter(f"need m >= 1, got {m}")
     return math.sqrt((m + 1.0) / (2.0 * m + 1.0))
 
 
@@ -71,7 +71,7 @@ def c2_witness_gaussian(d: int, samples: int = 100_000, seed: int = 0, exact: bo
     instead of sampling.
     """
     if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+        raise InvalidParameter(f"need d >= 1, got {d}")
     if exact:
         return gamma_ratio(d) / math.sqrt(d), 0.0
     space = gaussian_space(d, samples, seed)
@@ -159,18 +159,6 @@ class ConstantReport:
         return self.lower_witness >= c1 - 1e-5 and self.upper_witness <= c2 + 1e-5
 
 
-def _space_for(kind: str, d: int, samples: int, seed: int):
-    if kind == "rademacher":
-        return rademacher_space(d)
-    if kind == "steinhauss":
-        return steinhauss_space(d)
-    if kind == "lacunary":
-        return lacunary_space(d)
-    if kind in ("gaussian", "gaussian-mc"):
-        return gaussian_space(d, samples, seed)
-    raise ValueError(f"unknown family {kind!r}")
-
-
 def _random_tuple(rng: np.random.Generator, ensemble: str, d: int, n: int) -> np.ndarray:
     if ensemble == "gaussian":
         return (rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))) / np.sqrt(2)
@@ -190,7 +178,7 @@ def _random_tuple(rng: np.random.Generator, ensemble: str, d: int, n: int) -> np
         cols = rng.integers(0, n, size=d)
         out[np.arange(d), rows, cols] = 1.0
         return out
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+    raise InvalidParameter(f"unknown ensemble {ensemble!r}")
 
 
 def random_search_ratio(
@@ -211,13 +199,10 @@ def random_search_ratio(
     lower constant minus ``tol`` (minus three standard errors for sampled
     spaces) and at most 1 plus ``tol``.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    key = {"gaussian": "gaussian-mc"}.get(kind, kind)
-    if key not in THEORETICAL:
-        raise ValueError(f"unknown family {kind!r}")
-    c1, c2 = THEORETICAL[key]
-    space = _space_for(key, d, samples, seed)
+    if min(n, d, trials) < 1:
+        raise InvalidParameter(f"need n, d, trials >= 1, got n={n}, d={d}, trials={trials}")
+    space = build(kind, d, samples=samples, seed=seed)
+    c1, c2 = THEORETICAL[space.kind]
     rng = np.random.default_rng(seed)
 
     ensembles = ("gaussian", "isometry", "matrix-unit")
@@ -235,7 +220,7 @@ def random_search_ratio(
         slack = tol + (3.0 * stderr / dres.value if space.kind == "gaussian-mc" else 0.0)
         if ratio < c1 - slack or ratio > c2 + slack:
             raise IdentityViolation(
-                f"{key}: ratio {ratio:.8f} outside [{c1:.6f}, {c2:.6f}] "
+                f"{space.kind}: ratio {ratio:.8f} outside [{c1:.6f}, {c2:.6f}] "
                 f"(slack {slack:.2e}) at trial {trial}",
                 max_deviation=max(c1 - ratio, ratio - c2),
             )
@@ -244,7 +229,7 @@ def random_search_ratio(
         hi = max(hi, ratio)
 
     return ConstantReport(
-        family=key,
+        family=space.kind,
         lower_witness=float(lo),
         upper_witness=float(hi),
         theoretical=(c1, c2),

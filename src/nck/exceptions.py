@@ -21,6 +21,10 @@ class NonPositiveC(NckError, ValueError):
     """The clipping level must be strictly positive."""
 
 
+class InvalidParameter(NckError, ValueError):
+    """A count, order or family name lies outside what a function accepts."""
+
+
 class DimensionMismatch(NckError, ValueError):
     """Tuple length, weight length or variable count do not agree."""
 

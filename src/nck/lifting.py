@@ -6,9 +6,11 @@ algebra) whose coefficient read-out equals ``x`` while ``norm(X)`` stays
 within a factor ``K`` of the primal norm of ``x``.
 
 The engine is a geometric-series iteration driven by a one-step truncation
-corrector: embed the current residual tuple, clip the embedded element
-through its Hermitian dilation at level ``C``, and read the corrected
-coefficients back off.  For a normalized input the corrected residual has
+corrector: embed the current residual tuple, clip the singular values of
+the embedded element at level ``C`` (one eigendecomposition of its Gram
+``Y*Y``, the same operator as clamping the spectrum ``+-s(Y)`` of its
+Hermitian dilation to ``[-C, C]``), and read the corrected coefficients
+back off.  For a normalized input the corrected residual has
 primal norm at most ``delta = 1/2``, so the accumulated element converges
 with norm at most ``C / (1 - delta)``:
 
@@ -37,6 +39,7 @@ from .spaces import (
     RandomElement,
     conditional_expectation,
     element_from_tuple,
+    family_kind,
     sup_norm,
 )
 
@@ -84,11 +87,7 @@ _PRESETS = {
 
 def preset_config(family: str, max_iter: int = 64, tol: float = 1e-10) -> LiftConfig:
     """The clip level achieving the sharp bound for each family."""
-    key = {"gaussian": "gaussian-mc"}.get(family, family)
-    if key not in _PRESETS:
-        raise DimensionMismatch(
-            f"no preset for family {family!r}; known: {sorted(_PRESETS)}"
-        )
+    key = "car" if family == "car" else family_kind(family)
     return LiftConfig(clip_level=_PRESETS[key], contraction=0.5, max_iter=max_iter, tol=tol)
 
 
@@ -114,7 +113,7 @@ class LiftReport:
 def corrector_commutative(y, space: DiscreteProbabilitySpace, clip_level: float):
     """One truncation step over a probability space.
 
-    Embeds ``y``, clips every atom through the Hermitian dilation at
+    Embeds ``y``, clips the singular values of every atom at
     ``clip_level`` and reads back the corrected tuple.  Returns
     ``(Z, z)`` with ``sup_norm(Z) <= clip_level`` and, for exact kinds and
     ``triple_norm(y) = 1`` at the preset level, ``triple_norm(y - z) <= 1/2``.

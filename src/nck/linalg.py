@@ -1,9 +1,8 @@
 """Dense complex-matrix kernel.
 
-Hermitian eigendecomposition, functional calculus, Schatten norms and the
-clipped off-diagonal truncation that drives every lifting corrector.  All
-matrices are plain numpy complex arrays; every function here is pure and
-safe to call from multiple threads.
+Functional calculus, Schatten norms and the clipped off-diagonal truncation
+that drives every lifting corrector.  All matrices are plain numpy complex
+arrays; every function here is pure and safe to call from multiple threads.
 
 Tolerances are relative to ``1 + norm(input)`` so that checks are scale
 invariant.
@@ -11,7 +10,6 @@ invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,8 +17,6 @@ import numpy as np
 from .exceptions import NonFinite, NonHermitian, NonPositiveC, NonSquare
 
 __all__ = [
-    "HermitianEig",
-    "herm_eig",
     "mat_func",
     "hard_clip",
     "clip_remainder",
@@ -47,46 +43,22 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition ``H = U diag(lam) U*`` with ``lam`` ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
-
-def herm_eig(h) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is symmetrized as ``(H + H*)/2`` first, which silently absorbs
-    ulp-level asymmetry produced by upstream arithmetic.  Eigenvalues are
-    returned in ascending order.
-    """
-    a = _as_square(h, "herm_eig")
-    a = 0.5 * (a + a.conj().T)
-    lam, u = np.linalg.eigh(a)
-    return HermitianEig(eigenvalues=lam, eigenvectors=u)
-
-
 def mat_func(h, f: Callable) -> np.ndarray:
     """Apply a real scalar map to a Hermitian matrix by functional calculus.
 
-    Returns ``U diag(f(lam)) U*``.  ``f`` may be vectorized (preferred) or a
-    plain scalar callable.
+    Returns ``U diag(f(lam)) U*`` for the eigendecomposition of
+    ``(H + H*)/2``; the symmetrization absorbs ulp-level asymmetry produced
+    by upstream arithmetic.  ``f`` may be vectorized (preferred) or a plain
+    scalar callable.
     """
-    eig = herm_eig(h)
-    lam = eig.eigenvalues
+    a = _as_square(h, "mat_func")
+    lam, u = np.linalg.eigh(0.5 * (a + a.conj().T))
     try:
         flam = np.asarray(f(lam), dtype=float)
         if flam.shape != lam.shape:
             raise ValueError
     except (TypeError, ValueError):
         flam = np.array([float(f(t)) for t in lam])
-    u = eig.eigenvectors
     return (u * flam) @ u.conj().T
 
 
@@ -106,11 +78,12 @@ def clip_remainder(t, c: float):
 
 
 def truncate_offdiag(y, c: float) -> np.ndarray:
-    """Clip a (possibly rectangular) block through its Hermitian dilation.
+    """Clip the singular values of a (possibly rectangular) block at ``c``.
 
-    Builds ``D = [[0, Y*], [Y, 0]]``, clamps its spectrum to ``[-c, c]`` by
-    functional calculus and returns the lower-left block ``Z`` of the result,
-    which satisfies ``op_norm(Z) <= c``.
+    Returns ``Z = Y h(Y*Y)`` with ``h(lam) = min(1, c / sqrt(lam))``, from one
+    eigendecomposition of the Gram ``Y*Y``.  This is the lower-left block of
+    the Hermitian dilation ``[[0, Y*], [Y, 0]]`` with its spectrum ``+-s(Y)``
+    clamped to ``[-c, c]``, and it satisfies ``op_norm(Z) <= c``.
 
     A leading batch axis is allowed: input of shape ``(m, p, q)`` is
     truncated blockwise and returns shape ``(m, p, q)``.
@@ -118,24 +91,14 @@ def truncate_offdiag(y, c: float) -> np.ndarray:
     if not c > 0:
         raise NonPositiveC(f"clip level must be > 0, got {c}")
     a = np.asarray(y, dtype=complex)
-    if a.ndim == 2:
-        return _truncate_batch(a[None, :, :], c)[0]
-    if a.ndim == 3:
-        return _truncate_batch(a, c)
-    raise NonSquare(f"truncate_offdiag: expected 2-d or 3-d input, got shape {a.shape}")
-
-
-def _truncate_batch(blocks: np.ndarray, c: float) -> np.ndarray:
-    if not np.isfinite(blocks).all():
+    if a.ndim not in (2, 3):
+        raise NonSquare(f"truncate_offdiag: expected 2-d or 3-d input, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise NonFinite("truncate_offdiag: NaN or Inf entries")
-    m, p, q = blocks.shape
-    dil = np.zeros((m, p + q, p + q), dtype=complex)
-    dil[:, :q, q:] = blocks.conj().transpose(0, 2, 1)
-    dil[:, q:, :q] = blocks
-    lam, u = np.linalg.eigh(dil)
-    lam = np.clip(lam, -c, c)
-    clipped = np.einsum("mij,mj,mkj->mik", u, lam, u.conj())
-    return clipped[:, q:, :q]
+    lam, u = np.linalg.eigh(a.conj().swapaxes(-1, -2) @ a)
+    # min(1, c / s) with s = sqrt(lam); singular values up to c keep factor 1
+    scale = c / np.maximum(np.sqrt(np.maximum(lam, 0.0)), c)
+    return (a @ (u * scale[..., None, :])) @ u.conj().swapaxes(-1, -2)
 
 
 def op_norm(m) -> float:

@@ -1,8 +1,12 @@
-"""Shared result containers for identity-verification checks."""
+"""Shared result container and deviation measures for identity checks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .exceptions import IdentityViolation
 
 
 @dataclass
@@ -37,3 +41,30 @@ class CheckReport:
             return ("", 0.0)
         tag = max(self.deviations, key=self.deviations.get)
         return (tag, self.deviations[tag])
+
+
+def rel_dev(actual: np.ndarray, expected: np.ndarray) -> float:
+    """Largest entrywise deviation, normalized by ``1 + max|expected|``."""
+    scale = 1.0 + float(np.abs(expected).max(initial=0.0))
+    return float(np.abs(actual - expected).max(initial=0.0)) / scale
+
+
+def psd_violation(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Positive amount by which ``lhs <= rhs`` fails, scale normalized."""
+    diff = rhs - lhs
+    diff = 0.5 * (diff + diff.conj().T)
+    lam_min = float(np.linalg.eigvalsh(diff)[0])
+    scale = 1.0 + float(np.abs(lhs).max(initial=0.0)) + float(np.abs(rhs).max(initial=0.0))
+    return max(0.0, -lam_min) / scale
+
+
+def raise_if_failed(report: CheckReport):
+    """Raise :class:`IdentityViolation` carrying ``report`` unless it passed."""
+    if not report.passed:
+        tag, dev = report.worst()
+        raise IdentityViolation(
+            f"{report.name}: identity {tag!r} deviates by {dev:.3e} "
+            f"(tol {report.tolerance:.1e})",
+            max_deviation=dev,
+            report=report,
+        )

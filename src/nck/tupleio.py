@@ -79,6 +79,8 @@ def load_tuple_file(path: str):
                 _fail(path, f"matrices[{i}][{r}] must have {n} entries")
             for c, entry in enumerate(row):
                 x[i, r, c] = _parse_complex(entry, f"matrices[{i}][{r}][{c}]", path)
+    if not np.isfinite(x).all():
+        _fail(path, "'matrices' entries must be finite")
 
     nu = None
     if doc.get("nu") is not None:
@@ -89,7 +91,7 @@ def load_tuple_file(path: str):
             nu = np.array([float(v) for v in raw])
         except (TypeError, ValueError):
             _fail(path, "'nu' entries must be numbers")
-        if nu.min() < 0.0 or nu.max() > 1.0:
+        if not (nu.min() >= 0.0 and nu.max() <= 1.0):
             _fail(path, f"'nu' entries must lie in [0, 1], got {raw}")
 
     metadata = doc.get("metadata") or {}

@@ -5,6 +5,7 @@ import pytest
 
 from nck import caps
 from nck.car import (
+    CarSystem,
     SubspaceModel,
     anticommutation_check,
     car_system,
@@ -21,7 +22,13 @@ from nck.car import (
     state_weight_check,
     subspace_to_weights,
 )
-from nck.exceptions import DTooLarge, IdentityViolation, NotOrthonormal, SizeMismatch
+from nck.exceptions import (
+    DTooLarge,
+    IdentityViolation,
+    InvalidParameter,
+    NotOrthonormal,
+    SizeMismatch,
+)
 from nck.norms import weighted_triple_norm
 
 RNG = np.random.default_rng(2718)
@@ -105,6 +112,9 @@ class TestJordanWigner:
         assert caps.car_dim_cap() == 11
         monkeypatch.setenv("NCK_MAX_DIM", "40")
         assert caps.car_dim_cap() == 12
+        monkeypatch.setenv("NCK_MAX_DIM", "twelve")
+        with pytest.raises(InvalidParameter, match="NCK_MAX_DIM"):
+            caps.car_dim_cap()
         monkeypatch.delenv("NCK_MAX_DIM")
         assert caps.car_dim_cap() == 10
 
@@ -189,6 +199,29 @@ class TestCoefficientFunctional:
                     word = word @ letters[idx]
                 for i in range(sys.d):
                     assert abs(coefficient_functional(sys, i, word)) < 1e-12
+
+
+class TestFunctionalKernels:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_closed_form_is_bit_exact(self, d):
+        nu = np.random.default_rng(d).uniform(0.05, 0.95, d)
+        nu[0] = 0.0
+        nu[-1] = 1.0
+        sys = car_system(nu)
+        rho = sys.density
+        expected = np.stack([rho @ g.conj().T + g.conj().T @ rho for g in sys.generators])
+        assert np.array_equal(sys.functional_kernels, expected)
+
+    def test_hand_built_system_uses_its_own_generators(self):
+        clean = car_system([0.3, 0.6])
+        clean_kernels = np.asarray(clean.functional_kernels)
+        gens = list(clean.generators)
+        gens[0] = gens[0] + 1e-4 * np.eye(clean.dim)
+        perturbed = CarSystem(nu=clean.nu, generators=tuple(gens), density=clean.density)
+        rho = perturbed.density
+        expected = np.stack([rho @ g.conj().T + g.conj().T @ rho for g in gens])
+        assert np.abs(perturbed.functional_kernels - expected).max() <= 1e-15
+        assert np.abs(perturbed.functional_kernels - clean_kernels).max() > 1e-5
 
 
 class TestExtractCoefficients:

@@ -101,6 +101,21 @@ class TestNormCommand:
         path.write_text("{not json")
         assert main(["norm", "--file", str(path)]) == 2
 
+    def test_non_finite_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        doc = {"version": "1", "d": 1, "n": 1, "matrices": [[[[float("nan"), 0.0]]]]}
+        path.write_text(json.dumps(doc))
+        assert main(["norm", "--file", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_internal_linalg_error_is_not_a_usage_error(self, scalar_file, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["norm", "--file", scalar_file])
+
 
 class TestLiftCommand:
     def test_zero_tuple(self, tmp_path, capsys):
@@ -151,13 +166,24 @@ class TestVerifyCommand:
     def test_dimension_cap_exit_2(self):
         assert main(["verify", "--suite", "car-identities", "--d", "11"]) == 2
 
+    def test_nonpositive_d_exit_2(self):
+        assert main(["verify", "--suite", "moments", "--d", "-1"]) == 2
+
+    def test_malformed_dim_cap_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("NCK_MAX_DIM", "twelve")
+        assert main(["verify", "--suite", "car-identities", "--d", "2"]) == 2
+        assert "NCK_MAX_DIM" in capsys.readouterr().err
+
     def test_corrupted_generator_fails_anticommutation(self, monkeypatch, capsys):
-        def corrupt(sys):
+        clean_system = cli.car_system
+
+        def corrupt(nu):
+            sys = clean_system(nu)
             gens = list(sys.generators)
             gens[0] = gens[0] + 1e-4 * np.eye(sys.dim)
             return type(sys)(nu=sys.nu, generators=tuple(gens), density=sys.density)
 
-        monkeypatch.setattr(cli, "VERIFY_SYSTEM_HOOK", corrupt)
+        monkeypatch.setattr(cli, "car_system", corrupt)
         code = main(["verify", "--suite", "car-identities", "--d", "2", "--seed", "0"])
         assert code == 1
         out = json.loads(capsys.readouterr().out)
@@ -196,6 +222,10 @@ class TestConstantsCommand:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and "min_ratio" in lines[0]
+
+    def test_search_zero_n_exit_2(self, capsys):
+        code = main(["constants", "--experiment", "search", "--n", "0", "--trials", "1"])
+        assert code == 2
 
     def test_gauss_c2_small(self, capsys):
         code = main(

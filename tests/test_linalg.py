@@ -7,7 +7,6 @@ from nck.exceptions import NonFinite, NonHermitian, NonPositiveC, NonSquare
 from nck.linalg import (
     clip_remainder,
     hard_clip,
-    herm_eig,
     mat_func,
     op_norm,
     psd_ge,
@@ -25,34 +24,6 @@ def random_hermitian(n, rng=RNG):
 
 def random_complex(shape, rng=RNG):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestHermEig:
-    def test_identity(self):
-        eig = herm_eig(np.eye(2))
-        assert np.allclose(eig.eigenvalues, [1.0, 1.0])
-        u = eig.eigenvectors
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
-
-    def test_diagonal_sorted_ascending(self):
-        eig = herm_eig(np.diag([3.0, -1.0]))
-        assert np.allclose(eig.eigenvalues, [-1.0, 3.0])
-
-    def test_reconstruction_random(self):
-        for n in (2, 5, 8):
-            h = random_hermitian(n)
-            eig = herm_eig(h)
-            scale = 1.0 + op_norm(h)
-            assert op_norm(eig.reconstruct() - h) <= 1e-10 * scale
-            assert op_norm(eig.eigenvectors.conj().T @ eig.eigenvectors - np.eye(n)) <= 1e-10
-
-    def test_non_square_rejected(self):
-        with pytest.raises(NonSquare):
-            herm_eig(np.zeros((2, 3)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFinite):
-            herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestMatFunc:
@@ -73,6 +44,14 @@ class TestMatFunc:
     def test_scalar_callable_accepted(self):
         out = mat_func(np.diag([1.0, 4.0]), lambda t: float(t) ** 2)
         assert np.allclose(out, np.diag([1.0, 16.0]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(NonSquare):
+            mat_func(np.zeros((2, 3)), np.sqrt)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFinite):
+            mat_func(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.sqrt)
 
 
 class TestClip:
@@ -147,6 +126,37 @@ class TestTruncateOffdiag:
         batch = truncate_offdiag(ys, 0.9)
         for k in range(6):
             assert np.abs(batch[k] - truncate_offdiag(ys[k], 0.9)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "case,shape,scale,c",
+        [
+            ("square", (4, 4), 1.0, 0.7),
+            ("wide", (2, 5), 1.0, 0.7),
+            ("tall", (5, 2), 1.0, 0.7),
+            ("batched", (6, 3, 3), 1.0, 0.9),
+            ("rank-deficient", (5, 4), 1.0, 0.5),
+            ("inside-band", (4, 4), 0.01, 1.0),
+            ("all-clipped", (3, 5), 20.0, 0.3),
+        ],
+    )
+    def test_matches_dilation_clip(self, case, shape, scale, c):
+        ys = scale * random_complex(shape).reshape((-1,) + shape[-2:])
+        if case == "rank-deficient":
+            ys[0, -1] = ys[0, 0]
+            ys[0, :, -1] = 0.0
+        s = np.linalg.svd(ys, compute_uv=False)
+        if case == "inside-band":
+            assert s.max() < c
+        if case == "all-clipped":
+            assert s.min() > c
+        z = truncate_offdiag(ys, c)
+        for y, zk in zip(ys, z):
+            lam, u = np.linalg.eigh(dilation(y))
+            q = y.shape[1]
+            ref = ((u * np.clip(lam, -c, c)) @ u.conj().T)[q:, :q]
+            assert np.abs(zk - ref).max() <= 1e-12
+        if len(shape) == 2:
+            assert np.array_equal(truncate_offdiag(ys[0], c), z[0])
 
     def test_quadratic_residual_psd_bounds(self):
         # (Y-Z)*(Y-Z) is dominated by (Y*Y)^2 / (16 C^2), and likewise for
