@@ -11,12 +11,15 @@ anticommutation relations ``a_i a_j* + a_j* a_i = delta_ij I`` and
 +-1).
 
 The reference state for weights ``nu`` is ``b -> Tr(rho b)`` with the
-product density ``rho = (x)_i diag(1 - nu_i, nu_i)``; its n-point values
-are determinants of the diagonal two-point function.  The coefficient
-functionals ``phi_i(b) = state(a_i* b + b a_i*)`` satisfy ``phi_i(a_j) =
-delta_ij`` and assemble into the map that reads a coefficient tuple off an
-algebra element; that map is the exact analogue of conditional expectation
-on the probability spaces.
+product density ``rho = (x)_i diag(1 - nu_i, nu_i)``, kept as its diagonal;
+its n-point values are determinants of the diagonal two-point function.
+The coefficient functionals ``phi_i(b) = state(a_i* b + b a_i*)`` satisfy
+``phi_i(a_j) = delta_ij`` and assemble into the map that reads a
+coefficient tuple off an algebra element; that map is the exact analogue of
+conditional expectation on the probability spaces.  The state has the
+complex-Gaussian moment structure reweighted by ``nu_i`` and ``1 - nu_i``,
+so the fourth-moment check uses the closed form
+:func:`nck.norms.moment_forms` shared with the probability spaces.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 
 from . import caps
 from .exceptions import DimensionMismatch, DTooLarge, NotOrthonormal, SizeMismatch
-from .norms import as_matrix_tuple, as_weights
-from .reports import CheckReport, psd_violation, raise_if_failed, rel_dev
+from .norms import as_matrix_tuple, as_weights, gram_norm, moment_forms
+from .reports import CheckReport, moment_report, raise_if_failed
 
 __all__ = [
     "SubspaceModel",
@@ -123,20 +126,12 @@ def jordan_wigner(d: int):
     return _jordan_wigner_cached(d)
 
 
-@lru_cache(maxsize=64)
-def _density_cached(key: tuple) -> np.ndarray:
-    rho = reduce(np.kron, [np.diag([1.0 - v, v]).astype(complex) for v in key])
-    rho.setflags(write=False)
-    return rho
-
-
 @dataclass(frozen=True)
 class CarSystem:
-    """Generators plus the product density for one weight vector."""
+    """Generators plus the weights of the product state."""
 
     nu: np.ndarray
     generators: tuple
-    density: np.ndarray
 
     @property
     def d(self) -> int:
@@ -144,7 +139,14 @@ class CarSystem:
 
     @property
     def dim(self) -> int:
-        return self.density.shape[0]
+        return self.generators[0].shape[0]
+
+    @cached_property
+    def density_diagonal(self) -> np.ndarray:
+        """The diagonal ``(x)_i (1 - nu_i, nu_i)`` of the density (real, read-only)."""
+        r = reduce(np.kron, [np.array([1.0 - v, v]) for v in self.nu])
+        r.setflags(write=False)
+        return r
 
     @cached_property
     def functional_kernels(self) -> np.ndarray:
@@ -153,7 +155,7 @@ class CarSystem:
         The density is diagonal, so ``K_i = a_i* * (r_a + r_b)`` entrywise
         with ``r = diag(rho)``; shape ``(d, dim, dim)``.
         """
-        r = np.diag(self.density)
+        r = self.density_diagonal
         w = r[:, None] + r[None, :]
         # filled in place: stacked (d, dim, dim) temporaries raise peak RSS
         kern = np.empty((self.d, self.dim, self.dim), dtype=complex)
@@ -166,10 +168,7 @@ class CarSystem:
 def car_system(nu) -> CarSystem:
     """Build the system for a weight vector ``nu`` in ``[0, 1]^d``."""
     w = as_weights(nu)
-    gens = jordan_wigner(w.shape[0])
-    # quantize the cache key so that reruns with reconstructed weights hit
-    rho = _density_cached(tuple(np.round(w, 15)))
-    return CarSystem(nu=w, generators=gens, density=rho)
+    return CarSystem(nu=w, generators=jordan_wigner(w.shape[0]))
 
 
 def _check_size(sys: CarSystem, b) -> np.ndarray:
@@ -182,7 +181,7 @@ def _check_size(sys: CarSystem, b) -> np.ndarray:
 def state_eval(sys: CarSystem, b) -> complex:
     """The reference state ``Tr(rho b)``."""
     a = _check_size(sys, b)
-    return complex(np.einsum("ab,ba->", sys.density, a))
+    return complex(sys.density_diagonal @ np.diagonal(a))
 
 
 def coefficient_functional(sys: CarSystem, i: int, b) -> complex:
@@ -258,7 +257,7 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
 def _id_otimes_state(sys: CarSystem, w: np.ndarray, n: int) -> np.ndarray:
     q = sys.dim
     wr = w.reshape(n, q, n, q)
-    return np.einsum("ab,pbqa->pq", sys.density, wr)
+    return np.einsum("a,paqa->pq", sys.density_diagonal, wr)
 
 
 # --- identity checks --------------------------------------------------------
@@ -307,16 +306,16 @@ def state_weight_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     kernel matrices entrywise covers all matrix units at once.
     """
     report = CheckReport(name="state-weights", tolerance=tol)
-    rho = sys.density
+    r = sys.density_diagonal
     dev_left = 0.0
     dev_right = 0.0
     for i, gi in enumerate(sys.generators):
         k = sys.functional_kernels[i]
         # Tr(rho a_i* b) = nu_i Tr(K_i b) for all b  <=>  rho a_i* = nu_i K_i
-        dev_left = max(dev_left, float(np.abs(rho @ gi.conj().T - sys.nu[i] * k).max()))
+        dev_left = max(dev_left, float(np.abs(r[:, None] * gi.conj().T - sys.nu[i] * k).max()))
         dev_right = max(
             dev_right,
-            float(np.abs(gi.conj().T @ rho - (1.0 - sys.nu[i]) * k).max()),
+            float(np.abs(gi.conj().T * r[None, :] - (1.0 - sys.nu[i]) * k).max()),
         )
     report.record("weight-split-left", dev_left)
     report.record("weight-split-right", dev_right)
@@ -333,48 +332,34 @@ def orthogonality_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     ``(c, d) -> state(c d*)`` with the same squared norms.  Both families
     are orthogonal to the identity (their state values vanish).
     """
-    d, q = sys.d, sys.dim
+    d, q, nu = sys.d, sys.dim, sys.nu
+    r = sys.density_diagonal
+    root = np.sqrt(r)
+    eye = np.eye(q)
     gens = sys.generators
-    rho_diag = np.real(np.diag(sys.density))
-    eye = np.eye(q, dtype=complex)
-
-    f = np.stack(
-        [
-            gens[i].conj().T @ gens[j] - (sys.nu[i] if i == j else 0.0) * eye
-            for i in range(d)
-            for j in range(d)
-        ]
-    )
-    g = np.stack(
-        [
-            gens[i] @ gens[j].conj().T - ((1.0 - sys.nu[i]) if i == j else 0.0) * eye
-            for i in range(d)
-            for j in range(d)
-        ]
-    )
-    norms = np.array(
-        [sys.nu[j] * (1.0 - sys.nu[i]) for i in range(d) for j in range(d)]
-    )
+    adj = [g.conj().T for g in gens]
+    sq_norms = np.outer(1.0 - nu, nu).ravel()
+    off = ~np.eye(d * d, dtype=bool)
 
     report = CheckReport(name="orthogonality", tolerance=tol)
-    # state values: orthogonality to the identity
-    mean_f = np.einsum("a,kaa->k", rho_diag, f)
-    mean_g = np.einsum("a,kaa->k", rho_diag, g)
-    report.record("centered-mean-creation", float(np.abs(mean_f).max()))
-    report.record("centered-mean-annihilation", float(np.abs(mean_g).max()))
-
-    # Gram of the f family under (c, d) -> state(d* c): weight columns by rho
-    fw = f * np.sqrt(rho_diag)[None, None, :]
-    gram_f = np.einsum("kab,lab->kl", fw, fw.conj())
-    # Gram of the g family under (c, d) -> state(c d*): weight rows by rho
-    gw = g * np.sqrt(rho_diag)[None, :, None]
-    gram_g = np.einsum("kab,lab->kl", gw, gw.conj())
-
-    off = ~np.eye(d * d, dtype=bool)
-    report.record("pairwise-orthogonality-creation", float(np.abs(gram_f[off]).max(initial=0.0)))
-    report.record("pairwise-orthogonality-annihilation", float(np.abs(gram_g[off]).max(initial=0.0)))
-    report.record("squared-norms-creation", float(np.abs(np.diag(gram_f) - norms).max()))
-    report.record("squared-norms-annihilation", float(np.abs(np.diag(gram_g) - norms).max()))
+    # f under (c, d) -> state(d* c) weights columns by sqrt(rho); g under
+    # (c, d) -> state(c d*) weights rows.  One family is held at a time.
+    for side, left, right, center, weight in (
+        ("creation", adj, gens, nu, root[None, :]),
+        ("annihilation", gens, adj, 1.0 - nu, root[:, None]),
+    ):
+        fam = np.empty((d * d, q, q), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                np.matmul(left[i], right[j], out=fam[i * d + j])
+            fam[i * d + i] -= center[i] * eye
+        # state values: orthogonality to the identity
+        report.record(f"centered-mean-{side}", np.abs(np.einsum("a,kaa->k", r, fam)).max())
+        fam *= weight
+        flat = fam.reshape(d * d, q * q)
+        gram = flat @ flat.conj().T
+        report.record(f"pairwise-orthogonality-{side}", np.abs(gram[off]).max(initial=0.0))
+        report.record(f"squared-norms-{side}", np.abs(np.diag(gram) - sq_norms).max())
     raise_if_failed(report)
     return report
 
@@ -382,17 +367,12 @@ def orthogonality_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
 def fourth_moment_check(sys: CarSystem, y, tol: float = 1e-11) -> CheckReport:
     """Second and fourth moments of ``Y = sum y_i (x) a_i`` in closed form.
 
-    Compares the direct evaluation in the big algebra against
-
-        (Id (x) state)(Y*Y)   = sum nu_i y_i* y_i
-        (Id (x) state)(YY*)   = sum (1-nu_i) y_i y_i*
-        (Id (x) state)((Y*Y)^2) = sum_ij nu_j (1-nu_i) (y_i* y_j)*(y_i* y_j)
-                                  + (sum nu_i y_i* y_i)^2
-        (Id (x) state)((YY*)^2) = sum_ij nu_j (1-nu_i) (y_i y_j*)(y_i y_j*)*
-                                  + (sum (1-nu_i) y_i y_i*)^2
-
-    and then checks the quadratic domination of the fourth moments by the
-    second moments times the sum of the two weighted Gram norms.
+    Compares ``(Id (x) state)`` of ``Y*Y``, ``YY*`` and their squares,
+    evaluated in the big algebra, against the shared closed form
+    :func:`nck.norms.moment_forms` with weights ``nu``, ``1 - nu`` and
+    ``pair_w[i, j] = (1 - nu_i) nu_j``.  Then checks the quadratic
+    domination of the fourth moments by the second moments times the sum
+    of the two weighted Gram norms.
     """
     ya = as_matrix_tuple(y)
     if ya.shape[0] != sys.d:
@@ -402,37 +382,9 @@ def fourth_moment_check(sys: CarSystem, y, tol: float = 1e-11) -> CheckReport:
     bstar = big.conj().T
     cc = bstar @ big
     rr = big @ bstar
-
-    m2_col = _id_otimes_state(sys, cc, n)
-    m2_row = _id_otimes_state(sys, rr, n)
-    m4_col = _id_otimes_state(sys, cc @ cc, n)
-    m4_row = _id_otimes_state(sys, rr @ rr, n)
+    measured = tuple(_id_otimes_state(sys, m, n) for m in (cc, rr, cc @ cc, rr @ rr))
 
     nu = sys.nu
-    col2 = np.einsum("i,iab,iac->bc", nu, ya.conj(), ya)
-    row2 = np.einsum("i,iab,icb->ac", 1.0 - nu, ya, ya.conj())
-    ystar = ya.conj().transpose(0, 2, 1)
-    t = np.einsum("iab,jbc->ijac", ystar, ya)       # t_ij = y_i* y_j
-    s = np.einsum("iab,jbc->ijac", ya, ystar)       # s_ij = y_i y_j*
-    wij = np.einsum("j,i->ij", nu, 1.0 - nu)
-    col4 = (
-        np.einsum("ij,ijba,ijbc->ac", wij, t.conj(), t) + col2 @ col2
-    )
-    row4 = (
-        np.einsum("ij,ijab,ijcb->ac", wij, s, s.conj()) + row2 @ row2
-    )
-
-    report = CheckReport(name="fourth-moments", tolerance=tol)
-    report.record("second-moment-column", rel_dev(m2_col, col2))
-    report.record("second-moment-row", rel_dev(m2_row, row2))
-    report.record("fourth-moment-column", rel_dev(m4_col, col4))
-    report.record("fourth-moment-row", rel_dev(m4_row, row4))
-
-    factor = float(
-        np.linalg.eigvalsh(0.5 * (col2 + col2.conj().T))[-1]
-        + np.linalg.eigvalsh(0.5 * (row2 + row2.conj().T))[-1]
-    )
-    report.record("fourth-psd-column", psd_violation(m4_col, factor * m2_col))
-    report.record("fourth-psd-row", psd_violation(m4_row, factor * m2_row))
-    raise_if_failed(report)
-    return report
+    closed = moment_forms(ya, nu, 1.0 - nu, np.outer(1.0 - nu, nu), np.zeros((sys.d, sys.d)))
+    factor = gram_norm(closed[0]) + gram_norm(closed[1])
+    return moment_report("fourth-moments", tol, measured, closed, factor)

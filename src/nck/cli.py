@@ -242,10 +242,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    if args.d is not None and args.d < 1:
+        raise ParseError(f"--d must be >= 1, got {args.d}")
     rows = []
     ok = True
     if args.experiment == "gauss-c2":
-        d_max = args.d or 16
+        d_max = 16 if args.d is None else args.d
         for d in range(1, d_max + 1):
             value, stderr = c2_witness_gaussian(d, samples=args.samples, seed=args.seed)
             target = gamma_ratio(d) / np.sqrt(d)
@@ -272,7 +274,7 @@ def _cmd_constants(args) -> int:
                 }
             )
     elif args.experiment == "car-c2":
-        d_max = min(args.d or 10, caps.car_dim_cap())
+        d_max = min(10 if args.d is None else args.d, caps.car_dim_cap())
         prev = 0.0
         for d in range(1, d_max + 1):
             matrix_value, binomial_value = car_c2_sequence(d)
@@ -314,7 +316,7 @@ def _cmd_constants(args) -> int:
             rep = random_search_ratio(
                 family,
                 n=args.n,
-                d=args.d or 3,
+                d=3 if args.d is None else args.d,
                 trials=args.trials,
                 seed=args.seed,
                 samples=args.samples,

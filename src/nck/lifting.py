@@ -85,10 +85,10 @@ _PRESETS = {
 }
 
 
-def preset_config(family: str, max_iter: int = 64, tol: float = 1e-10) -> LiftConfig:
+def preset_config(family: str) -> LiftConfig:
     """The clip level achieving the sharp bound for each family."""
     key = "car" if family == "car" else family_kind(family)
-    return LiftConfig(clip_level=_PRESETS[key], contraction=0.5, max_iter=max_iter, tol=tol)
+    return LiftConfig(clip_level=_PRESETS[key])
 
 
 @dataclass

@@ -91,11 +91,53 @@ def _row_gram(x: np.ndarray, w=None) -> np.ndarray:
     return np.einsum("i,iab,icb->ac", w, x, x.conj())
 
 
-def _gram_norm_sqrt(g: np.ndarray) -> float:
+def gram_norm(g: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian part of a Gram matrix."""
     if g.size == 0:
         return 0.0
-    lam = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1])
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1])
+
+
+def _gram_norm_sqrt(g: np.ndarray) -> float:
+    return float(np.sqrt(max(gram_norm(g), 0.0)))
+
+
+def moment_forms(y: np.ndarray, col_w, row_w, pair_w, sign_w):
+    """Closed-form second and fourth moments of ``Y = sum y_i (x) v_i``.
+
+    For variables ``v_i`` whose moments up to order four factor like those
+    of independent complex Gaussians, reweighted, the moments of ``Y``
+    under the expectation (or state) are
+
+        col2 = sum col_w[i] y_i* y_i          (E Y*Y)
+        row2 = sum row_w[i] y_i y_i*          (E YY*)
+        col4 = col2^2 + sum_ij pair_w[i,j] (y_i* y_j)*(y_i* y_j)
+                      + sum_ij sign_w[i,j] (y_i* y_j)^2        (E (Y*Y)^2)
+        row4 = row2^2 + sum_ij pair_w[i,j] (y_i y_j*)(y_i y_j*)*
+                      + sum_ij sign_w[i,j] (y_i y_j*)^2        (E (YY*)^2)
+
+    ``col2`` and ``row2`` are the Grams of the primal norm.  The weights
+    carry the setting: the quasi-free CAR state takes ``nu``, ``1 - nu``,
+    ``pair_w = (1 - nu_i) nu_j`` and ``sign_w = 0``; sampled Gaussians take
+    ones and ``pair_w = 1``; Steinhaus and lacunary variables ones and
+    ``pair_w = 1 - I``; real signs also ``sign_w = 1 - I``.
+    """
+    col2 = _col_gram(y, col_w)
+    row2 = _row_gram(y, row_w)
+    ystar = y.conj().transpose(0, 2, 1)
+    t = np.einsum("iab,jbc->ijac", ystar, y)       # t_ij = y_i* y_j
+    s = np.einsum("iab,jbc->ijac", y, ystar)       # s_ij = y_i y_j*
+    col4 = (
+        col2 @ col2
+        + np.einsum("ij,ijba,ijbc->ac", pair_w, t.conj(), t)
+        + np.einsum("ij,ijab,ijbc->ac", sign_w, t, t)
+    )
+    row4 = (
+        row2 @ row2
+        + np.einsum("ij,ijab,ijcb->ac", pair_w, s, s.conj())
+        + np.einsum("ij,ijab,ijbc->ac", sign_w, s, s)
+    )
+    return col2, row2, col4, row4
 
 
 def triple_norm(x) -> float:
@@ -164,22 +206,19 @@ def _svt(m: np.ndarray, t: float) -> np.ndarray:
     return (u * np.maximum(s - t, 0.0)) @ vh
 
 
-def _nuclear(m: np.ndarray) -> float:
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+def _nuclear_and_polar(m: np.ndarray, rel_cut: float = 1e-8):
+    """Nuclear norm and its polar-part subgradient, from one SVD.
 
-
-def _unit_subgradient(m: np.ndarray, rel_cut: float = 1e-8) -> np.ndarray:
-    """Polar-part subgradient of the nuclear norm, dropping noise directions.
-
-    Singular directions below ``rel_cut * s_max`` are numerical debris near a
-    low-rank optimum; keeping them would inflate the witness norm and ruin
-    the certificate.
+    The subgradient drops singular directions below ``rel_cut * s_max``:
+    they are numerical debris near a low-rank optimum, and keeping them
+    would inflate the witness norm and ruin the certificate.
     """
     u, s, vh = np.linalg.svd(m, full_matrices=False)
+    nuclear = float(s.sum())
     if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(m)
+        return nuclear, np.zeros_like(m)
     keep = s > rel_cut * s[0]
-    return u[:, keep] @ vh[keep, :]
+    return nuclear, u[:, keep] @ vh[keep, :]
 
 
 @dataclass
@@ -206,10 +245,8 @@ def dual_norm(
     x,
     nu=None,
     *,
-    step: float = 1.0,
     max_iter: int = MAX_ITER,
     gap_tol: float = GAP_TOL,
-    change_tol: float = CHANGE_TOL,
 ) -> DualNormResult:
     """Infimal-convolution dual norm with achieving decomposition.
 
@@ -248,7 +285,7 @@ def dual_norm(
         return DualNormResult(0.0, zero, zero, 0.0, 0, True, None)
     # unit step on the normalized problem: scaling the soft-threshold with
     # the primal norm makes the iteration count independent of input scale
-    step = step * max(triple_norm(xa), 1e-300)
+    step = max(triple_norm(xa), 1e-300)
 
     a3 = alpha[:, None, None]
     b3 = beta[:, None, None]
@@ -261,10 +298,12 @@ def dual_norm(
 
     def evaluate(u, wv, candidates):
         uf, wf = project(u, wv)
-        primal = _nuclear(stack_u(uf)) + _nuclear(stack_w(wf))
+        nuc_u, polar_u = _nuclear_and_polar(stack_u(uf))
+        nuc_w, polar_w = _nuclear_and_polar(stack_w(wf))
+        primal = nuc_u + nuc_w
+        polar_u = unstack_u(polar_u, d, n) / a3
+        polar_w = unstack_w(polar_w, d, n) / b3
         cert_val, cert_tuple = 0.0, None
-        polar_u = unstack_u(_unit_subgradient(stack_u(uf)), d, n) / a3
-        polar_w = unstack_w(_unit_subgradient(stack_w(wf)), d, n) / b3
         for lam in (*candidates, polar_u, polar_w):
             bt = lam.conj().transpose(0, 2, 1)
             pn = _primal_norm(bt, w)
@@ -301,7 +340,7 @@ def dual_norm(
         if best_primal[0] - best_cert[0] <= gap_tol:
             break
         change = max(float(np.abs(du).max()), float(np.abs(dw).max()))
-        if change <= change_tol * (1.0 + scale):
+        if change <= CHANGE_TOL * (1.0 + scale):
             break
 
     primal, uf, wf = best_primal

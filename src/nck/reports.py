@@ -68,3 +68,25 @@ def raise_if_failed(report: CheckReport):
             max_deviation=dev,
             report=report,
         )
+
+
+def moment_report(name: str, tol: float, measured, closed, factor: float) -> CheckReport:
+    """Compare directly evaluated moments with their closed forms.
+
+    ``measured`` and ``closed`` are ``(col2, row2, col4, row4)``, the second
+    and fourth column and row moments (see :func:`nck.norms.moment_forms`).
+    The fourth moments must also sit below ``factor`` times the measured
+    second moments.  Raises :class:`IdentityViolation` unless every row
+    passes.
+    """
+    m2_col, m2_row, m4_col, m4_row = measured
+    col2, row2, col4, row4 = closed
+    report = CheckReport(name=name, tolerance=tol)
+    report.record("second-moment-column", rel_dev(m2_col, col2))
+    report.record("second-moment-row", rel_dev(m2_row, row2))
+    report.record("fourth-moment-column", rel_dev(m4_col, col4))
+    report.record("fourth-moment-row", rel_dev(m4_row, row4))
+    report.record("fourth-psd-column", psd_violation(m4_col, factor * m2_col))
+    report.record("fourth-psd-row", psd_violation(m4_row, factor * m2_row))
+    raise_if_failed(report)
+    return report

@@ -25,7 +25,9 @@ Four kinds of space are provided:
 :func:`build` maps a family name (``gaussian`` for ``gaussian-mc``) to its
 space.  A tuple of coefficients ``y`` (shape ``(d, n, n)``) embeds as the
 random matrix ``Y(w) = sum_i y_i * family[i, w]``; conditional expectation
-against the family recovers the coefficients.
+against the family recovers the coefficients.  The moment check compares
+against the weighted closed form :func:`nck.norms.moment_forms`, the same
+one the fermionic check uses.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from scipy.special import gammaln
 
 from . import caps
 from .exceptions import DimensionMismatch, DTooLarge, InvalidParameter, SpaceTooLarge
-from .norms import as_matrix_tuple
-from .reports import CheckReport, psd_violation, raise_if_failed, rel_dev
+from .norms import as_matrix_tuple, gram_norm, moment_forms
+from .reports import CheckReport, moment_report
 
 __all__ = [
     "DiscreteProbabilitySpace",
@@ -273,39 +275,15 @@ def sup_norm(elem: RandomElement) -> float:
     return float(np.linalg.svd(elem.blocks, compute_uv=False)[:, 0].max())
 
 
-def _fourth_forms(y: np.ndarray, kind: str):
-    d = y.shape[0]
-    col2 = np.einsum("iab,iac->bc", y.conj(), y)
-    row2 = np.einsum("iab,icb->ac", y, y.conj())
-    ystar = y.conj().transpose(0, 2, 1)
-    # pairwise products t_ij = y_i^* y_j and s_ij = y_i y_j^*
-    t = np.einsum("iab,jbc->ijac", ystar, y)
-    s = np.einsum("iab,jbc->ijac", y, ystar)
-    tt = np.einsum("ijab,ijbc->ijac", t.conj().transpose(0, 1, 3, 2), t)
-    ss = np.einsum("ijab,ijbc->ijac", s, s.conj().transpose(0, 1, 3, 2))
-    offdiag = ~np.eye(d, dtype=bool)
-    if kind == "gaussian-mc":
-        col4 = tt.sum(axis=(0, 1)) + col2 @ col2
-        row4 = ss.sum(axis=(0, 1)) + row2 @ row2
-    elif kind in ("steinhauss", "lacunary"):
-        col4 = tt[offdiag].sum(axis=0) + col2 @ col2
-        row4 = ss[offdiag].sum(axis=0) + row2 @ row2
-    elif kind == "rademacher":
-        t2 = np.einsum("ijab,ijbc->ijac", t, t)
-        s2 = np.einsum("ijab,ijbc->ijac", s, s)
-        col4 = col2 @ col2 + t2[offdiag].sum(axis=0) + tt[offdiag].sum(axis=0)
-        row4 = row2 @ row2 + s2[offdiag].sum(axis=0) + ss[offdiag].sum(axis=0)
-    else:
-        raise DimensionMismatch(f"unknown kind {kind!r}")
-    return col2, row2, col4, row4
-
-
 def moment_identity_check(y, space: DiscreteProbabilitySpace, tol: float | None = None) -> CheckReport:
     """Verify second/fourth moment identities of ``Y = sum y_i (x) family_i``.
 
     Moments are evaluated by direct atom summation and compared with the
-    kind-specific closed forms; the fourth moments must also sit below the
-    second moments scaled by the appropriate norm factor (factor
+    closed form :func:`nck.norms.moment_forms` that the fermionic check
+    shares, weighted for the kind: ``pair_w = 1`` for sampled Gaussians
+    (``E|g|^4 = 2``), ``1 - I`` otherwise, and the sign term ``1 - I`` for
+    real signs only.  The fourth moments must also sit below the second
+    moments scaled by the appropriate norm factor (factor
     ``||col2|| + ||row2||`` for circularly symmetric families, factor
     ``3 * triple_norm(y)**2`` for signs).
 
@@ -314,6 +292,7 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace, tol: float | None 
     (default ``1e-11`` for exact kinds, ``50/sqrt(atoms)`` for sampled
     Gaussians).
     """
+    kind = family_kind(space.kind)
     ya = as_matrix_tuple(y)
     elem = element_from_tuple(ya, space)
     blocks = elem.blocks
@@ -326,29 +305,17 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace, tol: float | None 
     m4_col = np.einsum("m,mab,mbc->ac", w, g_col, g_col)
     m4_row = np.einsum("m,mab,mbc->ac", w, g_row, g_row)
 
-    col2, row2, col4, row4 = _fourth_forms(ya, space.kind)
+    d = ya.shape[0]
+    ones = np.ones(d)
+    off = 1.0 - np.eye(d)
+    pair_w = np.ones((d, d)) if kind == "gaussian-mc" else off
+    sign_w = off if kind == "rademacher" else np.zeros((d, d))
+    closed = moment_forms(ya, ones, ones, pair_w, sign_w)
+    n_col, n_row = gram_norm(closed[0]), gram_norm(closed[1])
+    factor = 3.0 * max(n_col, n_row) if kind == "rademacher" else n_col + n_row
 
     if tol is None:
         tol = 1e-11 if space.is_exact else 50.0 / np.sqrt(space.atoms)
-
-    report = CheckReport(name=f"moments[{space.kind}]", tolerance=tol)
-    report.record("second-moment-column", rel_dev(m2_col, col2))
-    report.record("second-moment-row", rel_dev(m2_row, row2))
-    report.record("fourth-moment-column", rel_dev(m4_col, col4))
-    report.record("fourth-moment-row", rel_dev(m4_row, row4))
-
-    if space.kind == "rademacher":
-        tn2 = max(
-            float(np.linalg.eigvalsh(0.5 * (col2 + col2.conj().T))[-1]),
-            float(np.linalg.eigvalsh(0.5 * (row2 + row2.conj().T))[-1]),
-        )
-        factor = 3.0 * tn2
-    else:
-        factor = float(
-            np.linalg.eigvalsh(0.5 * (col2 + col2.conj().T))[-1]
-            + np.linalg.eigvalsh(0.5 * (row2 + row2.conj().T))[-1]
-        )
-    report.record("fourth-psd-column", psd_violation(m4_col, factor * m2_col))
-    report.record("fourth-psd-row", psd_violation(m4_row, factor * m2_row))
-    raise_if_failed(report)
-    return report
+    return moment_report(
+        f"moments[{space.kind}]", tol, (m2_col, m2_row, m4_col, m4_row), closed, factor
+    )

@@ -122,7 +122,7 @@ class TestJordanWigner:
 class TestState:
     def test_density_is_a_state(self):
         sys = random_system(3)
-        rho = sys.density
+        rho = np.diag(sys.density_diagonal)
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-15
         assert state_eval(sys, np.eye(sys.dim)) == pytest.approx(1.0)
@@ -142,6 +142,12 @@ class TestState:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             state_eval(random_system(2), np.eye(3))
+
+    def test_weight_off_the_15_digit_grid_is_exact(self):
+        nu = 0.3 + 4e-16
+        sys = car_system([nu])
+        a = sys.generators[0]
+        assert state_eval(sys, a.conj().T @ a) == nu
 
 
 class TestNPointFunction:
@@ -208,7 +214,7 @@ class TestFunctionalKernels:
         nu[0] = 0.0
         nu[-1] = 1.0
         sys = car_system(nu)
-        rho = sys.density
+        rho = np.diag(sys.density_diagonal)
         expected = np.stack([rho @ g.conj().T + g.conj().T @ rho for g in sys.generators])
         assert np.array_equal(sys.functional_kernels, expected)
 
@@ -217,8 +223,8 @@ class TestFunctionalKernels:
         clean_kernels = np.asarray(clean.functional_kernels)
         gens = list(clean.generators)
         gens[0] = gens[0] + 1e-4 * np.eye(clean.dim)
-        perturbed = CarSystem(nu=clean.nu, generators=tuple(gens), density=clean.density)
-        rho = perturbed.density
+        perturbed = CarSystem(nu=clean.nu, generators=tuple(gens))
+        rho = np.diag(perturbed.density_diagonal)
         expected = np.stack([rho @ g.conj().T + g.conj().T @ rho for g in gens])
         assert np.abs(perturbed.functional_kernels - expected).max() <= 1e-15
         assert np.abs(perturbed.functional_kernels - clean_kernels).max() > 1e-5
@@ -322,7 +328,7 @@ class TestFourthMoment:
         y = np.ones((1, 1, 1), dtype=complex)
         big = embed_tuple(sys, y)
         cc = big.conj().T @ big
-        value = np.trace(sys.density @ cc @ cc)
+        value = np.trace(np.diag(sys.density_diagonal) @ cc @ cc)
         assert value == pytest.approx(0.5)  # nu(1-nu) + nu^2 at nu = 1/2
         assert fourth_moment_check(sys, y).passed
 
@@ -336,7 +342,7 @@ class TestFourthMoment:
         bad = car_system(sys.nu)
         gens = list(bad.generators)
         gens[0] = gens[0] + 1e-3 * np.eye(bad.dim)
-        corrupted = type(bad)(nu=bad.nu, generators=tuple(gens), density=bad.density)
+        corrupted = type(bad)(nu=bad.nu, generators=tuple(gens))
         with pytest.raises(IdentityViolation):
             anticommutation_check(corrupted)
 

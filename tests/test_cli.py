@@ -181,7 +181,7 @@ class TestVerifyCommand:
             sys = clean_system(nu)
             gens = list(sys.generators)
             gens[0] = gens[0] + 1e-4 * np.eye(sys.dim)
-            return type(sys)(nu=sys.nu, generators=tuple(gens), density=sys.density)
+            return type(sys)(nu=sys.nu, generators=tuple(gens))
 
         monkeypatch.setattr(cli, "car_system", corrupt)
         code = main(["verify", "--suite", "car-identities", "--d", "2", "--seed", "0"])
@@ -226,6 +226,15 @@ class TestConstantsCommand:
     def test_search_zero_n_exit_2(self, capsys):
         code = main(["constants", "--experiment", "search", "--n", "0", "--trials", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "experiment,d",
+        [("gauss-c2", "-1"), ("car-c2", "-3"), ("car-c2", "0"), ("search", "0")],
+    )
+    def test_nonpositive_d_exit_2(self, experiment, d, capsys):
+        code = main(["constants", "--experiment", experiment, "--d", d, "--trials", "1"])
+        assert code == 2
+        assert "--d must be >= 1" in capsys.readouterr().err
 
     def test_gauss_c2_small(self, capsys):
         code = main(
