@@ -232,10 +232,13 @@ def embed_tuple(sys: CarSystem, y) -> np.ndarray:
     ya = as_matrix_tuple(y)
     if ya.shape[0] != sys.d:
         raise DimensionMismatch(f"tuple d={ya.shape[0]} vs system d={sys.d}")
-    gens = np.stack(sys.generators)
-    return np.einsum("iab,icd->acbd", ya, gens).reshape(
-        ya.shape[1] * sys.dim, ya.shape[1] * sys.dim
-    )
+    n, q = ya.shape[1], sys.dim
+    # one generator at a time: a stacked (d, q, q) copy of the generators
+    # would cost more memory than the result at n = 1 or 2
+    out = np.zeros((n, q, n, q), dtype=complex)
+    for yi, g in zip(ya, sys.generators):
+        out += yi[:, None, :, None] * g[None, :, None, :]
+    return out.reshape(n * q, n * q)
 
 
 def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
@@ -282,16 +285,25 @@ def anticommutation_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
 
 
 def second_moment_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
-    """``state(a_i* a_j) = nu_i delta_ij`` and ``state(a_i a_j*) = (1-nu_i) delta_ij``."""
+    """``state(a_i* a_j) = nu_i delta_ij`` and ``state(a_i a_j*) = (1-nu_i) delta_ij``.
+
+    The density is diagonal, so both states are elementwise sums:
+    ``state(a_i* a_j) = sum_lk r_k conj(a_i[l,k]) a_j[l,k]`` and
+    ``state(a_i a_j*) = sum_kl r_k a_i[k,l] conj(a_j[k,l])`` with
+    ``r = diag(rho)``; no product of generators is formed.
+    """
     report = CheckReport(name="second-moments", tolerance=tol)
+    r = sys.density_diagonal
     dev_c = 0.0
     dev_a = 0.0
-    for i, gi in enumerate(sys.generators):
-        for j, gj in enumerate(sys.generators):
+    for j, gj in enumerate(sys.generators):
+        col_weighted = gj * r[None, :]
+        row_weighted = gj * r[:, None]
+        for i, gi in enumerate(sys.generators):
             target = sys.nu[i] if i == j else 0.0
-            dev_c = max(dev_c, abs(state_eval(sys, gi.conj().T @ gj) - target))
+            dev_c = max(dev_c, abs(np.vdot(gi, col_weighted) - target))
             target = (1.0 - sys.nu[i]) if i == j else 0.0
-            dev_a = max(dev_a, abs(state_eval(sys, gi @ gj.conj().T) - target))
+            dev_a = max(dev_a, abs(np.vdot(row_weighted, gi) - target))
     report.record("two-point-creation", dev_c)
     report.record("two-point-annihilation", dev_a)
     raise_if_failed(report)

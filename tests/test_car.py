@@ -139,6 +139,28 @@ class TestState:
     def test_second_moment_check_passes(self):
         assert second_moment_check(random_system(4)).passed
 
+    def test_second_moment_check_matches_dense_products(self):
+        # reference: the states of the dense products, on generic matrices
+        d, q = 3, 8
+        gens = tuple(random_tuple(d, q))
+        sys = CarSystem(nu=RNG.uniform(0.05, 0.95, d), generators=gens)
+        dev_c = dev_a = 0.0
+        for i, gi in enumerate(gens):
+            for j, gj in enumerate(gens):
+                delta = float(i == j)
+                dev_c = max(dev_c, abs(state_eval(sys, gi.conj().T @ gj) - delta * sys.nu[i]))
+                dev_a = max(dev_a, abs(state_eval(sys, gi @ gj.conj().T) - delta * (1 - sys.nu[i])))
+        report = second_moment_check(sys, tol=np.inf)
+        assert report.deviations["two-point-creation"] == pytest.approx(dev_c, rel=1e-12)
+        assert report.deviations["two-point-annihilation"] == pytest.approx(dev_a, rel=1e-12)
+
+    def test_second_moment_check_detects_corrupted_generator(self):
+        clean = random_system(2)
+        gens = list(clean.generators)
+        gens[0] = gens[0] + 1e-4 * np.eye(clean.dim)
+        with pytest.raises(IdentityViolation, match="two-point"):
+            second_moment_check(CarSystem(nu=clean.nu, generators=tuple(gens)))
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             state_eval(random_system(2), np.eye(3))
@@ -228,6 +250,19 @@ class TestFunctionalKernels:
         expected = np.stack([rho @ g.conj().T + g.conj().T @ rho for g in gens])
         assert np.abs(perturbed.functional_kernels - expected).max() <= 1e-15
         assert np.abs(perturbed.functional_kernels - clean_kernels).max() > 1e-5
+
+
+class TestEmbedTuple:
+    @pytest.mark.parametrize("d,n", [(1, 1), (3, 2), (6, 1), (6, 3)])
+    def test_bit_exact_against_stacked_einsum(self, d, n):
+        # the Jordan-Wigner generators have disjoint supports, so adding the
+        # terms one generator at a time rounds exactly like the einsum
+        sys = random_system(d)
+        y = random_tuple(d, n)
+        reference = np.einsum("iab,icd->acbd", y, np.stack(sys.generators))
+        big = embed_tuple(sys, y)
+        assert big.shape == (n * sys.dim, n * sys.dim)
+        assert np.array_equal(big, reference.reshape(big.shape))
 
 
 class TestExtractCoefficients:

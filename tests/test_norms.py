@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nck.exceptions import DegenerateWeight, DimensionMismatch, ZeroWitness
+from nck.exceptions import DegenerateWeight, DimensionMismatch, InvalidParameter, ZeroWitness
 from nck.linalg import trace_norm
 from nck.norms import (
     dual_norm,
@@ -178,6 +178,36 @@ class TestDualNorm:
         res = dual_norm(x, max_iter=1)
         assert not res.converged
         assert res.gap > 1e-5
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_nonpositive_max_iter_rejected(self, max_iter):
+        with pytest.raises(InvalidParameter):
+            dual_norm(random_tuple(2, 2), max_iter=max_iter)
+
+    @pytest.mark.parametrize("nu", [None, [0.3, 0.6]])
+    def test_exit_between_schedule_points_is_certified(self, nu):
+        # three iterations end before the first scheduled evaluation; the
+        # budget exit still evaluates, so the certificate is a computed bound
+        x = random_tuple(2, 3, np.random.default_rng(3))
+        res = dual_norm(x, nu=nu, max_iter=3)
+        assert res.iterations == 3
+        assert res.certificate is not None
+        cert = pairing_certificate(x, res.certificate, nu)
+        assert cert == pytest.approx(res.value - res.gap, abs=1e-9)
+
+    def test_slow_tail_instance(self):
+        # criterion 7's slowest instance (index 72 of default_rng(707)),
+        # about 9000 iterations
+        rng = np.random.default_rng(707)
+        for _ in range(73):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            x = random_tuple(d, n, rng)
+        assert x.shape == (2, 4, 4)
+        res = dual_norm(x)
+        assert res.converged and res.gap <= 1e-5
+        assert pairing_certificate(x, res.certificate) == pytest.approx(
+            res.value - res.gap, abs=1e-9
+        )
 
     @pytest.mark.parametrize("bad", [0.0, 1.0])
     def test_degenerate_weights_rejected(self, bad):
