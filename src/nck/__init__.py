@@ -8,6 +8,7 @@ and sqrt(3) norm bounds, and witnesses for the sharp constants.
 """
 
 from .car import (
+    CarElement,
     CarSystem,
     SubspaceModel,
     anticommutation_check,

@@ -20,6 +20,18 @@ conditional expectation on the probability spaces.  The state has the
 complex-Gaussian moment structure reweighted by ``nu_i`` and ``1 - nu_i``,
 so the fourth-moment check uses the closed form
 :func:`nck.norms.moment_forms` shared with the probability spaces.
+
+Every ``a_i`` lowers the occupation number (the count of set bits of a
+basis state) by exactly one.  So an element ``Y = sum_i y_i (x) a_i`` is a
+direct sum of blocks ``B_k`` from the ``k``- to the ``(k-1)``-particle
+sector, ``k = 1..d``, of shape ``n C(d,k-1) x n C(d,k)``.
+:func:`embed_tuple` returns it in that form, a :class:`CarElement`; its
+operator norm is the largest block norm, and ``Y*Y`` and ``YY*`` are block
+diagonal over the sectors.  Blocks ``k`` and ``d+1-k`` have transposed
+shapes, so they are kept as one pair ``(B_k^T, B_{d+1-k})`` with the
+smaller side as columns, ready for one batched clip.  The dense
+``n 2**d``-square matrix is formed only on request
+(:meth:`CarElement.toarray`).
 """
 
 from __future__ import annotations
@@ -30,13 +42,20 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from . import caps
-from .exceptions import DimensionMismatch, DTooLarge, NotOrthonormal, SizeMismatch
+from .exceptions import (
+    DimensionMismatch,
+    DTooLarge,
+    IdentityViolation,
+    NotOrthonormal,
+    SizeMismatch,
+)
 from .norms import as_matrix_tuple, as_weights, gram_norm, moment_forms
 from .reports import CheckReport, moment_report, raise_if_failed
 
 __all__ = [
     "SubspaceModel",
     "CarSystem",
+    "CarElement",
     "subspace_to_weights",
     "jordan_wigner",
     "car_system",
@@ -126,6 +145,151 @@ def jordan_wigner(d: int):
     return _jordan_wigner_cached(d)
 
 
+@lru_cache(maxsize=8)
+def _jw_support(d: int):
+    """Where the Jordan-Wigner generators can be nonzero, by bit arithmetic.
+
+    Mode ``i`` is bit ``d - 1 - i`` of a basis state (the first tensor
+    factor is the most significant bit); a set bit is an occupied mode.
+    ``a_i`` takes each state with mode ``i`` occupied to the same state with
+    it empty, with sign ``(-1)^(occupied modes j < i)``.  Returns
+    ``(rows, cols)``, each ``(d, 2**(d-1))``: ``a_i[rows[i, e], cols[i, e]]``
+    are the entries of ``a_i`` that may be nonzero.
+    """
+    states = np.arange(1 << d)
+    cols = np.stack([states[(states >> (d - 1 - i)) & 1 == 1] for i in range(d)])
+    rows = cols ^ (1 << (d - 1 - np.arange(d)))[:, None]
+    for a in (rows, cols):
+        a.setflags(write=False)
+    return rows, cols
+
+
+@dataclass(frozen=True)
+class _BlockLayout:
+    """Where each entry of a :class:`CarElement` lives, for one ``(d, n)``.
+
+    The flat buffer holds the sector pairs one after the other; pair ``j``
+    (``j = 1..ceil(d/2)``) has shape ``(m, n C(d,j), n C(d,j-1))`` and holds
+    ``B_j^T`` and ``B_{d+1-j}``, or ``B_j`` alone (``m = 1``) when
+    ``j = d+1-j``.  Block rows are indexed ``(p, u)`` and columns ``(q, v)``,
+    ``p`` and ``q`` major, like the dense ``n 2**d`` square.
+    """
+
+    pairs: tuple      # (start, stop, (m, rows, cols)) of each pair
+    blocks: tuple     # (start, stop, stored shape, transposed) of B_1 .. B_d
+    size: int
+    sectors: tuple    # sectors[k]: the k-particle basis states, ascending
+    support: np.ndarray  # (d, 2**(d-1), n, n): where y_i[p, q] a_i[u, v] goes
+    dense: np.ndarray    # (size,): flat index in the dense square of each entry
+
+
+@lru_cache(maxsize=16)
+def _block_layout(d: int, n: int) -> _BlockLayout:
+    dim = 1 << d
+    states = np.arange(dim)
+    count = np.bitwise_count(states)
+    sectors = tuple(states[count == k] for k in range(d + 1))
+    rank = np.empty(dim, dtype=np.intp)
+    for s in sectors:
+        rank[s] = np.arange(s.size)
+
+    pairs, blocks, offset = [], [None] * (d + 1), 0
+    for j in range(1, (d + 1) // 2 + 1):
+        shape = (n * sectors[j].size, n * sectors[j - 1].size)
+        size = shape[0] * shape[1]
+        partner = d + 1 - j
+        if j < partner:
+            blocks[j] = (offset, offset + size, shape, True)
+            blocks[partner] = (offset + size, offset + 2 * size, shape, False)
+            pairs.append((offset, offset + 2 * size, (2,) + shape))
+        else:
+            blocks[j] = (offset, offset + size, shape, False)
+            pairs.append((offset, offset + size, (1,) + shape))
+        offset = pairs[-1][1]
+
+    # buffer position of every entry of B_k, in B_k's own orientation
+    positions = [None]
+    for start, stop, shape, transposed in blocks[1:]:
+        pos = np.arange(start, stop).reshape(shape)
+        positions.append(pos.T if transposed else pos)
+
+    p = np.arange(n)
+    dense = np.empty(offset, dtype=np.intp)
+    for k in range(1, d + 1):
+        row = (p[:, None] * dim + sectors[k - 1][None, :]).ravel()
+        col = (p[:, None] * dim + sectors[k][None, :]).ravel()
+        dense[positions[k]] = row[:, None] * (n * dim) + col[None, :]
+
+    rows, cols = _jw_support(d)
+    sector_of = count[cols]
+    support = np.empty(rows.shape + (n, n), dtype=np.intp)
+    for k in range(1, d + 1):
+        at = sector_of == k
+        r = p[None, :] * sectors[k - 1].size + rank[rows[at]][:, None]
+        c = p[None, :] * sectors[k].size + rank[cols[at]][:, None]
+        support[at] = positions[k][r[:, :, None], c[:, None, :]]
+
+    for a in (dense, support) + sectors:
+        a.setflags(write=False)
+    return _BlockLayout(tuple(pairs), tuple(blocks[1:]), offset, sectors, support, dense)
+
+
+@dataclass(frozen=True)
+class CarElement:
+    """An element of ``M_n (x) M_{2**d}`` that lowers the occupation number by one.
+
+    Kept as its particle-number blocks ``B_k`` (``k`` particles to
+    ``k - 1``), paired and flattened into one buffer ``blocks`` as
+    ``_BlockLayout`` describes.  :meth:`toarray` gives the dense matrix.
+    """
+
+    d: int
+    n: int
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        size = _block_layout(self.d, self.n).size
+        if self.blocks.shape != (size,):
+            raise SizeMismatch(
+                f"a d={self.d}, n={self.n} element has {size} block entries, "
+                f"got shape {self.blocks.shape}"
+            )
+
+    @classmethod
+    def zeros(cls, d: int, n: int) -> "CarElement":
+        return cls(d, n, np.zeros(_block_layout(d, n).size, dtype=complex))
+
+    def pairs(self) -> list:
+        """Views ``(m, rows, cols)`` of the sector pairs, ``rows >= cols``."""
+        return [
+            self.blocks[start:stop].reshape(shape)
+            for start, stop, shape in _block_layout(self.d, self.n).pairs
+        ]
+
+    def map_pairs(self, fn) -> "CarElement":
+        """The element whose pairs are ``fn(pair)``, e.g. a batched clip."""
+        return CarElement(self.d, self.n, np.concatenate([np.ravel(fn(p)) for p in self.pairs()]))
+
+    def sector_blocks(self) -> list:
+        """Views of ``B_1 .. B_d``; ``B_k`` has shape ``n C(d,k-1) x n C(d,k)``."""
+        out = []
+        for start, stop, shape, transposed in _block_layout(self.d, self.n).blocks:
+            b = self.blocks[start:stop].reshape(shape)
+            out.append(b.T if transposed else b)
+        return out
+
+    def op_norm(self) -> float:
+        """Operator norm: the element is a direct sum of its blocks."""
+        return max(float(np.linalg.norm(p, 2, axis=(1, 2)).max()) for p in self.pairs())
+
+    def toarray(self) -> np.ndarray:
+        """The dense ``n 2**d`` square matrix."""
+        side = self.n << self.d
+        out = np.zeros(side * side, dtype=complex)
+        out[_block_layout(self.d, self.n).dense] = self.blocks
+        return out.reshape(side, side)
+
+
 @dataclass(frozen=True)
 class CarSystem:
     """Generators plus the weights of the product state."""
@@ -147,6 +311,40 @@ class CarSystem:
         r = reduce(np.kron, [np.array([1.0 - v, v]) for v in self.nu])
         r.setflags(write=False)
         return r
+
+    @cached_property
+    def support_values(self) -> np.ndarray:
+        """Each generator's entries on its Jordan-Wigner support, ``(d, 2**(d-1))``.
+
+        The particle-number blocks hold exactly these entries, so a
+        generator with weight anywhere else (such as ``a_1 + 1e-4 I``) raises
+        :class:`IdentityViolation` naming it and its off-support mass.
+        """
+        d = self.d
+        if self.dim != 1 << d:
+            raise IdentityViolation(
+                f"{d} generators of side {self.dim} do not act on the 2**{d}-dimensional "
+                "Jordan-Wigner space"
+            )
+        rows, cols = _jw_support(d)
+        vals = np.empty(rows.shape, dtype=complex)
+        for i, g in enumerate(self.generators):
+            g = np.asarray(g)
+            vals[i] = g[rows[i], cols[i]]
+            if np.count_nonzero(g) > np.count_nonzero(vals[i]):
+                rest = np.array(g, dtype=complex)
+                rest[rows[i], cols[i]] = 0.0
+                mass = float(np.abs(rest).sum())
+                report = CheckReport(name="jordan-wigner-support")
+                report.record(f"off-support-generator-{i}", mass)
+                raise IdentityViolation(
+                    f"generator {i} has weight {mass:.3e} off its Jordan-Wigner support; "
+                    "it does not lower the occupation number by one",
+                    max_deviation=mass,
+                    report=report,
+                )
+        vals.setflags(write=False)
+        return vals
 
     @cached_property
     def functional_kernels(self) -> np.ndarray:
@@ -227,40 +425,51 @@ def generator_monomial(sys: CarSystem, create, annihilate) -> np.ndarray:
     return out
 
 
-def embed_tuple(sys: CarSystem, y) -> np.ndarray:
-    """The element ``Y = sum_i y_i (x) a_i`` in ``M_n (x) M_{2**d}``."""
+def embed_tuple(sys: CarSystem, y) -> CarElement:
+    """The element ``Y = sum_i y_i (x) a_i`` in ``M_n (x) M_{2**d}``, in sector blocks.
+
+    One scatter of ``y_i[p, q] a_i[u, v]`` over the generators' supports;
+    ``toarray()`` of the result equals the dense sum bit for bit (the
+    supports are disjoint).
+    """
     ya = as_matrix_tuple(y)
     if ya.shape[0] != sys.d:
         raise DimensionMismatch(f"tuple d={ya.shape[0]} vs system d={sys.d}")
-    n, q = ya.shape[1], sys.dim
-    # one generator at a time: a stacked (d, q, q) copy of the generators
-    # would cost more memory than the result at n = 1 or 2
-    out = np.zeros((n, q, n, q), dtype=complex)
-    for yi, g in zip(ya, sys.generators):
-        out += yi[:, None, :, None] * g[None, :, None, :]
-    return out.reshape(n * q, n * q)
+    vals = sys.support_values
+    layout = _block_layout(sys.d, ya.shape[1])
+    blocks = np.zeros(layout.size, dtype=complex)
+    blocks[layout.support] = vals[:, :, None, None] * ya[:, None, :, :]
+    return CarElement(sys.d, ya.shape[1], blocks)
 
 
 def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
     """Apply the coefficient functionals blockwise: ``x_i = (Id (x) phi_i)(X)``.
 
-    Inverts :func:`embed_tuple` on its range; even monomials map to zero.
+    ``x`` is a :class:`CarElement` or a dense ``n 2**d`` square, which is
+    first sliced into sector blocks.  Only the entries on the generators'
+    supports count: ``x_i[p, q] = sum conj(a_i[u, v]) (r_u + r_v) X[(p, u), (q, v)]``
+    with ``r = diag(rho)``, the functional kernels restricted to where they
+    are nonzero.  Inverts :func:`embed_tuple` on its range; even monomials
+    map to zero.
     """
-    a = np.asarray(x, dtype=complex)
-    q = sys.dim
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % q != 0:
-        raise SizeMismatch(
-            f"expected a square matrix with side divisible by {q}, got {a.shape}"
-        )
-    n = a.shape[0] // q
-    ar = a.reshape(n, q, n, q)
-    return np.einsum("iab,pbqa->ipq", sys.functional_kernels, ar)
-
-
-def _id_otimes_state(sys: CarSystem, w: np.ndarray, n: int) -> np.ndarray:
-    q = sys.dim
-    wr = w.reshape(n, q, n, q)
-    return np.einsum("a,paqa->pq", sys.density_diagonal, wr)
+    if isinstance(x, CarElement):
+        if x.d != sys.d:
+            raise SizeMismatch(f"element d={x.d} vs system d={sys.d}")
+        elem = x
+    else:
+        a = np.asarray(x, dtype=complex)
+        q = sys.dim
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % q != 0:
+            raise SizeMismatch(
+                f"expected a square matrix with side divisible by {q}, got {a.shape}"
+            )
+        n = a.shape[0] // q
+        elem = CarElement(sys.d, n, a.ravel()[_block_layout(sys.d, n).dense])
+    rows, cols = _jw_support(sys.d)
+    r = sys.density_diagonal
+    weights = sys.support_values.conj() * (r[rows] + r[cols])
+    gathered = elem.blocks[_block_layout(sys.d, elem.n).support]
+    return np.einsum("ie,iepq->ipq", weights, gathered)
 
 
 # --- identity checks --------------------------------------------------------
@@ -384,19 +593,31 @@ def fourth_moment_check(sys: CarSystem, y, tol: float = 1e-11) -> CheckReport:
     :func:`nck.norms.moment_forms` with weights ``nu``, ``1 - nu`` and
     ``pair_w[i, j] = (1 - nu_i) nu_j``.  Then checks the quadratic
     domination of the fourth moments by the second moments times the sum
-    of the two weighted Gram norms.
+    of the two weighted Gram norms.  ``Y*Y`` and ``YY*`` are block diagonal
+    over the particle-number sectors, ``B_k* B_k`` on sector ``k`` and
+    ``B_k B_k*`` on sector ``k - 1``, so each is formed and squared one
+    sector at a time.
     """
     ya = as_matrix_tuple(y)
     if ya.shape[0] != sys.d:
         raise DimensionMismatch(f"tuple d={ya.shape[0]} vs system d={sys.d}")
     n = ya.shape[1]
     big = embed_tuple(sys, ya)
-    bstar = big.conj().T
-    cc = bstar @ big
-    rr = big @ bstar
-    measured = tuple(_id_otimes_state(sys, m, n) for m in (cc, rr, cc @ cc, rr @ rr))
+    r = sys.density_diagonal
+    sectors = _block_layout(sys.d, n).sectors
+
+    def state(m, k):
+        # (Id (x) state) of an operator on sector k
+        s = sectors[k].size
+        return np.einsum("a,paqa->pq", r[sectors[k]], m.reshape(n, s, n, s))
+
+    measured = np.zeros((4, n, n), dtype=complex)
+    for k, b in enumerate(big.sector_blocks(), start=1):
+        cc = b.conj().T @ b
+        rr = b @ b.conj().T
+        measured += (state(cc, k), state(rr, k - 1), state(cc @ cc, k), state(rr @ rr, k - 1))
 
     nu = sys.nu
     closed = moment_forms(ya, nu, 1.0 - nu, np.outer(1.0 - nu, nu), np.zeros((sys.d, sys.d)))
     factor = gram_norm(closed[0]) + gram_norm(closed[1])
-    return moment_report("fourth-moments", tol, measured, closed, factor)
+    return moment_report("fourth-moments", tol, tuple(measured), closed, factor)

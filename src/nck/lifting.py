@@ -10,7 +10,12 @@ corrector: embed the current residual tuple, clip the singular values of
 the embedded element at level ``C`` (one eigendecomposition of its Gram
 ``Y*Y``, the same operator as clamping the spectrum ``+-s(Y)`` of its
 Hermitian dilation to ``[-C, C]``), and read the corrected coefficients
-back off.  For a normalized input the corrected residual has
+back off.  In the fermionic algebra the embedded element is a direct sum
+of particle-number sector blocks (see :mod:`nck.car`), so the clip, the
+read-out and the accumulated element are all taken block by block, one
+batched clip per pair of sectors; the dense matrix is formed once, for
+:attr:`LiftReport.lifted`, and the achieved norm is the largest block
+norm.  For a normalized input the corrected residual has
 primal norm at most ``delta = 1/2``, so the accumulated element converges
 with norm at most ``C / (1 - delta)``:
 
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car import CarSystem, embed_tuple, extract_coefficients
+from .car import CarElement, CarSystem, embed_tuple, extract_coefficients
 from .exceptions import DimensionMismatch, IdentityViolation, StalledIteration
 from .linalg import truncate_offdiag
 from .norms import as_matrix_tuple, triple_norm, weighted_triple_norm
@@ -95,7 +100,7 @@ def preset_config(family: str) -> LiftConfig:
 class LiftReport:
     """Iterate history and the norm bookkeeping of one lift."""
 
-    lifted: object                 # RandomElement or fermionic matrix
+    lifted: object                 # RandomElement or dense fermionic matrix
     residual_history: np.ndarray   # primal norms of the residual tuples
     achieved_norm: float
     target_norm: float
@@ -128,27 +133,36 @@ def corrector_car(y, sys: CarSystem, clip_level: float):
     """One truncation step in the fermionic algebra.
 
     Same contract as :func:`corrector_commutative` with the weighted primal
-    norm; returns ``(Z, z)`` with ``op_norm(Z) <= clip_level``.
+    norm; returns ``(Z, z)`` with ``Z`` a :class:`nck.car.CarElement` and
+    ``op_norm(Z) <= clip_level``.  The clip acts on each sector pair in one
+    batched call, which equals clipping the dense element.
     """
     ya = as_matrix_tuple(y)
     big = embed_tuple(sys, ya)
-    clipped = truncate_offdiag(big, clip_level)
+    clipped = big.map_pairs(lambda pair: truncate_offdiag(pair, clip_level))
     return clipped, extract_coefficients(sys, clipped)
 
 
 def _setting_ops(setting):
+    """``(primal, corrector, zero, finish, family)`` of a lifting setting.
+
+    ``zero(n)`` is the empty element, which the lift accumulates through its
+    ``blocks`` array; ``finish`` turns it into ``(lifted, achieved_norm)``.
+    """
     if isinstance(setting, DiscreteProbabilitySpace):
         return (
             lambda t: triple_norm(t),
             lambda t, c: corrector_commutative(t, setting, c),
-            lambda e: sup_norm(e),
+            lambda n: RandomElement(setting, np.zeros((setting.atoms, n, n), dtype=complex)),
+            lambda e: (e, sup_norm(e)),
             setting.kind,
         )
     if isinstance(setting, CarSystem):
         return (
             lambda t: weighted_triple_norm(t, setting.nu),
             lambda t, c: corrector_car(t, setting, c),
-            lambda m: float(np.linalg.norm(m, 2)),
+            lambda n: CarElement.zeros(setting.d, n),
+            lambda e: (e.toarray(), e.op_norm()),
             "car",
         )
     raise DimensionMismatch(
@@ -169,25 +183,18 @@ def lift(x, setting, config: LiftConfig | None = None) -> LiftReport:
     ``contraction + 0.05`` (corrector precondition violated, e.g. noisy
     sampled moments).
     """
-    primal, corrector, big_norm, family = _setting_ops(setting)
+    primal, corrector, zero, finish, family = _setting_ops(setting)
     if config is None:
         config = preset_config(family)
 
     xa = as_matrix_tuple(x)
     target = primal(xa)
     history = [target]
-
-    if isinstance(setting, DiscreteProbabilitySpace):
-        accum = np.zeros((setting.atoms, xa.shape[1], xa.shape[1]), dtype=complex)
-        wrap = lambda blocks: RandomElement(setting, blocks)
-    else:
-        side = xa.shape[1] * setting.dim
-        accum = np.zeros((side, side), dtype=complex)
-        wrap = lambda m: m
+    accum = zero(xa.shape[1])
 
     if target == 0.0:
         return LiftReport(
-            lifted=wrap(accum),
+            lifted=finish(accum)[0],
             residual_history=np.array(history),
             achieved_norm=0.0,
             target_norm=0.0,
@@ -206,10 +213,7 @@ def lift(x, setting, config: LiftConfig | None = None) -> LiftReport:
             break
         iterations = k + 1
         clipped, z = corrector(w / norm_w, config.clip_level)
-        if isinstance(clipped, RandomElement):
-            accum += norm_w * clipped.blocks
-        else:
-            accum += norm_w * clipped
+        accum.blocks[...] += norm_w * clipped.blocks
         w = w - norm_w * z
         norm_next = primal(w)
         if norm_next > (config.contraction + STALL_SLACK) * norm_w:
@@ -224,8 +228,7 @@ def lift(x, setting, config: LiftConfig | None = None) -> LiftReport:
     else:
         converged = norm_w <= config.tol * target
 
-    lifted = wrap(accum)
-    achieved = big_norm(lifted)
+    lifted, achieved = finish(accum)
     return LiftReport(
         lifted=lifted,
         residual_history=np.array(history),

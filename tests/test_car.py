@@ -29,7 +29,8 @@ from nck.exceptions import (
     NotOrthonormal,
     SizeMismatch,
 )
-from nck.norms import weighted_triple_norm
+from nck.norms import gram_norm, moment_forms, weighted_triple_norm
+from nck.reports import moment_report
 
 RNG = np.random.default_rng(2718)
 
@@ -253,16 +254,51 @@ class TestFunctionalKernels:
 
 
 class TestEmbedTuple:
-    @pytest.mark.parametrize("d,n", [(1, 1), (3, 2), (6, 1), (6, 3)])
+    @pytest.mark.parametrize("d,n", [(1, 1), (3, 2), (6, 1), (6, 3), (7, 2), (8, 1)])
     def test_bit_exact_against_stacked_einsum(self, d, n):
         # the Jordan-Wigner generators have disjoint supports, so adding the
         # terms one generator at a time rounds exactly like the einsum
         sys = random_system(d)
         y = random_tuple(d, n)
         reference = np.einsum("iab,icd->acbd", y, np.stack(sys.generators))
-        big = embed_tuple(sys, y)
+        big = embed_tuple(sys, y).toarray()
         assert big.shape == (n * sys.dim, n * sys.dim)
         assert np.array_equal(big, reference.reshape(big.shape))
+
+    def test_reads_each_generators_own_signs(self):
+        # a sign-flipped generator is still a valid CAR generator
+        clean = random_system(3)
+        gens = list(clean.generators)
+        gens[1] = -gens[1]
+        flipped = CarSystem(nu=clean.nu, generators=tuple(gens))
+        y = random_tuple(3, 2)
+        reference = np.einsum("iab,icd->acbd", y, np.stack(gens)).reshape(2 * flipped.dim, -1)
+        assert np.array_equal(embed_tuple(flipped, y).toarray(), reference)
+        assert np.abs(extract_coefficients(flipped, reference) - y).max() < 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_off_support_weight_is_an_identity_violation(self, d):
+        clean = random_system(d)
+        gens = list(clean.generators)
+        gens[0] = gens[0] + 1e-4 * np.eye(clean.dim)
+        corrupted = CarSystem(nu=clean.nu, generators=tuple(gens))
+        mass = f"{1e-4 * clean.dim:.3e}"
+        with pytest.raises(IdentityViolation, match=f"generator 0 has weight {mass} off"):
+            embed_tuple(corrupted, random_tuple(d, 2))
+        with pytest.raises(IdentityViolation, match="generator 0"):
+            extract_coefficients(corrupted, np.eye(clean.dim))
+
+    def test_generators_of_the_wrong_side_are_an_identity_violation(self):
+        gens = tuple(random_tuple(3, 4))
+        with pytest.raises(IdentityViolation, match="Jordan-Wigner space"):
+            embed_tuple(CarSystem(nu=np.full(3, 0.5), generators=gens), random_tuple(3, 1))
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (4, 1), (5, 2), (7, 1)])
+    def test_norm_is_the_largest_block_norm(self, d, n):
+        sys = random_system(d)
+        big = embed_tuple(sys, random_tuple(d, n))
+        dense = np.linalg.norm(big.toarray(), 2)
+        assert abs(big.op_norm() - dense) <= 1e-12 * dense
 
 
 class TestExtractCoefficients:
@@ -291,6 +327,16 @@ class TestExtractCoefficients:
             )
             readout = extract_coefficients(sys, x)
             assert np.linalg.norm(x, 2) >= weighted_triple_norm(readout, sys.nu) - 1e-9
+
+    @pytest.mark.parametrize("d,n", [(1, 3), (3, 2), (5, 1), (6, 2)])
+    def test_dense_input_matches_kernel_einsum(self, d, n):
+        sys = random_system(d)
+        side = n * sys.dim
+        x = RNG.standard_normal((side, side)) + 1j * RNG.standard_normal((side, side))
+        reference = np.einsum(
+            "iab,pbqa->ipq", sys.functional_kernels, x.reshape(n, sys.dim, n, sys.dim)
+        )
+        assert np.abs(extract_coefficients(sys, x) - reference).max() <= 1e-14
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
@@ -361,7 +407,7 @@ class TestFourthMoment:
     def test_scalar_half_weight(self):
         sys = car_system([0.5])
         y = np.ones((1, 1, 1), dtype=complex)
-        big = embed_tuple(sys, y)
+        big = embed_tuple(sys, y).toarray()
         cc = big.conj().T @ big
         value = np.trace(np.diag(sys.density_diagonal) @ cc @ cc)
         assert value == pytest.approx(0.5)  # nu(1-nu) + nu^2 at nu = 1/2
@@ -371,6 +417,37 @@ class TestFourthMoment:
     def test_random(self, d, n):
         report = fourth_moment_check(random_system(d), random_tuple(d, n))
         assert report.passed and report.max_deviation <= 1e-11
+
+    @pytest.mark.parametrize("d,n", [(1, 1), (2, 3), (4, 2), (5, 3), (6, 1), (6, 3)])
+    def test_sector_products_match_dense_products(self, d, n):
+        # generators with random values on the Jordan-Wigner support: the
+        # moments then miss the closed form, and the deviations of the
+        # per-sector route must equal those of the dense products
+        rng = np.random.default_rng(d * 10 + n)
+        clean = car_system(rng.uniform(0.05, 0.95, d))
+        gens = tuple(
+            g * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+            for g in clean.generators
+        )
+        sys = CarSystem(nu=clean.nu, generators=gens)
+        y = random_tuple(d, n, rng)
+        q = sys.dim
+        big = np.einsum("iab,icd->acbd", y, np.stack(gens)).reshape(n * q, n * q)
+        cc = big.conj().T @ big
+        rr = big @ big.conj().T
+        measured = tuple(
+            np.einsum("a,paqa->pq", sys.density_diagonal, m.reshape(n, q, n, q))
+            for m in (cc, rr, cc @ cc, rr @ rr)
+        )
+        nu = sys.nu
+        closed = moment_forms(y, nu, 1.0 - nu, np.outer(1.0 - nu, nu), np.zeros((d, d)))
+        factor = gram_norm(closed[0]) + gram_norm(closed[1])
+        dense = moment_report("fourth-moments", np.inf, measured, closed, factor)
+        report = fourth_moment_check(sys, y, tol=np.inf)
+        assert report.deviations.keys() == dense.deviations.keys()
+        assert max(dense.deviations.values()) > 1e-3
+        for tag, dev in dense.deviations.items():
+            assert abs(report.deviations[tag] - dev) <= 1e-13, tag
 
     def test_corrupted_generator_detected(self):
         sys = random_system(2)

@@ -190,6 +190,8 @@ class TestVerifyCommand:
         failing = [row for row in out["identities"] if not row["pass"]]
         assert failing
         assert any("anticommutator" in row["identity"] for row in failing)
+        assert any(row["identity"] == "jordan-wigner-support/off-support-generator-0"
+                   for row in failing)
 
     def test_csv_format(self, capsys):
         assert main(["verify", "--suite", "orthogonality", "--d", "2", "--format", "csv"]) == 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nck.car import car_system, extract_coefficients
-from nck.exceptions import StalledIteration
+from nck.car import CarSystem, car_system, embed_tuple, extract_coefficients
+from nck.exceptions import IdentityViolation, StalledIteration
 from nck.lifting import (
     corrector_car,
     corrector_commutative,
@@ -10,7 +10,7 @@ from nck.lifting import (
     preset_config,
     quotient_norm_bracket,
 )
-from nck.linalg import op_norm, psd_ge
+from nck.linalg import op_norm, psd_ge, truncate_offdiag
 from nck.norms import triple_norm, weighted_triple_norm
 from nck.spaces import (
     conditional_expectation,
@@ -91,7 +91,7 @@ class TestCorrectorCar:
     def test_zero_input(self):
         sys = car_system([0.4, 0.6])
         clipped, z = corrector_car(np.zeros((2, 1, 1)), sys, 0.5)
-        assert np.abs(clipped).max() == 0.0
+        assert np.abs(clipped.toarray()).max() == 0.0
         assert np.abs(z).max() == 0.0
 
     def test_scalar_half_weight_hand_case(self):
@@ -112,8 +112,17 @@ class TestCorrectorCar:
             y = random_tuple(d, n)
             y = y / weighted_triple_norm(y, sys.nu)
             clipped, z = corrector_car(y, sys, 1 / SQRT2)
-            assert op_norm(clipped) <= 1 / SQRT2 + 1e-9
+            assert op_norm(clipped.toarray()) <= 1 / SQRT2 + 1e-9
             assert weighted_triple_norm(y - z, sys.nu) <= 0.5 + 1e-10
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (4, 3), (5, 2), (6, 1), (7, 1)])
+    def test_block_clip_equals_dense_clip(self, d, n):
+        sys = car_system(RNG.uniform(0.05, 0.95, d))
+        y = random_tuple(d, n)
+        y = y / weighted_triple_norm(y, sys.nu)
+        clipped, _z = corrector_car(y, sys, 1 / SQRT2)
+        dense = truncate_offdiag(embed_tuple(sys, y).toarray(), 1 / SQRT2)
+        assert np.abs(clipped.toarray() - dense).max() <= 1e-13
 
     def test_step_psd_bounds(self):
         # each corrector step obeys the quadratic residual domination
@@ -124,7 +133,7 @@ class TestCorrectorCar:
         )
         c = 1 / SQRT2
         clipped, _z = corrector_car(y, sys, c)
-        r = big - clipped
+        r = big - clipped.toarray()
         gram = big.conj().T @ big
         assert psd_ge(gram @ gram / (16 * c * c), r.conj().T @ r)
         gram_r = big @ big.conj().T
@@ -161,6 +170,34 @@ class TestLift:
             assert rep.ratio <= SQRT2 * (1.0 + 1e-6)
             rec = extract_coefficients(sys, rep.lifted)
             assert np.abs(rec - x).max() <= 1e-8 * (1.0 + np.abs(x).max())
+
+    @pytest.mark.parametrize("d,n", [(1, 1), (3, 3), (5, 2), (6, 2), (7, 1)])
+    def test_car_achieved_norm_is_the_dense_norm(self, d, n):
+        sys = car_system(RNG.uniform(0.05, 0.95, d))
+        rep = lift(random_tuple(d, n), sys)
+        dense = np.linalg.norm(rep.lifted, 2)
+        assert abs(rep.achieved_norm - dense) <= 1e-12 * dense
+
+    def test_car_sign_flipped_generator(self):
+        clean = car_system(RNG.uniform(0.05, 0.95, 3))
+        gens = list(clean.generators)
+        gens[2] = -gens[2]
+        sys = CarSystem(nu=clean.nu, generators=tuple(gens))
+        x = random_tuple(3, 2)
+        rep = lift(x, sys)
+        assert rep.converged and rep.ratio <= SQRT2 * (1.0 + 1e-6)
+        # read out through the dense kernels of the flipped generators
+        q = sys.dim
+        rec = np.einsum("iab,pbqa->ipq", sys.functional_kernels, rep.lifted.reshape(2, q, 2, q))
+        assert np.abs(rec - x).max() <= 1e-8 * (1.0 + np.abs(x).max())
+
+    def test_car_off_support_generator_is_an_identity_violation(self):
+        clean = car_system([0.3, 0.6])
+        gens = list(clean.generators)
+        gens[1] = gens[1] + 1e-4 * np.eye(clean.dim)
+        sys = CarSystem(nu=clean.nu, generators=tuple(gens))
+        with pytest.raises(IdentityViolation, match="generator 1"):
+            lift(random_tuple(2, 2), sys)
 
     def test_steinhauss_and_lacunary_bounds(self):
         x = random_tuple(3, 2)
