@@ -5,10 +5,16 @@ Generators are realized concretely inside ``(2 x 2)^(tensor d)``:
     a_1 = e (x) 1 (x) ... (x) 1,
     a_i = u (x) ... (x) u (x) e (x) 1 (x) ... (x) 1,
 
-with ``e = [[0, 1], [0, 0]]`` and ``u = diag(1, -1)``.  They satisfy the
-anticommutation relations ``a_i a_j* + a_j* a_i = delta_ij I`` and
-``a_i a_j + a_j a_i = 0`` exactly in floating point (all entries are 0 or
-+-1).
+with ``e = [[0, 1], [0, 0]]`` and ``u = diag(1, -1)``.  Each ``a_i`` is a
+signed partial permutation with ``2**(d-1)`` entries of +-1, and that is
+how it is kept: a ``scipy.sparse`` CSR matrix, built by bit arithmetic
+(:func:`jordan_wigner`).  A hand-built :class:`CarSystem` is converted to
+CSR too.  The generators satisfy the anticommutation relations
+``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
+in floating point.  The identity checks take every pairwise product
+``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j`` from one sparse product of the
+stacked generators and their adjoints with its own adjoint, so they cost
+``O(d^2 2^d)`` rather than ``O(d^2 8^d)``, and ``d = 12`` fits in memory.
 
 The reference state for weights ``nu`` is ``b -> Tr(rho b)`` with the
 product density ``rho = (x)_i diag(1 - nu_i, nu_i)``, kept as its diagonal;
@@ -37,9 +43,10 @@ smaller side as columns, ready for one batched clip.  The dense
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import caps
 from .exceptions import (
@@ -71,11 +78,6 @@ __all__ = [
     "orthogonality_check",
     "fourth_moment_check",
 ]
-
-_E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_U = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-
 
 @dataclass(frozen=True)
 class SubspaceModel:
@@ -127,25 +129,6 @@ def subspace_to_weights(model: SubspaceModel, tol: float = 1e-10):
 
 
 @lru_cache(maxsize=8)
-def _jordan_wigner_cached(d: int):
-    gens = []
-    for i in range(d):
-        factors = [_U] * i + [_E] + [_I2] * (d - 1 - i)
-        g = reduce(np.kron, factors)
-        g.setflags(write=False)
-        gens.append(g)
-    return tuple(gens)
-
-
-def jordan_wigner(d: int):
-    """The ``d`` fermionic generators as ``2**d`` square matrices (cached)."""
-    cap = caps.car_dim_cap()
-    if not 1 <= d <= cap:
-        raise DTooLarge(f"fermionic dimension {d} outside [1, {cap}]")
-    return _jordan_wigner_cached(d)
-
-
-@lru_cache(maxsize=8)
 def _jw_support(d: int):
     """Where the Jordan-Wigner generators can be nonzero, by bit arithmetic.
 
@@ -162,6 +145,32 @@ def _jw_support(d: int):
     for a in (rows, cols):
         a.setflags(write=False)
     return rows, cols
+
+
+@lru_cache(maxsize=8)
+def _jordan_wigner_cached(d: int):
+    rows, cols = _jw_support(d)
+    # the modes j < i are the bits above bit d - 1 - i
+    parity = np.bitwise_count(cols >> (d - np.arange(d))[:, None]) & 1
+    gens = []
+    for r, c, odd in zip(rows, cols, parity):
+        g = sp.csr_array(((1.0 - 2.0 * odd).astype(complex), (r, c)), shape=(1 << d, 1 << d))
+        for a in (g.data, g.indices, g.indptr):
+            a.setflags(write=False)
+        gens.append(g)
+    return tuple(gens)
+
+
+def jordan_wigner(d: int):
+    """The ``d`` fermionic generators as ``2**d`` square CSR matrices (cached, read-only).
+
+    Built from the support :func:`_jw_support` gives, with the sign
+    ``(-1)^(occupied modes j < i)``; no dense matrix is formed.
+    """
+    cap = caps.car_dim_cap()
+    if not 1 <= d <= cap:
+        raise DTooLarge(f"fermionic dimension {d} outside [1, {cap}]")
+    return _jordan_wigner_cached(d)
 
 
 @dataclass(frozen=True)
@@ -290,12 +299,38 @@ class CarElement:
         return out.reshape(side, side)
 
 
+def _as_csr(g):
+    """``g`` as a complex CSR matrix without repeated entries; a copy unless it is one."""
+    if isinstance(g, sp.csr_array) and g.dtype == complex and g.has_canonical_format:
+        return g
+    g = sp.csr_array(g, dtype=complex, copy=True)
+    g.sum_duplicates()
+    return g
+
+
 @dataclass(frozen=True)
 class CarSystem:
-    """Generators plus the weights of the product state."""
+    """Generators plus the weights of the product state.
+
+    The generators are stored as complex CSR matrices, whatever form they
+    are given in; they must be square matrices of one side, one per weight.
+    """
 
     nu: np.ndarray
     generators: tuple
+
+    def __post_init__(self):
+        gens = tuple(map(_as_csr, self.generators))
+        side = gens[0].shape[0] if gens else 0
+        if side == 0 or any(g.shape != (side, side) for g in gens):
+            raise DimensionMismatch(
+                f"generators must be square of one side, got shapes {[g.shape for g in gens]}"
+            )
+        nu = np.asarray(self.nu, dtype=float)
+        if nu.shape != (len(gens),):
+            raise DimensionMismatch(f"{nu.size} weights for {len(gens)} generators")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "generators", gens)
 
     @property
     def d(self) -> int:
@@ -308,9 +343,21 @@ class CarSystem:
     @cached_property
     def density_diagonal(self) -> np.ndarray:
         """The diagonal ``(x)_i (1 - nu_i, nu_i)`` of the density (real, read-only)."""
-        r = reduce(np.kron, [np.array([1.0 - v, v]) for v in self.nu])
+        bits = (np.arange(1 << self.d)[:, None] >> (self.d - 1 - np.arange(self.d))) & 1
+        r = np.where(bits == 1, self.nu, 1.0 - self.nu).prod(axis=1)
         r.setflags(write=False)
         return r
+
+    @cached_property
+    def _entries(self) -> tuple:
+        """``(i, u, v, value)`` for every stored entry ``a_i[u, v]`` of every generator."""
+        gens = self.generators
+        return (
+            np.repeat(np.arange(self.d), [g.nnz for g in gens]),
+            np.concatenate([np.repeat(np.arange(self.dim), np.diff(g.indptr)) for g in gens]),
+            np.concatenate([g.indices for g in gens]),
+            np.concatenate([g.data for g in gens]),
+        )
 
     @cached_property
     def support_values(self) -> np.ndarray:
@@ -326,41 +373,66 @@ class CarSystem:
                 f"{d} generators of side {self.dim} do not act on the 2**{d}-dimensional "
                 "Jordan-Wigner space"
             )
-        rows, cols = _jw_support(d)
-        vals = np.empty(rows.shape, dtype=complex)
-        for i, g in enumerate(self.generators):
-            g = np.asarray(g)
-            vals[i] = g[rows[i], cols[i]]
-            if np.count_nonzero(g) > np.count_nonzero(vals[i]):
-                rest = np.array(g, dtype=complex)
-                rest[rows[i], cols[i]] = 0.0
-                mass = float(np.abs(rest).sum())
-                report = CheckReport(name="jordan-wigner-support")
-                report.record(f"off-support-generator-{i}", mass)
-                raise IdentityViolation(
-                    f"generator {i} has weight {mass:.3e} off its Jordan-Wigner support; "
-                    "it does not lower the occupation number by one",
-                    max_deviation=mass,
-                    report=report,
-                )
+        i, u, v, val = self._entries
+        bit = 1 << (d - 1 - i)
+        on = (v & bit != 0) & (u == v ^ bit)
+        off = ~on & (val != 0)
+        if off.any():
+            k = int(i[off].min())
+            mass = float(np.abs(val[off & (i == k)]).sum())
+            report = CheckReport(name="jordan-wigner-support")
+            report.record(f"off-support-generator-{k}", mass)
+            raise IdentityViolation(
+                f"generator {k} has weight {mass:.3e} off its Jordan-Wigner support; "
+                "it does not lower the occupation number by one",
+                max_deviation=mass,
+                report=report,
+            )
+        by_col = np.zeros((d, self.dim), dtype=complex)
+        by_col[i[on], v[on]] = val[on]
+        vals = np.take_along_axis(by_col, _jw_support(d)[1], axis=1)
         vals.setflags(write=False)
         return vals
 
     @cached_property
-    def functional_kernels(self) -> np.ndarray:
-        """Matrices ``K_i = rho a_i* + a_i* rho`` so that ``phi_i(b) = Tr(K_i b)``.
+    def functional_kernels(self) -> tuple:
+        """CSR matrices ``K_i = rho a_i* + a_i* rho`` so that ``phi_i(b) = Tr(K_i b)``.
 
-        The density is diagonal, so ``K_i = a_i* * (r_a + r_b)`` entrywise
-        with ``r = diag(rho)``; shape ``(d, dim, dim)``.
+        The density is diagonal, so ``K_i`` is ``a_i*`` with its entry at
+        ``(v, u)`` scaled by ``r_u + r_v``, ``r = diag(rho)``; it has the
+        sparsity of ``a_i*``.
         """
         r = self.density_diagonal
-        w = r[:, None] + r[None, :]
-        # filled in place: stacked (d, dim, dim) temporaries raise peak RSS
-        kern = np.empty((self.d, self.dim, self.dim), dtype=complex)
-        for k, g in zip(kern, self.generators):
-            np.multiply(g.conj().T, w, out=k)
-        kern.setflags(write=False)
-        return kern
+        i, u, v, val = self._entries
+        kern = val.conj() * (r[u] + r[v])
+        return tuple(
+            sp.csr_array((kern[i == k], (v[i == k], u[i == k])), shape=(self.dim, self.dim))
+            for k in range(self.d)
+        )
+
+    @cached_property
+    def _pair_products(self) -> tuple:
+        """Every ``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j``, from one sparse product.
+
+        ``L = vstack(a_1, .., a_d, a_1*, .., a_d*)`` times ``L*`` holds
+        ``a_i a_j*`` at block ``(i, j)`` (the ``vstack(a_i)`` part times its
+        adjoint), ``a_i* a_j`` at ``(d+i, d+j)`` (the Gram of
+        ``hstack(a_i)``) and ``a_i a_j`` at ``(i, d+j)``; the fourth quarter
+        is not read.  Each family is returned as block entries
+        ``(i, j, u, v, value)``.
+        """
+        d, q = self.d, self.dim
+        i, u, v, val = self._entries
+        rows = np.concatenate([i * q + u, (d + i) * q + v])
+        cols = np.concatenate([v, u])
+        stacked = sp.csr_array((np.concatenate([val, val.conj()]), (rows, cols)),
+                               shape=(2 * d * q, q))
+        gram = (stacked @ stacked.conj().T).tocoo()
+        bi, u = np.divmod(gram.row, q)
+        bj, v = np.divmod(gram.col, q)
+        top, left = bi < d, bj < d
+        return tuple((bi[at] % d, bj[at] % d, u[at], v[at], gram.data[at])
+                     for at in (top & left, ~top & ~left, top & ~left))
 
 
 def car_system(nu) -> CarSystem:
@@ -370,7 +442,7 @@ def car_system(nu) -> CarSystem:
 
 
 def _check_size(sys: CarSystem, b) -> np.ndarray:
-    a = np.asarray(b, dtype=complex)
+    a = np.asarray(b.toarray() if sp.issparse(b) else b, dtype=complex)
     if a.shape != (sys.dim, sys.dim):
         raise SizeMismatch(f"expected {sys.dim} x {sys.dim}, got {a.shape}")
     return a
@@ -385,9 +457,15 @@ def state_eval(sys: CarSystem, b) -> complex:
 def coefficient_functional(sys: CarSystem, i: int, b) -> complex:
     """``phi_i(b) = state(a_i* b + b a_i*)``; satisfies ``phi_i(a_j) = delta_ij``."""
     a = _check_size(sys, b)
-    if not 0 <= i < sys.d:
-        raise DimensionMismatch(f"index {i} outside range(0, {sys.d})")
-    return complex(np.einsum("ab,ba->", sys.functional_kernels[i], a))
+    _check_indices(sys, [i])
+    k = sys.functional_kernels[i].tocoo()
+    return complex(np.sum(k.data * a[k.col, k.row]))
+
+
+def _check_indices(sys: CarSystem, indices) -> None:
+    for i in indices:
+        if not 0 <= i < sys.d:
+            raise DimensionMismatch(f"index {i} outside range(0, {sys.d})")
 
 
 def npoint_function(sys: CarSystem, create, annihilate) -> complex:
@@ -401,6 +479,7 @@ def npoint_function(sys: CarSystem, create, annihilate) -> complex:
     """
     create = list(create)
     annihilate = list(annihilate)
+    _check_indices(sys, create + annihilate)
     if len(create) != len(annihilate):
         return 0.0 + 0.0j
     if not create:
@@ -416,13 +495,14 @@ def npoint_function(sys: CarSystem, create, annihilate) -> complex:
 
 
 def generator_monomial(sys: CarSystem, create, annihilate) -> np.ndarray:
-    """Matrix of ``a*_{create[0]} ... a_{annihilate[-1]}`` (for cross-checks)."""
-    out = np.eye(sys.dim, dtype=complex)
+    """Dense matrix of ``a*_{create[0]} ... a_{annihilate[-1]}`` (for cross-checks)."""
+    _check_indices(sys, list(create) + list(annihilate))
+    out = sp.identity(sys.dim, dtype=complex, format="csr")
     for i in create:
         out = out @ sys.generators[i].conj().T
     for i in annihilate:
         out = out @ sys.generators[i]
-    return out
+    return out.toarray()
 
 
 def embed_tuple(sys: CarSystem, y) -> CarElement:
@@ -475,20 +555,46 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
 # --- identity checks --------------------------------------------------------
 
 
+# Every check below reads the pairwise products as block entries
+# ``(i, j, u, v, value)`` (see ``CarSystem._pair_products``).  Swapping ``i``
+# and ``j`` is a block transpose: it pairs ``(i, j)`` with ``(j, i)``.
+
+
+def _joined(*blocks) -> tuple:
+    return tuple(np.concatenate(t) for t in zip(*blocks))
+
+
+def _minus_identity(blocks, center, q: int) -> tuple:
+    """Entries of ``B - diag(center) (x) I``: ``-center_k`` joins ``(s, s)`` of block ``(k, k)``."""
+    k, s = np.divmod(np.arange(center.size * q), q)
+    return _joined(blocks, (k, k, s, s, -center[k]))
+
+
+def _max_abs(blocks, d: int, q: int) -> float:
+    """Largest ``|entry|`` of the block matrix; repeated entries add up."""
+    i, j, u, v, val = blocks
+    total = sp.csr_array((val, (i * q + u, j * q + v)), shape=(d * q, d * q))
+    return float(np.abs(total.data).max(initial=0.0))
+
+
+def _block_states(blocks, r, d: int) -> np.ndarray:
+    """``S[i, j] = Tr(rho B_ij) = sum_u r_u B_ij[u, u]``, with ``r = diag(rho)``."""
+    i, j, u, v, val = blocks
+    on = u == v
+    diagonals = np.zeros((d, d, r.size), dtype=complex)
+    diagonals[i[on], j[on], u[on]] = val[on]
+    return (diagonals * r).sum(axis=2)
+
+
 def anticommutation_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
-    """``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0``."""
+    """``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0``, all pairs at once."""
     report = CheckReport(name="anticommutation", tolerance=tol)
-    eye = np.eye(sys.dim)
-    dev_mixed = 0.0
-    dev_plain = 0.0
-    for i, gi in enumerate(sys.generators):
-        for j, gj in enumerate(sys.generators):
-            mixed = gi @ gj.conj().T + gj.conj().T @ gi - (eye if i == j else 0.0)
-            dev_mixed = max(dev_mixed, float(np.abs(mixed).max()))
-            plain = gi @ gj + gj @ gi
-            dev_plain = max(dev_plain, float(np.abs(plain).max()))
-    report.record("anticommutator-mixed", dev_mixed)
-    report.record("anticommutator-plain", dev_plain)
+    d, q = sys.d, sys.dim
+    aa_adj, (ci, cj, cu, cv, c), (pi, pj, pu, pv, p) = sys._pair_products
+    mixed = _minus_identity(_joined(aa_adj, (cj, ci, cu, cv, c)), np.ones(d), q)
+    plain = _joined((pi, pj, pu, pv, p), (pj, pi, pu, pv, p))
+    report.record("anticommutator-mixed", _max_abs(mixed, d, q))
+    report.record("anticommutator-plain", _max_abs(plain, d, q))
     raise_if_failed(report)
     return report
 
@@ -496,25 +602,15 @@ def anticommutation_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
 def second_moment_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     """``state(a_i* a_j) = nu_i delta_ij`` and ``state(a_i a_j*) = (1-nu_i) delta_ij``.
 
-    The density is diagonal, so both states are elementwise sums:
-    ``state(a_i* a_j) = sum_lk r_k conj(a_i[l,k]) a_j[l,k]`` and
-    ``state(a_i a_j*) = sum_kl r_k a_i[k,l] conj(a_j[k,l])`` with
-    ``r = diag(rho)``; no product of generators is formed.
+    The density is diagonal, so each state is the ``r``-weighted trace of
+    one block of the pairwise products, ``r = diag(rho)``.
     """
     report = CheckReport(name="second-moments", tolerance=tol)
-    r = sys.density_diagonal
-    dev_c = 0.0
-    dev_a = 0.0
-    for j, gj in enumerate(sys.generators):
-        col_weighted = gj * r[None, :]
-        row_weighted = gj * r[:, None]
-        for i, gi in enumerate(sys.generators):
-            target = sys.nu[i] if i == j else 0.0
-            dev_c = max(dev_c, abs(np.vdot(gi, col_weighted) - target))
-            target = (1.0 - sys.nu[i]) if i == j else 0.0
-            dev_a = max(dev_a, abs(np.vdot(row_weighted, gi) - target))
-    report.record("two-point-creation", dev_c)
-    report.record("two-point-annihilation", dev_a)
+    r, nu = sys.density_diagonal, sys.nu
+    aa_adj, adj_a, _ = sys._pair_products
+    report.record("two-point-creation", np.abs(_block_states(adj_a, r, sys.d) - np.diag(nu)).max())
+    report.record("two-point-annihilation",
+                  np.abs(_block_states(aa_adj, r, sys.d) - np.diag(1.0 - nu)).max())
     raise_if_failed(report)
     return report
 
@@ -523,23 +619,19 @@ def state_weight_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     """One-sided products split through the coefficient functionals.
 
     Verifies ``state(a_i* b) = nu_i phi_i(b)`` and
-    ``state(b a_i*) = (1 - nu_i) phi_i(b)`` for every ``b``; checking the
-    kernel matrices entrywise covers all matrix units at once.
+    ``state(b a_i*) = (1 - nu_i) phi_i(b)`` for every ``b``, that is
+    ``rho a_i* = nu_i K_i`` and ``a_i* rho = (1 - nu_i) K_i`` entrywise.
+    All three are ``a_i*`` rescaled, so only the generators' stored entries
+    are read: at ``(v, u)``, ``K_i`` holds ``conj(a_i[u, v]) (r_u + r_v)``.
     """
     report = CheckReport(name="state-weights", tolerance=tol)
-    r = sys.density_diagonal
-    dev_left = 0.0
-    dev_right = 0.0
-    for i, gi in enumerate(sys.generators):
-        k = sys.functional_kernels[i]
-        # Tr(rho a_i* b) = nu_i Tr(K_i b) for all b  <=>  rho a_i* = nu_i K_i
-        dev_left = max(dev_left, float(np.abs(r[:, None] * gi.conj().T - sys.nu[i] * k).max()))
-        dev_right = max(
-            dev_right,
-            float(np.abs(gi.conj().T * r[None, :] - (1.0 - sys.nu[i]) * k).max()),
-        )
-    report.record("weight-split-left", dev_left)
-    report.record("weight-split-right", dev_right)
+    r, nu = sys.density_diagonal, sys.nu
+    i, u, v, val = sys._entries
+    adj = val.conj()
+    kernel = adj * (r[v] + r[u])
+    report.record("weight-split-left", np.abs(r[v] * adj - nu[i] * kernel).max(initial=0.0))
+    report.record("weight-split-right",
+                  np.abs(adj * r[u] - (1.0 - nu[i]) * kernel).max(initial=0.0))
     raise_if_failed(report)
     return report
 
@@ -551,36 +643,40 @@ def orthogonality_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     ``(c, d) -> state(d* c)`` with squared norms ``nu_j (1 - nu_i)``;
     ``g_ij = a_i a_j* - delta_ij (1 - nu_i) I`` are orthogonal for
     ``(c, d) -> state(c d*)`` with the same squared norms.  Both families
-    are orthogonal to the identity (their state values vanish).
+    are orthogonal to the identity (their state values vanish).  The two
+    families are the rows of one sparse matrix, a row per monomial, and the
+    diagonal blocks of its Gram are the two forms.
     """
     d, q, nu = sys.d, sys.dim, sys.nu
     r = sys.density_diagonal
     root = np.sqrt(r)
-    eye = np.eye(q)
-    gens = sys.generators
-    adj = [g.conj().T for g in gens]
-    sq_norms = np.outer(1.0 - nu, nu).ravel()
-    off = ~np.eye(d * d, dtype=bool)
+    aa_adj, adj_a, _ = sys._pair_products
+    families = (("creation", adj_a, nu), ("annihilation", aa_adj, 1.0 - nu))
+
+    rows, keys, vals = [], [], []
+    for side, (_, blocks, center) in enumerate(families):
+        i, j, u, v, val = _minus_identity(blocks, center, q)
+        rows.append(side * d * d + i * d + j)
+        keys.append((side * q + u) * q + v)
+        # f under (c, d) -> state(d* c) weights columns by sqrt(rho); g under
+        # (c, d) -> state(c d*) weights rows
+        vals.append(val * root[v if side == 0 else u])
+    # only the entries in use get a column, so no q^2-long axis is formed
+    used, col = np.unique(np.concatenate(keys), return_inverse=True)
+    fam = sp.csr_array((np.concatenate(vals), (np.concatenate(rows), col)),
+                       shape=(2 * d * d, used.size))
+    gram = (fam @ fam.conj().T).toarray()
 
     report = CheckReport(name="orthogonality", tolerance=tol)
-    # f under (c, d) -> state(d* c) weights columns by sqrt(rho); g under
-    # (c, d) -> state(c d*) weights rows.  One family is held at a time.
-    for side, left, right, center, weight in (
-        ("creation", adj, gens, nu, root[None, :]),
-        ("annihilation", gens, adj, 1.0 - nu, root[:, None]),
-    ):
-        fam = np.empty((d * d, q, q), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                np.matmul(left[i], right[j], out=fam[i * d + j])
-            fam[i * d + i] -= center[i] * eye
-        # state values: orthogonality to the identity
-        report.record(f"centered-mean-{side}", np.abs(np.einsum("a,kaa->k", r, fam)).max())
-        fam *= weight
-        flat = fam.reshape(d * d, q * q)
-        gram = flat @ flat.conj().T
-        report.record(f"pairwise-orthogonality-{side}", np.abs(gram[off]).max(initial=0.0))
-        report.record(f"squared-norms-{side}", np.abs(np.diag(gram) - sq_norms).max())
+    off = ~np.eye(d * d, dtype=bool)
+    sq_norms = np.outer(1.0 - nu, nu).ravel()
+    for side, (name, blocks, center) in enumerate(families):
+        form = gram[side * d * d:(side + 1) * d * d, side * d * d:(side + 1) * d * d]
+        report.record(
+            f"centered-mean-{name}", np.abs(_block_states(blocks, r, d) - np.diag(center)).max()
+        )
+        report.record(f"pairwise-orthogonality-{name}", np.abs(form[off]).max(initial=0.0))
+        report.record(f"squared-norms-{name}", np.abs(np.diag(form) - sq_norms).max())
     raise_if_failed(report)
     return report
 

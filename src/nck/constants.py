@@ -23,7 +23,7 @@ import numpy as np
 from . import caps
 from .car import car_system
 from .exceptions import DTooLarge, IdentityViolation, InvalidParameter
-from .linalg import mat_func, trace_norm
+from .linalg import trace_norm
 from .norms import dual_norm
 from .spaces import build, gamma_ratio, gaussian_space, l1_s1_norm
 
@@ -103,7 +103,7 @@ def car_c1_witness(tol: float = 1e-6) -> CarC1Witness:
     the lower constant cannot be improved.
     """
     sys = car_system([0.5])
-    kernel = np.asarray(sys.functional_kernels[0])
+    kernel = sys.functional_kernels[0].toarray()
     functional_norm = trace_norm(kernel)
     res = dual_norm(np.array([[[1.0 + 0.0j]]]), nu=[0.5])
     witness = CarC1Witness(functional_norm=functional_norm, dual_value=res.value)
@@ -119,7 +119,9 @@ def car_c2_sequence(d: int):
     """``sqrt(2/d) * tau((sum a_i a_i*)^(1/2))`` at weights ``1/2``.
 
     Returns ``(matrix_value, binomial_value)``.  The matrix value evaluates
-    the normalized trace in the ``2**d`` representation; the binomial value
+    the normalized trace in the ``2**d`` representation, where the number
+    operator ``sum a_i a_i*`` is diagonal, so its square root is taken
+    entrywise on its diagonal; the binomial value
     uses the joint spectrum of the commuting projections ``a_i a_i*``
     (independent fair bits), giving ``sqrt(2/d) 2^-d sum_k C(d,k) sqrt(k)``.
     The matrix value is ``None`` above the representation cap.  The
@@ -133,11 +135,8 @@ def car_c2_sequence(d: int):
     matrix_value = None
     if d <= caps.car_dim_cap():
         sys = car_system(np.full(d, 0.5))
-        total = np.zeros((sys.dim, sys.dim), dtype=complex)
-        for g in sys.generators:
-            total += g @ g.conj().T
-        root = mat_func(total, np.sqrt)
-        matrix_value = math.sqrt(2.0 / d) * float(np.real(np.trace(root))) / sys.dim
+        number = sum((g @ g.conj().T).diagonal().real for g in sys.generators)
+        matrix_value = math.sqrt(2.0 / d) * float(np.sqrt(number).sum()) / sys.dim
     return matrix_value, binomial
 
 

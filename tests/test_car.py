@@ -1,7 +1,9 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from nck import caps
 from nck.car import (
@@ -23,6 +25,7 @@ from nck.car import (
     subspace_to_weights,
 )
 from nck.exceptions import (
+    DimensionMismatch,
     DTooLarge,
     IdentityViolation,
     InvalidParameter,
@@ -85,8 +88,8 @@ class TestSubspaceToWeights:
 class TestJordanWigner:
     def test_d1_generator(self):
         (a,) = jordan_wigner(1)
-        assert np.array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
-        assert np.array_equal(a @ a.conj().T + a.conj().T @ a, np.eye(2))
+        assert np.array_equal(a.toarray(), np.array([[0, 1], [0, 0]], dtype=complex))
+        assert np.array_equal((a @ a.conj().T + a.conj().T @ a).toarray(), np.eye(2))
 
     def test_d2_anticommutator_vanishes(self):
         a1, a2 = jordan_wigner(2)
@@ -94,13 +97,23 @@ class TestJordanWigner:
 
     def test_d2_occupation_form(self):
         a1, _ = jordan_wigner(2)
-        assert np.array_equal(a1 @ a1.conj().T, np.diag([1.0, 1.0, 0.0, 0.0]))
+        assert np.array_equal((a1 @ a1.conj().T).toarray(), np.diag([1.0, 1.0, 0.0, 0.0]))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
-    def test_relations_exact(self, d):
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_csr_equals_dense_kron(self, d):
+        e = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        u = np.diag([1.0, -1.0]).astype(complex)
+        one = np.eye(2, dtype=complex)
+        for i, g in enumerate(jordan_wigner(d)):
+            reference = reduce(np.kron, [u] * i + [e] + [one] * (d - 1 - i))
+            assert g.format == "csr" and g.nnz == 1 << (d - 1)
+            assert np.array_equal(g.toarray(), reference)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 10, 12])
+    def test_relations_exact(self, d, monkeypatch):
         # every entry of the generators is 0 or +-1, so the relations hold
-        # with zero floating-point error (spot checked up to the d = 10 cap;
-        # the dense d = 10 sweep takes ~40 s and is left to `nck verify`)
+        # with zero floating-point error
+        monkeypatch.setenv("NCK_MAX_DIM", "12")
         report = anticommutation_check(car_system(np.full(d, 0.5)))
         assert report.max_deviation == 0.0
 
@@ -118,6 +131,27 @@ class TestJordanWigner:
             caps.car_dim_cap()
         monkeypatch.delenv("NCK_MAX_DIM")
         assert caps.car_dim_cap() == 10
+
+
+class TestCarSystem:
+    def test_hand_built_generators_become_csr(self):
+        gens = [g.toarray() for g in jordan_wigner(2)]
+        sys = CarSystem(nu=np.array([0.3, 0.6]), generators=(gens[0], sparse.coo_array(gens[1])))
+        assert all(g.format == "csr" and g.dtype == complex for g in sys.generators)
+        assert np.array_equal(sys.generators[1].toarray(), gens[1])
+
+    def test_weights_must_match_the_generators(self):
+        with pytest.raises(DimensionMismatch, match="3 weights for 2 generators"):
+            CarSystem(nu=np.array([0.3, 0.6, 0.5]), generators=jordan_wigner(2))
+
+    @pytest.mark.parametrize(
+        "shapes", [[(4, 4), (2, 2)], [(4, 2), (4, 2)], [(3,)], []],
+        ids=["two-sides", "not-square", "one-dimensional", "none"],
+    )
+    def test_generators_must_be_square_of_one_side(self, shapes):
+        gens = tuple(np.ones(shape) for shape in shapes)
+        with pytest.raises(DimensionMismatch, match="square of one side"):
+            CarSystem(nu=np.full(len(gens), 0.5), generators=gens)
 
 
 class TestState:
@@ -201,6 +235,14 @@ class TestNPointFunction:
             direct = state_eval(sys, generator_monomial(sys, create, annihilate))
             assert det == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("create,annihilate", [([-1], []), ([], [-1]), ([0], [2]), ([5], [0])])
+    def test_indices_outside_range_rejected(self, create, annihilate):
+        sys = random_system(2)
+        with pytest.raises(DimensionMismatch, match="outside range"):
+            npoint_function(sys, create, annihilate)
+        with pytest.raises(DimensionMismatch, match="outside range"):
+            generator_monomial(sys, create, annihilate)
+
 
 class TestCoefficientFunctional:
     def test_delta_on_generators(self):
@@ -231,26 +273,28 @@ class TestCoefficientFunctional:
 
 
 class TestFunctionalKernels:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_closed_form_is_bit_exact(self, d):
         nu = np.random.default_rng(d).uniform(0.05, 0.95, d)
         nu[0] = 0.0
         nu[-1] = 1.0
         sys = car_system(nu)
         rho = np.diag(sys.density_diagonal)
-        expected = np.stack([rho @ g.conj().T + g.conj().T @ rho for g in sys.generators])
-        assert np.array_equal(sys.functional_kernels, expected)
+        expected = np.stack([rho @ g.toarray().conj().T + g.toarray().conj().T @ rho
+                             for g in sys.generators])
+        assert np.array_equal(np.stack([k.toarray() for k in sys.functional_kernels]), expected)
 
     def test_hand_built_system_uses_its_own_generators(self):
         clean = car_system([0.3, 0.6])
-        clean_kernels = np.asarray(clean.functional_kernels)
-        gens = list(clean.generators)
+        clean_kernels = np.stack([k.toarray() for k in clean.functional_kernels])
+        gens = [g.toarray() for g in clean.generators]
         gens[0] = gens[0] + 1e-4 * np.eye(clean.dim)
         perturbed = CarSystem(nu=clean.nu, generators=tuple(gens))
         rho = np.diag(perturbed.density_diagonal)
         expected = np.stack([rho @ g.conj().T + g.conj().T @ rho for g in gens])
-        assert np.abs(perturbed.functional_kernels - expected).max() <= 1e-15
-        assert np.abs(perturbed.functional_kernels - clean_kernels).max() > 1e-5
+        kernels = np.stack([k.toarray() for k in perturbed.functional_kernels])
+        assert np.abs(kernels - expected).max() <= 1e-15
+        assert np.abs(kernels - clean_kernels).max() > 1e-5
 
 
 class TestEmbedTuple:
@@ -260,7 +304,7 @@ class TestEmbedTuple:
         # terms one generator at a time rounds exactly like the einsum
         sys = random_system(d)
         y = random_tuple(d, n)
-        reference = np.einsum("iab,icd->acbd", y, np.stack(sys.generators))
+        reference = np.einsum("iab,icd->acbd", y, np.stack([g.toarray() for g in sys.generators]))
         big = embed_tuple(sys, y).toarray()
         assert big.shape == (n * sys.dim, n * sys.dim)
         assert np.array_equal(big, reference.reshape(big.shape))
@@ -272,7 +316,8 @@ class TestEmbedTuple:
         gens[1] = -gens[1]
         flipped = CarSystem(nu=clean.nu, generators=tuple(gens))
         y = random_tuple(3, 2)
-        reference = np.einsum("iab,icd->acbd", y, np.stack(gens)).reshape(2 * flipped.dim, -1)
+        dense = np.stack([g.toarray() for g in gens])
+        reference = np.einsum("iab,icd->acbd", y, dense).reshape(2 * flipped.dim, -1)
         assert np.array_equal(embed_tuple(flipped, y).toarray(), reference)
         assert np.abs(extract_coefficients(flipped, reference) - y).max() < 1e-13
 
@@ -315,7 +360,7 @@ class TestExtractCoefficients:
     def test_even_monomial_maps_to_zero(self):
         sys = random_system(2)
         y = random_tuple(1, 2)[0]
-        x = np.kron(y, sys.generators[0] @ sys.generators[1])
+        x = np.kron(y, (sys.generators[0] @ sys.generators[1]).toarray())
         assert np.abs(extract_coefficients(sys, x)).max() < 1e-14
 
     def test_norm_dominates_weighted_readout(self):
@@ -333,9 +378,8 @@ class TestExtractCoefficients:
         sys = random_system(d)
         side = n * sys.dim
         x = RNG.standard_normal((side, side)) + 1j * RNG.standard_normal((side, side))
-        reference = np.einsum(
-            "iab,pbqa->ipq", sys.functional_kernels, x.reshape(n, sys.dim, n, sys.dim)
-        )
+        kernels = np.stack([k.toarray() for k in sys.functional_kernels])
+        reference = np.einsum("iab,pbqa->ipq", kernels, x.reshape(n, sys.dim, n, sys.dim))
         assert np.abs(extract_coefficients(sys, x) - reference).max() <= 1e-14
 
     def test_size_mismatch(self):
@@ -402,6 +446,34 @@ class TestOrthogonality:
         report = orthogonality_check(random_system(d))
         assert report.passed and report.max_deviation <= 1e-12
 
+    def test_matches_dense_products(self):
+        # reference: dense per-pair products and dense families, on generic
+        # matrices, where every identity fails by O(1)
+        d, q = 3, 8
+        gens = tuple(random_tuple(d, q))
+        sys = CarSystem(nu=RNG.uniform(0.05, 0.95, d), generators=gens)
+        nu, r = sys.nu, sys.density_diagonal
+        adj = [g.conj().T for g in gens]
+        off = ~np.eye(d * d, dtype=bool)
+        sq_norms = np.outer(1.0 - nu, nu).ravel()
+        report = orthogonality_check(sys, tol=np.inf)
+        for side, left, right, center, weight in (
+            ("creation", adj, gens, nu, np.sqrt(r)[None, :]),
+            ("annihilation", gens, adj, 1.0 - nu, np.sqrt(r)[:, None]),
+        ):
+            fam = np.stack([left[i] @ right[j] - (i == j) * center[i] * np.eye(q)
+                            for i in range(d) for j in range(d)])
+            flat = (fam * weight).reshape(d * d, q * q)
+            gram = flat @ flat.conj().T
+            dense = {
+                f"centered-mean-{side}": np.abs(np.einsum("a,kaa->k", r, fam)).max(),
+                f"pairwise-orthogonality-{side}": np.abs(gram[off]).max(),
+                f"squared-norms-{side}": np.abs(np.diag(gram) - sq_norms).max(),
+            }
+            for tag, dev in dense.items():
+                assert dev > 1e-3
+                assert abs(report.deviations[tag] - dev) <= 1e-13 * dev, tag
+
 
 class TestFourthMoment:
     def test_scalar_half_weight(self):
@@ -426,7 +498,7 @@ class TestFourthMoment:
         rng = np.random.default_rng(d * 10 + n)
         clean = car_system(rng.uniform(0.05, 0.95, d))
         gens = tuple(
-            g * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+            g.toarray() * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
             for g in clean.generators
         )
         sys = CarSystem(nu=clean.nu, generators=gens)
@@ -457,6 +529,25 @@ class TestFourthMoment:
         corrupted = type(bad)(nu=bad.nu, generators=tuple(gens))
         with pytest.raises(IdentityViolation):
             anticommutation_check(corrupted)
+
+
+class TestAnticommutation:
+    def test_matches_dense_products(self):
+        # generic matrices: a_i a_j != a_j a_i, so pairing block (i, j) with
+        # any block but (j, i) changes the deviations
+        d, q = 3, 8
+        gens = tuple(random_tuple(d, q))
+        sys = CarSystem(nu=RNG.uniform(0.05, 0.95, d), generators=gens)
+        dev_mixed = dev_plain = 0.0
+        for i, gi in enumerate(gens):
+            for j, gj in enumerate(gens):
+                mixed = gi @ gj.conj().T + gj.conj().T @ gi - (i == j) * np.eye(q)
+                dev_mixed = max(dev_mixed, np.abs(mixed).max())
+                dev_plain = max(dev_plain, np.abs(gi @ gj + gj @ gi).max())
+        report = anticommutation_check(sys, tol=np.inf)
+        assert dev_mixed > 1e-3 and dev_plain > 1e-3
+        assert abs(report.deviations["anticommutator-mixed"] - dev_mixed) <= 1e-13 * dev_mixed
+        assert abs(report.deviations["anticommutator-plain"] - dev_plain) <= 1e-13 * dev_plain
 
 
 class TestIndependenceAtHalfWeights:

@@ -128,9 +128,8 @@ class TestCorrectorCar:
         # each corrector step obeys the quadratic residual domination
         sys = car_system(RNG.uniform(0.1, 0.9, 3))
         y = random_tuple(3, 2)
-        big = np.einsum("iab,icd->acbd", y, np.stack(sys.generators)).reshape(
-            2 * sys.dim, 2 * sys.dim
-        )
+        dense = np.stack([g.toarray() for g in sys.generators])
+        big = np.einsum("iab,icd->acbd", y, dense).reshape(2 * sys.dim, 2 * sys.dim)
         c = 1 / SQRT2
         clipped, _z = corrector_car(y, sys, c)
         r = big - clipped.toarray()
@@ -188,7 +187,8 @@ class TestLift:
         assert rep.converged and rep.ratio <= SQRT2 * (1.0 + 1e-6)
         # read out through the dense kernels of the flipped generators
         q = sys.dim
-        rec = np.einsum("iab,pbqa->ipq", sys.functional_kernels, rep.lifted.reshape(2, q, 2, q))
+        kernels = np.stack([k.toarray() for k in sys.functional_kernels])
+        rec = np.einsum("iab,pbqa->ipq", kernels, rep.lifted.reshape(2, q, 2, q))
         assert np.abs(rec - x).max() <= 1e-8 * (1.0 + np.abs(x).max())
 
     def test_car_off_support_generator_is_an_identity_violation(self):
