@@ -15,7 +15,14 @@ of particle-number sector blocks (see :mod:`nck.car`), so the clip, the
 read-out and the accumulated element are all taken block by block, one
 batched clip per pair of sectors; the dense matrix is formed once, for
 :attr:`LiftReport.lifted`, and the achieved norm is the largest block
-norm.  For a normalized input the corrected residual has
+norm.  Over a probability space the lift runs on the space's phase
+quotient (see :mod:`nck.spaces`): one representative atom per orbit of a
+unimodular scalar, weighted by the orbit.  The clip commutes with a
+unimodular scalar, and the read-out against the representatives' values
+with orbit weights is exact, so every step is the full space's step cut
+by the orbit size (2 for signs and lacunary, 5 for Steinhaus); the
+accumulated element is expanded to every atom, ``phase * blocks[owner]``,
+once at the end.  For a normalized input the corrected residual has
 primal norm at most ``delta = 1/2``, so the accumulated element converges
 with norm at most ``C / (1 - delta)``:
 
@@ -148,13 +155,19 @@ def _setting_ops(setting):
 
     ``zero(n)`` is the empty element, which the lift accumulates through its
     ``blocks`` array; ``finish`` turns it into ``(lifted, achieved_norm)``.
+    A probability space is lifted on its phase quotient, and ``finish``
+    expands the accumulated representatives to every atom.
     """
     if isinstance(setting, DiscreteProbabilitySpace):
+        reps, owner, phase = setting._quotient
         return (
             lambda t: triple_norm(t),
-            lambda t, c: corrector_commutative(t, setting, c),
-            lambda n: RandomElement(setting, np.zeros((setting.atoms, n, n), dtype=complex)),
-            lambda e: (e, sup_norm(e)),
+            lambda t, c: corrector_commutative(t, reps, c),
+            lambda n: RandomElement(reps, np.zeros((reps.atoms, n, n), dtype=complex)),
+            lambda e: (
+                RandomElement(setting, phase[:, None, None] * e.blocks[owner]),
+                sup_norm(e),
+            ),
             setting.kind,
         )
     if isinstance(setting, CarSystem):

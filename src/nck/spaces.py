@@ -14,8 +14,11 @@ Four kinds of space are provided:
 
 ``lacunary``
     The exponentials ``t -> exp(i 2^j t)``, ``j = 1..d``, integrated on a
-    uniform grid of ``2**(d+3)`` points.  Frequencies in degree-four
-    products are bounded by ``2**(d+2)``, so the quadrature is exact.
+    uniform grid of ``N = 2**(d+3)`` points.  Frequencies in degree-four
+    products are bounded by ``2**(d+2)``, so the quadrature is exact.  Each
+    value is ``exp(2 pi i k / N)`` with the phase reduced in integers,
+    ``k = 2^j m mod N`` at grid point ``m``, so no argument rounding grows
+    with the frequency.
 
 ``gaussian-mc``
     Independent standard complex Gaussians, sampled: equal-weight atoms from
@@ -28,18 +31,35 @@ random matrix ``Y(w) = sum_i y_i * family[i, w]``; conditional expectation
 against the family recovers the coefficients.  The moment check compares
 against the weighted closed form :func:`nck.norms.moment_forms`, the same
 one the fermionic check uses.
+
+The exact kinds' atoms come in orbits of a unimodular scalar: ``w`` and
+``-w`` for signs, the ``m`` rotations of a root-of-unity tuple, ``t`` and
+``t + pi`` on the lacunary grid (every frequency is even, so the two atoms
+carry equal values).  Each space caches its *phase quotient*, read off the
+family alone: one representative atom per orbit with the orbit's summed
+weight, and per atom its ``owner`` (the representative's index) and
+``phase``, with ``family[:, w] = phase[w] * family[:, rep[owner[w]]]``
+checked to ``PHASE_TOL`` relative when the quotient is built.  An atom
+that fails the check stays its own representative, and a sampled
+Gaussian space keeps every atom.  The quotient is a space of its own.  An
+element with ``Z(w) = phase[w] Z(rep)`` on every orbit has the same sup
+norm on it, and the same conditional expectation, because
+``conj(phi f) phi Z = conj(f) Z`` when ``|phi| = 1``.  The embedded tuple
+and its clip are such elements, so the lift (:mod:`nck.lifting`) runs on
+the quotient.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import caps
-from .exceptions import DimensionMismatch, DTooLarge, InvalidParameter, SpaceTooLarge
+from .exceptions import DimensionMismatch, DTooLarge, InvalidParameter, NonFinite, SpaceTooLarge
 from .norms import as_matrix_tuple, gram_norm, moment_forms
 from .reports import CheckReport, moment_report
 
@@ -63,6 +83,13 @@ __all__ = [
 
 EXACT_KINDS = ("rademacher", "steinhauss", "lacunary")
 
+#: largest deviation, relative to the atom's largest value, with which two
+#: atoms may be merged into one orbit of the phase quotient
+PHASE_TOL = 1e-14
+#: grid, relative to the family's largest value, on which the quotient's
+#: grouping keys are rounded; grouping only proposes, ``PHASE_TOL`` decides
+_KEY_STEP = 2.0**-30
+
 
 @dataclass(frozen=True)
 class DiscreteProbabilitySpace:
@@ -77,15 +104,20 @@ class DiscreteProbabilitySpace:
     seed: int | None = None
 
     def __post_init__(self):
-        w, fam = self.weights, self.family
+        # read-only copies: the caller's arrays stay theirs and writable
+        w, fam = np.array(self.weights), np.array(self.family)
         if w.ndim != 1 or fam.ndim != 2 or fam.shape[1] != w.shape[0]:
             raise DimensionMismatch(
                 f"family shape {fam.shape} incompatible with {w.shape[0]} atoms"
             )
+        if not (np.isfinite(w).all() and np.isfinite(fam).all()):
+            raise NonFinite("weights and family must be finite")
         if w.min(initial=0.0) < 0.0 or abs(w.sum() - 1.0) > 1e-12:
             raise DimensionMismatch("weights must be nonnegative and sum to 1")
         w.setflags(write=False)
         fam.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "family", fam)
 
     @property
     def d(self) -> int:
@@ -98,6 +130,46 @@ class DiscreteProbabilitySpace:
     @property
     def is_exact(self) -> bool:
         return self.kind in EXACT_KINDS
+
+    @cached_property
+    def _quotient(self):
+        """``(reps, owner, phase)``: the phase quotient of the module docstring.
+
+        ``reps`` is a space of the same kind over one representative atom
+        per orbit, in atom order, weighted by the orbit's summed weight;
+        ``family[:, w] == phase[w] * reps.family[:, owner[w]]`` to
+        ``PHASE_TOL`` relative, and ``phase`` is exactly 1 on each
+        representative.
+        """
+        fam = self.family
+        atoms = fam.shape[1]
+        cols = np.arange(atoms)
+        size = np.abs(fam).max(axis=0, initial=0.0)
+        # the first nonzero value names the atom's phase; on a zero atom
+        # that is the appended 1
+        lead = np.vstack([fam, np.ones(atoms)])
+        lead = lead[np.argmax(lead != 0.0, axis=0), cols]
+        unit = lead / np.abs(lead)
+        scaled = fam * unit.conj() / (size.max(initial=0.0) or 1.0)
+        keys = np.rint(np.concatenate([scaled.real, scaled.imag]).T / _KEY_STEP).astype(np.int32)
+        # the keys are integers, so -0.0 and 0.0 agree; each atom's candidate
+        # representative is the first atom with its key
+        first = {}
+        cand = np.array([first.setdefault(key.tobytes(), w) for w, key in enumerate(keys)])
+        near = fam[:, cand]
+        # equal atoms, each atom and itself among them, get phase exactly 1
+        phase = np.where((near == fam).all(axis=0), 1.0, unit * unit[cand].conj())
+        near *= phase
+        near -= fam
+        merged = np.abs(near).max(axis=0, initial=0.0) <= PHASE_TOL * size
+        cand = np.where(merged, cand, cols)
+        phase = np.where(merged, phase, 1.0)
+        reps = np.flatnonzero(cand == cols)
+        owner = np.searchsorted(reps, cand)
+        space = DiscreteProbabilitySpace(
+            self.kind, np.bincount(owner, self.weights, reps.size), fam[:, reps], self.seed
+        )
+        return space, owner, phase
 
 
 @dataclass(frozen=True)
@@ -121,10 +193,16 @@ class RandomElement:
         return self.blocks.shape[1]
 
 
+def _require_positive(name: str, value: int):
+    if value < 1:
+        raise InvalidParameter(f"need {name} >= 1, got {value}")
+
+
 def rademacher_space(d: int) -> DiscreteProbabilitySpace:
     """Uniform measure on ``{+1, -1}^d``, enumerated with +1 first."""
+    _require_positive("d", d)
     cap = caps.rademacher_dim_cap()
-    if not 1 <= d <= cap:
+    if d > cap:
         raise DTooLarge(f"rademacher dimension {d} outside [1, {cap}]")
     atoms = np.array(list(itertools.product([1.0, -1.0], repeat=d)))
     family = atoms.T.astype(complex)
@@ -136,8 +214,7 @@ def steinhauss_space(d: int, order: int = 5) -> DiscreteProbabilitySpace:
     """Product of independent uniform ``order``-th roots of unity."""
     if order < 5:
         raise InvalidParameter(f"root-of-unity order must be >= 5, got {order}")
-    if d < 1:
-        raise DTooLarge(f"need d >= 1, got {d}")
+    _require_positive("d", d)
     if order**d > caps.STEINHAUSS_ATOM_CAP:
         raise SpaceTooLarge(
             f"{order}**{d} atoms exceed the {caps.STEINHAUSS_ATOM_CAP} budget"
@@ -149,20 +226,21 @@ def steinhauss_space(d: int, order: int = 5) -> DiscreteProbabilitySpace:
     return DiscreteProbabilitySpace("steinhauss", weights, family)
 
 
-def lacunary_space(d: int, grid: int | None = None) -> DiscreteProbabilitySpace:
+def lacunary_space(d: int) -> DiscreteProbabilitySpace:
     """Exponentials with frequencies ``2, 4, ..., 2**d`` on a uniform grid.
 
-    The default grid of ``2**(d+3)`` points integrates every trigonometric
-    monomial occurring in degree-at-most-four products exactly.
+    The grid of ``N = 2**(d+3)`` points integrates every trigonometric
+    monomial occurring in degree-at-most-four products exactly.  The phase
+    ``2^j m`` of frequency ``2^j`` at grid point ``m`` is reduced modulo
+    ``N`` in integers, so grid points ``m`` and ``m + N/2`` carry
+    bit-identical values.
     """
-    if d < 1:
-        raise DTooLarge(f"need d >= 1, got {d}")
-    n_grid = 2 ** (d + 3) if grid is None else int(grid)
+    _require_positive("d", d)
+    n_grid = 2 ** (d + 3)
     if n_grid * d > caps.LACUNARY_VALUE_CAP:
         raise SpaceTooLarge(f"{n_grid} grid points at d={d} exceed the budget")
-    t = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    freqs = 2 ** np.arange(1, d + 1)
-    family = np.exp(1j * np.outer(freqs, t))
+    phases = np.outer(2 ** np.arange(1, d + 1), np.arange(n_grid)) % n_grid
+    family = np.exp(2j * np.pi * phases / n_grid)
     weights = np.full(n_grid, 1.0 / n_grid)
     return DiscreteProbabilitySpace("lacunary", weights, family)
 
@@ -173,8 +251,8 @@ def gaussian_space(d: int, samples: int, seed: int = 0) -> DiscreteProbabilitySp
     Reproducible: equal seeds give bit-identical spaces.  Estimates are
     Monte Carlo quality; use at least a few thousand samples.
     """
-    if d < 1 or samples < 1:
-        raise DTooLarge(f"need d >= 1 and samples >= 1, got d={d}, samples={samples}")
+    _require_positive("d", d)
+    _require_positive("samples", samples)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((2, d, samples))
     family = (z[0] + 1j * z[1]) / np.sqrt(2.0)

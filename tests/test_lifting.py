@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,21 @@ class TestCorrectorCommutative:
             clipped, z = corrector_commutative(y, space, c)
             assert sup_norm(clipped) <= c + 1e-9
             assert triple_norm(y - z) <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize(
+        "space",
+        [rademacher_space(4), steinhauss_space(3), lacunary_space(4)],
+        ids=["rademacher", "steinhauss", "lacunary"],
+    )
+    def test_one_step_on_the_quotient_is_the_full_step(self, space):
+        # the clip commutes with the phase, and the orbit weights make the read-out exact
+        reps, owner, phase = space._quotient
+        y = normalized(random_tuple(space.d, 3), triple_norm)
+        full, z_full = corrector_commutative(y, space, 0.7)
+        part, z_part = corrector_commutative(y, reps, 0.7)
+        assert np.abs(phase[:, None, None] * part.blocks[owner] - full.blocks).max() <= 1e-14
+        assert np.abs(z_part - z_full).max() <= 1e-14
+        assert sup_norm(part) == pytest.approx(sup_norm(full), rel=1e-14)
 
 
 class TestCorrectorCar:
@@ -235,6 +252,57 @@ class TestLift:
         assert rep.converged
         # no exact guarantee here, but the ratio should sit near sqrt(2)
         assert rep.ratio <= SQRT2 * 1.1
+
+
+# the benchmark's sign-lift shapes: each (family, d) twice, with n two apart
+_SIGN_DIMS = {"rademacher": range(4, 11), "lacunary": range(3, 9), "steinhauss": range(2, 5)}
+_SIGN_SPACES = [
+    entry
+    for row in itertools.zip_longest(*([(f, d) for d in dims] for f, dims in _SIGN_DIMS.items()))
+    for entry in row
+    if entry is not None
+]
+SIGN_SCHEDULE = [
+    (family, d, 1 + (j + shift) % 4)
+    for shift in (0, 2)
+    for j, (family, d) in enumerate(_SIGN_SPACES)
+]
+BUILDERS = {"rademacher": rademacher_space, "steinhauss": steinhauss_space, "lacunary": lacunary_space}
+
+
+def full_space_lift(x, space):
+    """The lift iterated on every atom: ``(blocks, history, iterations, achieved)``."""
+    cfg = preset_config(space.kind)
+    target = triple_norm(x)
+    w, norm_w, history = x.copy(), target, [target]
+    blocks = np.zeros((space.atoms,) + x.shape[1:], dtype=complex)
+    iterations = 0
+    while norm_w > cfg.tol * target and iterations < cfg.max_iter:
+        iterations += 1
+        y = np.einsum("im,iab->mab", space.family, w / norm_w)
+        clipped = truncate_offdiag(y, cfg.clip_level)
+        z = np.einsum("m,im,mab->iab", space.weights, space.family.conj(), clipped)
+        blocks += norm_w * clipped
+        w = w - norm_w * z
+        norm_w = triple_norm(w)
+        history.append(norm_w)
+    achieved = np.linalg.svd(blocks, compute_uv=False)[:, 0].max()
+    return blocks, np.array(history), iterations, achieved
+
+
+class TestLiftOnThePhaseQuotient:
+    @pytest.mark.parametrize("family,d,n", SIGN_SCHEDULE)
+    def test_same_lift_as_on_every_atom(self, family, d, n):
+        space = BUILDERS[family](d)
+        for seed in range(3):
+            x = random_tuple(d, n, np.random.default_rng(seed))
+            rep = lift(x, space)
+            blocks, history, iterations, achieved = full_space_lift(x, space)
+            assert rep.iterations == iterations and rep.converged
+            assert rep.lifted.space is space and rep.lifted.blocks.shape == blocks.shape
+            assert np.all(np.abs(rep.residual_history - history) <= 1e-12 * history)
+            assert np.abs(rep.lifted.blocks - blocks).max() <= 1e-12 * np.abs(blocks).max()
+            assert abs(rep.achieved_norm - achieved) <= 1e-12
 
 
 class TestQuotientNormBracket:

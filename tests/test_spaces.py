@@ -3,9 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from nck.exceptions import DimensionMismatch, DTooLarge, IdentityViolation, SpaceTooLarge
+from nck.exceptions import (
+    DimensionMismatch,
+    DTooLarge,
+    IdentityViolation,
+    InvalidParameter,
+    NonFinite,
+    SpaceTooLarge,
+)
 from nck.norms import triple_norm
 from nck.spaces import (
+    DiscreteProbabilitySpace,
     RandomElement,
     conditional_expectation,
     element_from_tuple,
@@ -107,6 +115,125 @@ class TestLacunary:
         report = moment_identity_check(y, lacunary_space(3))
         assert report.passed
         assert report.max_deviation <= 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_phases_reduced_in_integers(self, d):
+        # oracle: the phase 2^j m of each value reduced mod N in Python integers
+        n_grid = 2 ** (d + 3)
+        k = np.array([[(2**j * m) % n_grid for m in range(n_grid)] for j in range(1, d + 1)])
+        family = lacunary_space(d).family
+        assert np.array_equal(family, np.exp(2j * np.pi * k / n_grid))
+        # every frequency is even, so t and t + pi carry the same values
+        assert np.array_equal(family[:, : n_grid // 2], family[:, n_grid // 2 :])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rademacher_space(0),
+        lambda: rademacher_space(-2),
+        lambda: steinhauss_space(0),
+        lambda: lacunary_space(0),
+        lambda: gaussian_space(0, 10),
+        lambda: gaussian_space(2, 0),
+    ],
+    ids=["rademacher-0", "rademacher-neg", "steinhauss-0", "lacunary-0", "gaussian-d0", "gaussian-samples0"],
+)
+def test_counts_below_one_are_invalid_parameters(make):
+    # a usage error, not DTooLarge ("exceeds the configured cap")
+    with pytest.raises(InvalidParameter):
+        make()
+
+
+class TestDiscreteProbabilitySpace:
+    def test_callers_arrays_stay_writable(self):
+        w = np.full(2, 0.5)
+        f = np.array([[1.0, -1.0]], dtype=complex)
+        sp = DiscreteProbabilitySpace("rademacher", w, f)
+        w[0] = 0.7
+        f[0, 0] = 2.0
+        assert sp.weights[0] == 0.5 and sp.family[0, 0] == 1.0
+        assert not sp.weights.flags.writeable and not sp.family.flags.writeable
+
+    @pytest.mark.parametrize(
+        "weights,family",
+        [([0.5, np.nan], [[1.0, -1.0]]), ([0.5, 0.5], [[1.0, np.inf]]), ([0.5, 0.5], [[np.nan, -1.0]])],
+    )
+    def test_non_finite_entries_rejected(self, weights, family):
+        # NaN weights used to pass the sum check, and a NaN family reached the lift
+        with pytest.raises(NonFinite):
+            DiscreteProbabilitySpace("rademacher", np.array(weights), np.array(family, dtype=complex))
+
+
+def _check_phase_relation(space):
+    reps, owner, phase = space._quotient
+    assert reps.kind == space.kind and reps.d == space.d
+    assert abs(reps.weights.sum() - 1.0) <= 1e-14
+    assert np.allclose(reps.weights, np.bincount(owner, space.weights), rtol=0.0, atol=1e-15)
+    scale = np.abs(space.family).max(axis=0)
+    assert np.all(np.abs(space.family - phase * reps.family[:, owner]).max(axis=0) <= 1e-14 * scale)
+    assert np.allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-15)
+    # the representatives are atoms of the space, in order, with phase exactly 1
+    firsts = np.unique(owner, return_index=True)[1]
+    assert np.array_equal(owner[firsts], np.arange(reps.atoms))
+    assert np.array_equal(reps.family, space.family[:, firsts]) and np.all(phase[firsts] == 1.0)
+    return reps, owner, phase
+
+
+class TestPhaseQuotient:
+    @pytest.mark.parametrize(
+        "family,d,expected",
+        [("rademacher", d, 2 ** (d - 1)) for d in range(1, 8)]
+        + [("steinhauss", d, 5 ** (d - 1)) for d in range(1, 5)]
+        + [("lacunary", 1, 1)]
+        + [("lacunary", d, 2 ** (d + 2)) for d in range(2, 9)],
+    )
+    def test_orbit_sizes(self, family, d, expected):
+        space = {"rademacher": rademacher_space, "steinhauss": steinhauss_space,
+                 "lacunary": lacunary_space}[family](d)
+        reps, owner, _ = _check_phase_relation(space)
+        assert reps.atoms == expected
+        assert np.all(np.bincount(owner) == space.atoms // expected)
+
+    def test_rademacher_pairs_w_with_minus_w(self):
+        reps, owner, phase = _check_phase_relation(rademacher_space(3))
+        assert np.array_equal(owner, [0, 1, 2, 3, 3, 2, 1, 0])
+        assert np.array_equal(phase, [1, 1, 1, 1, -1, -1, -1, -1])
+        assert np.all(reps.family[0] == 1.0)
+
+    def test_lacunary_halves_merge_with_phase_one(self):
+        space = lacunary_space(4)
+        _reps, owner, phase = _check_phase_relation(space)
+        half = space.atoms // 2
+        assert np.array_equal(owner, np.tile(np.arange(half), 2)) and np.all(phase == 1.0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gaussian_keeps_every_atom(self, d):
+        space = gaussian_space(d, 500, seed=4)
+        reps, owner, phase = _check_phase_relation(space)
+        assert reps.atoms == space.atoms and reps.seed == space.seed
+        assert np.array_equal(owner, np.arange(space.atoms)) and np.all(phase == 1.0)
+
+    def test_zero_entries_in_the_first_variable(self):
+        family = np.array(
+            [
+                [0, 0, 0, 1, -1j, 0, 0],
+                [1, -1, 1j, 1j, 1, 2, 0],
+            ],
+            dtype=complex,
+        )
+        space = DiscreteProbabilitySpace("rademacher", np.full(7, 1 / 7), family)
+        reps, owner, phase = _check_phase_relation(space)
+        # (0, 1) ~ (0, -1) ~ (0, 1j); (1, 1j) ~ (-1j, 1); (0, 2) and (0, 0) alone
+        assert np.array_equal(owner, [0, 0, 0, 1, 1, 2, 3])
+        assert np.array_equal(phase, [1, -1, 1j, 1, -1j, 1, 1])
+        assert np.allclose(reps.weights, np.array([3, 2, 1, 1]) / 7, rtol=0.0, atol=1e-15)
+
+    def test_atoms_off_by_more_than_rounding_stay_apart(self):
+        # the second atom is the first times -1 up to 1e-13: not merged
+        family = np.array([[1.0, -1.0], [0.5, -0.5 + 1e-13]], dtype=complex)
+        reps, owner, _ = _check_phase_relation(DiscreteProbabilitySpace("rademacher", np.full(2, 0.5), family))
+        assert reps.atoms == 2 and np.array_equal(owner, [0, 1])
 
 
 class TestGaussian:
