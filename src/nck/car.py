@@ -53,6 +53,7 @@ from .exceptions import (
     DimensionMismatch,
     DTooLarge,
     IdentityViolation,
+    InvalidParameter,
     NotOrthonormal,
     SizeMismatch,
 )
@@ -167,8 +168,10 @@ def jordan_wigner(d: int):
     Built from the support :func:`_jw_support` gives, with the sign
     ``(-1)^(occupied modes j < i)``; no dense matrix is formed.
     """
+    if d < 1:
+        raise InvalidParameter(f"need d >= 1, got {d}")
     cap = caps.car_dim_cap()
-    if not 1 <= d <= cap:
+    if d > cap:
         raise DTooLarge(f"fermionic dimension {d} outside [1, {cap}]")
     return _jordan_wigner_cached(d)
 

@@ -127,7 +127,9 @@ def car_c2_sequence(d: int):
     The matrix value is ``None`` above the representation cap.  The
     sequence increases strictly to 1.
     """
-    if not 1 <= d <= 60:
+    if d < 1:
+        raise InvalidParameter(f"need d >= 1, got {d}")
+    if d > 60:
         raise DTooLarge(f"need 1 <= d <= 60, got {d}")
     binomial = math.sqrt(2.0 / d) * 2.0**-d * sum(
         math.comb(d, k) * math.sqrt(k) for k in range(d + 1)

@@ -12,14 +12,17 @@ dual norm is the infimal convolution
                          : x = y + z },
 
 computed here by Douglas-Rachford splitting: both objective terms are
-nuclear norms of stacked copies of the decomposition variables, so the
-proximal maps are singular-value soft-thresholding, and the coupling
-``y + z = x`` is an affine constraint with a closed-form projection.  Each
-solve returns the achieving decomposition together with a pairing-based
-duality-gap certificate.  The certificate scores four witness candidates in
-one batched call; it is evaluated every ``CERT_EVERY`` (8) iterations, when
-the splitting step stalls, and at the iteration budget, and the solve stops
-only at an evaluated iteration.
+nuclear norms of column stacks once the row-stacked variable is held as its
+adjoint (``||row stack of z||_* = ||column stack of z*||_*``), so the two
+variables share one ``(2, d, n, n)`` state and both proximal maps,
+singular-value soft-thresholding, come from one batched SVD per iteration.
+The coupling ``y + z = x`` is an affine constraint with a closed-form
+projection on the same state.  Each solve returns the achieving
+decomposition together with a pairing-based duality-gap certificate.  The
+certificate takes both polar parts and both nuclear norms from one batched
+SVD and scores four witness candidates in one batched call; it is evaluated
+every ``CERT_EVERY`` (8) iterations, when the splitting step stalls, and at
+the iteration budget, and the solve stops only at an evaluated iteration.
 """
 
 from __future__ import annotations
@@ -113,6 +116,11 @@ def _gram_norm_sqrt(g: np.ndarray) -> float:
     return float(np.sqrt(max(gram_norm(g), 0.0)))
 
 
+def _adjoint(t: np.ndarray) -> np.ndarray:
+    """Adjoint of every matrix in a stack."""
+    return t.conj().swapaxes(-1, -2)
+
+
 def moment_forms(y: np.ndarray, col_w, row_w, pair_w, sign_w):
     """Closed-form second and fourth moments of ``Y = sum y_i (x) v_i``.
 
@@ -202,50 +210,6 @@ def pairing_certificate(x, b, nu=None) -> float:
     return float(pairing / denom)
 
 
-# --- stacking helpers -------------------------------------------------------
-#
-# Vertical stacking turns Tr((sum y_i* y_i)^(1/2)) into the nuclear norm of a
-# (d*n, n) matrix; horizontal stacking does the same for the row-Gram term.
-
-
-def _stack_col(t: np.ndarray) -> np.ndarray:
-    d, n, _ = t.shape
-    return t.reshape(d * n, n)
-
-
-def _unstack_col(m: np.ndarray, d: int, n: int) -> np.ndarray:
-    return m.reshape(d, n, n)
-
-
-def _stack_row(t: np.ndarray) -> np.ndarray:
-    # (d, n, n) -> (n, d*n) horizontal concatenation
-    return t.transpose(1, 0, 2).reshape(t.shape[1], -1)
-
-
-def _unstack_row(m: np.ndarray, d: int, n: int) -> np.ndarray:
-    return m.reshape(n, d, n).transpose(1, 0, 2)
-
-
-def _svt(m: np.ndarray, t: float) -> np.ndarray:
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return (u * np.maximum(s - t, 0.0)) @ vh
-
-
-def _nuclear_and_polar(m: np.ndarray, rel_cut: float = 1e-8):
-    """Nuclear norm and its polar-part subgradient, from one SVD.
-
-    The subgradient drops singular directions below ``rel_cut * s_max``:
-    they are numerical debris near a low-rank optimum, and keeping them
-    would inflate the witness norm and ruin the certificate.
-    """
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    nuclear = float(s.sum())
-    if s.size == 0 or s[0] <= 0.0:
-        return nuclear, np.zeros_like(m)
-    keep = s > rel_cut * s[0]
-    return nuclear, u[:, keep] @ vh[keep, :]
-
-
 @dataclass
 class DualNormResult:
     """Outcome of a dual-norm solve.
@@ -283,6 +247,12 @@ def dual_norm(
 
     which after rescaling the variables by ``sqrt(nu)`` / ``sqrt(1-nu)`` is
     again a sum of two nuclear norms under an affine coupling.
+
+    The splitting variables ``u = y / sqrt(nu)`` and ``w = z / sqrt(1-nu)``
+    (``u = y`` and ``w = z`` unweighted) live in one ``(2, d, n, n)``
+    state, held so that both nuclear norms are column-stack norms:
+    ``(u, w*)`` unweighted, ``(u*, w)`` weighted.  An iteration takes one
+    batched SVD of the state, and the certificate one more.
     """
     xa = as_matrix_tuple(x)
     d, n, _ = xa.shape
@@ -297,14 +267,12 @@ def dual_norm(
             )
         alpha = np.sqrt(w)
         beta = np.sqrt(1.0 - w)
-        stack_u, unstack_u = _stack_row, _unstack_row
-        stack_w, unstack_w = _stack_col, _unstack_col
+        flip = 0   # the state holds (u*, w)
     else:
         w = None
         alpha = np.ones(d)
         beta = np.ones(d)
-        stack_u, unstack_u = _stack_col, _unstack_col
-        stack_w, unstack_w = _stack_row, _unstack_row
+        flip = 1   # the state holds (u, w*)
 
     scale = float(np.abs(xa).max(initial=0.0))
     if scale == 0.0:
@@ -314,66 +282,77 @@ def dual_norm(
     # the primal norm makes the iteration count independent of input scale
     step = max(triple_norm(xa), 1e-300)
 
-    a3 = alpha[:, None, None]
-    b3 = beta[:, None, None]
-    denom = (alpha**2 + beta**2)[:, None, None]
+    # In both modes the state s minimizes ||s_0||_* + ||s_1||_* over column
+    # stacks subject to alpha s_0 + beta s_1* = xs, with xs = x unweighted
+    # and xs = x* weighted (the adjoint of each slice).
+    xs = xa if flip else _adjoint(xa)
+    ab = np.stack((alpha, beta))[:, :, None, None]
+    a3, b3 = ab
+    denom = a3**2 + b3**2
 
-    def project(u, wv):
-        # closest pair on the affine set alpha*u + beta*w = x
-        r = (xa - a3 * u - b3 * wv) / denom
-        return u + a3 * r, wv + b3 * r
+    def project(t):
+        # closest point of the affine set, in place
+        r = (xs - a3 * t[0] - b3 * _adjoint(t[1])) / denom
+        t[0] += a3 * r
+        t[1] += b3 * _adjoint(r)
+        return t
 
-    def evaluate(u, wv, lam_u, lam_w):
-        uf, wf = project(u, wv)
-        nuc_u, polar_u = _nuclear_and_polar(stack_u(uf))
-        nuc_w, polar_w = _nuclear_and_polar(stack_w(wf))
-        polar_u = unstack_u(polar_u, d, n) / a3
-        polar_w = unstack_w(polar_w, d, n) / b3
-        witnesses = np.stack((lam_u, lam_w, polar_u, polar_w)).conj().swapaxes(-1, -2)
+    def svd(t):
+        return np.linalg.svd(t.reshape(2, d * n, n), full_matrices=False)
+
+    def evaluate(s1, g):
+        f = project(s1.copy())
+        uu, sv, vh = svd(f)
+        # the polar parts drop singular directions below 1e-8 * s_max: they
+        # are numerical debris near a low-rank optimum, and keeping them
+        # would inflate the witness norm and ruin the certificate
+        keep = sv > 1e-8 * sv[:, :1]
+        polar = ((uu * keep[:, None, :]) @ vh).reshape(f.shape)
+        # candidates lam_u, lam_w, polar_u, polar_w; lam is the splitting's
+        # own dual variable: exactly feasible at the fixed point, including
+        # the orthogonal-complement part that the polar part misses at
+        # rank-deficient optima.  A slot held as its adjoint is its own
+        # witness; the other slot's witness is its adjoint.
+        witnesses = np.concatenate((g / (step * ab), polar / ab))
+        witnesses[1 - flip::2] = _adjoint(witnesses[1 - flip::2])
         pairings, norms = _witness_scores(xa, witnesses, w)
         scores = np.divide(pairings, norms, out=np.zeros_like(norms), where=norms > 1e-300)
         best = int(np.argmax(scores))   # the first of tied candidates
         cert_tuple = witnesses[best] if scores[best] > 0.0 else None
-        return uf, wf, nuc_u + nuc_w, float(scores[best]), cert_tuple
+        nuclear = sv.sum(axis=-1)
+        return f, float(nuclear[0] + nuclear[1]), float(scores[best]), cert_tuple
 
-    su = np.zeros_like(xa)
-    sw = np.zeros_like(xa)
-    best_primal = None   # (value, uf, wf)
+    s = np.zeros((2, d, n, n), dtype=complex)
+    best_primal = None   # (value, f)
     best_cert = (0.0, None)
     for it in range(1, max_iter + 1):
-        u1 = unstack_u(_svt(stack_u(su), step), d, n)
-        w1 = unstack_w(_svt(stack_w(sw), step), d, n)
-        # the splitting's own dual variable: exactly feasible at the fixed
-        # point, including the orthogonal-complement part that the polar
-        # subgradient misses at rank-deficient optima
-        lam_u = (u1 - su) / (step * a3)
-        lam_w = (w1 - sw) / (step * b3)
-        u2, w2 = project(2 * u1 - su, 2 * w1 - sw)
-        du, dw = u2 - u1, w2 - w1
-        su += du
-        sw += dw
-        change = max(float(np.abs(du).max()), float(np.abs(dw).max()))
+        uu, sv, vh = svd(s)
+        s1 = ((uu * np.maximum(sv - step, 0.0)[:, None, :]) @ vh).reshape(s.shape)
+        g = s1 - s
+        ds = project(s1 + g) - s1
+        s += ds
+        change = float(np.abs(ds).max())
         stalled = change <= CHANGE_TOL * (1.0 + scale)
         if it % CERT_EVERY and not stalled and it < max_iter:
             continue
-        uf, wf, primal, cert, cert_tuple = evaluate(u1, w1, lam_u, lam_w)
+        f, primal, cert, cert_tuple = evaluate(s1, g)
         if best_primal is None or primal < best_primal[0]:
-            best_primal = (primal, uf, wf)
+            best_primal = (primal, f)
         if cert > best_cert[0]:
             best_cert = (cert, cert_tuple)
         if best_primal[0] - best_cert[0] <= gap_tol or stalled:
             break
 
-    primal, uf, wf = best_primal
+    primal, f = best_primal
     cert, cert_tuple = best_cert
     gap = primal - cert
-    y = a3 * uf
-    z = b3 * wf
+    yz = ab * f
+    yz[flip] = _adjoint(yz[flip])
     converged = gap <= NONCONVERGENCE_GAP
     return DualNormResult(
         value=primal,
-        y=y,
-        z=z,
+        y=yz[0],
+        z=yz[1],
         gap=gap,
         iterations=it,
         converged=converged,

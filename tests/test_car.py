@@ -121,6 +121,15 @@ class TestJordanWigner:
         with pytest.raises(DTooLarge):
             jordan_wigner(caps.car_dim_cap() + 1)
 
+    def test_zero_dimension_is_invalid_parameter(self):
+        # a usage error, not DTooLarge ("exceeds the configured cap")
+        with pytest.raises(InvalidParameter):
+            jordan_wigner(0)
+
+    def test_empty_weights_are_invalid_parameter(self):
+        with pytest.raises(InvalidParameter):
+            car_system([])
+
     def test_env_override_bounded(self, monkeypatch):
         monkeypatch.setenv("NCK_MAX_DIM", "11")
         assert caps.car_dim_cap() == 11

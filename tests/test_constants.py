@@ -12,7 +12,7 @@ from nck.constants import (
     gaussian_c1_bound_sequence,
     random_search_ratio,
 )
-from nck.exceptions import DTooLarge
+from nck.exceptions import DTooLarge, InvalidParameter
 from nck.spaces import gamma_ratio
 
 
@@ -103,6 +103,10 @@ class TestCarC2Sequence:
     def test_cap(self):
         with pytest.raises(DTooLarge):
             car_c2_sequence(61)
+
+    def test_zero_dimension_is_invalid_parameter(self):
+        with pytest.raises(InvalidParameter):
+            car_c2_sequence(0)
 
 
 class TestRandomSearch:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nck import norms
 from nck.exceptions import DegenerateWeight, DimensionMismatch, InvalidParameter, ZeroWitness
 from nck.linalg import trace_norm
 from nck.norms import (
@@ -219,6 +220,179 @@ class TestDualNorm:
         x = first_column_units(3)
         res = dual_norm(x)
         assert res.value == pytest.approx(np.sqrt(3), abs=1e-6)
+
+
+def two_variable_dual_norm(x, nu=None):
+    """Reference: the Douglas-Rachford loop with ``u`` and ``w`` stepped apart.
+
+    ``u`` is the column stack and ``w`` the row stack (swapped when
+    weighted), each thresholded by its own SVD, with the same step,
+    schedule, projection and certificate as :func:`dual_norm`.  Returns
+    ``(value, gap, y, z, iterations)``.
+    """
+    x = np.asarray(x, dtype=complex)
+    d, n, _ = x.shape
+
+    def col(t):
+        return t.reshape(d * n, n)
+
+    def uncol(m):
+        return m.reshape(d, n, n)
+
+    def row(t):
+        return t.transpose(1, 0, 2).reshape(n, d * n)
+
+    def unrow(m):
+        return m.reshape(n, d, n).transpose(1, 0, 2)
+
+    def svt(m, t):
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        return (u * np.maximum(s - t, 0.0)) @ vh
+
+    def nuclear_and_polar(m):
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        if s[0] <= 0.0:
+            return float(s.sum()), np.zeros_like(m)
+        keep = s > 1e-8 * s[0]
+        return float(s.sum()), u[:, keep] @ vh[keep, :]
+
+    if nu is None:
+        w = None
+        alpha = beta = np.ones(d)
+        (st_u, un_u), (st_w, un_w) = (col, uncol), (row, unrow)
+    else:
+        w = np.asarray(nu, dtype=float)
+        alpha, beta = np.sqrt(w), np.sqrt(1.0 - w)
+        (st_u, un_u), (st_w, un_w) = (row, unrow), (col, uncol)
+    scale = float(np.abs(x).max())
+    step = triple_norm(x)
+    a3, b3 = alpha[:, None, None], beta[:, None, None]
+    denom = a3**2 + b3**2
+
+    def project(u, wv):
+        r = (x - a3 * u - b3 * wv) / denom
+        return u + a3 * r, wv + b3 * r
+
+    su = np.zeros_like(x)
+    sw = np.zeros_like(x)
+    best_primal, best_cert = None, 0.0
+    for it in range(1, norms.MAX_ITER + 1):
+        u1 = un_u(svt(st_u(su), step))
+        w1 = un_w(svt(st_w(sw), step))
+        lam_u = (u1 - su) / (step * a3)
+        lam_w = (w1 - sw) / (step * b3)
+        u2, w2 = project(2 * u1 - su, 2 * w1 - sw)
+        du, dw = u2 - u1, w2 - w1
+        su += du
+        sw += dw
+        change = max(float(np.abs(du).max()), float(np.abs(dw).max()))
+        stalled = change <= norms.CHANGE_TOL * (1.0 + scale)
+        if it % norms.CERT_EVERY and not stalled and it < norms.MAX_ITER:
+            continue
+        uf, wf = project(u1, w1)
+        nuc_u, polar_u = nuclear_and_polar(st_u(uf))
+        nuc_w, polar_w = nuclear_and_polar(st_w(wf))
+        witnesses = np.stack(
+            (lam_u, lam_w, un_u(polar_u) / a3, un_w(polar_w) / b3)
+        ).conj().swapaxes(-1, -2)
+        pairings, pnorms = norms._witness_scores(x, witnesses, w)
+        scores = np.divide(pairings, pnorms, out=np.zeros_like(pnorms), where=pnorms > 1e-300)
+        cert = float(scores.max())
+        if best_primal is None or nuc_u + nuc_w < best_primal[0]:
+            best_primal = (nuc_u + nuc_w, uf, wf)
+        best_cert = max(best_cert, cert)
+        if best_primal[0] - best_cert <= norms.GAP_TOL or stalled:
+            break
+    value, uf, wf = best_primal
+    return value, value - best_cert, a3 * uf, b3 * wf, it
+
+
+class TestStackedStateEquivalence:
+    """The one-state loop takes the two-variable loop's path, step for step."""
+
+    def test_matches_two_variable_loop(self):
+        rng = np.random.default_rng(909)
+        for k in range(24):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            x = random_tuple(d, n, rng)
+            nu = rng.uniform(0.05, 0.95, d) if k % 2 else None
+            value, gap, y, z, iterations = two_variable_dual_norm(x, nu)
+            res = dual_norm(x, nu)
+            scale = np.abs(x).max()
+            assert res.iterations == iterations, (k, d, n)
+            assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert abs(res.gap - gap) <= 1e-12 * value
+            assert np.abs(res.y - y).max() <= 1e-12 * scale
+            assert np.abs(res.z - z).max() <= 1e-12 * scale
+
+
+def rank_one_tuple(d, n, seed):
+    """``x_i = c_i p q^T``: both stacks of ``x`` have rank 1."""
+    rng = np.random.default_rng(seed)
+    c, p, q = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (d, n, n))
+    return c[:, None, None] * np.outer(p, q)
+
+
+class TestBatchedPolarPart:
+    """Each slot's polar part keeps the singular directions above 1e-8 of its own top one."""
+
+    @pytest.mark.parametrize(
+        "x,nu",
+        [
+            # both optimal parts have rank 1, so every other direction is cut
+            (rank_one_tuple(2, 3, 11), None),
+            (rank_one_tuple(3, 4, 12), None),
+            # the u slot ends near 5e-9 while the w slot stays near 1.1: only
+            # a per-slot cut keeps its direction
+            (np.array([[[1.0 + 0j]]]), [0.2]),
+        ],
+        ids=["rank1-d2-n3", "rank1-d3-n4", "weighted-scalar"],
+    )
+    def test_polar_part_is_cut_per_slot(self, x, nu, monkeypatch):
+        calls = []
+        svd, scores = np.linalg.svd, norms._witness_scores
+
+        def spy_svd(a, *args, **kwargs):
+            out = svd(a, *args, **kwargs)
+            calls.append(("svd", out[1]))
+            return out
+
+        def spy_scores(xa, b, w):
+            calls.append(("witnesses", b))
+            return scores(xa, b, w)
+
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        monkeypatch.setattr(norms, "_witness_scores", spy_scores)
+        res = dual_norm(x, nu)
+        monkeypatch.undo()
+
+        d = x.shape[0]
+        alpha = np.ones(d) if nu is None else np.sqrt(nu)
+        beta = np.ones(d) if nu is None else np.sqrt(1.0 - np.asarray(nu))
+        slot_scale = (alpha[:, None, None], beta[:, None, None])
+        evaluations = [i for i, (kind, _) in enumerate(calls) if kind == "witnesses"]
+        assert evaluations
+        cut_seen = False
+        for i in evaluations:
+            # the evaluation's one SVD comes right before its witnesses: sv
+            # holds the projected iterate's singular values, one row per
+            # slot, and witnesses[2 + k] is slot k's polar part over its weight
+            kind, sv = calls[i - 1]
+            assert kind == "svd" and sv.shape[0] == 2
+            witnesses = calls[i][1]
+            for k in range(2):
+                kept = int(np.sum(sv[k] > 1e-8 * sv[k, 0]))
+                polar = witnesses[2 + k] * slot_scale[k]
+                # a partial isometry of rank r has squared Frobenius norm r
+                assert np.sum(np.abs(polar) ** 2) == pytest.approx(kept, abs=1e-9)
+                # directions dropped by the cut, or kept only because the
+                # cut is relative to the slot's own top singular value
+                cut_seen |= kept < sv.shape[1] or kept != np.sum(sv[k] > 1e-8 * sv.max())
+        assert cut_seen
+        assert res.converged
+        assert pairing_certificate(x, res.certificate, nu) == pytest.approx(
+            res.value - res.gap, abs=1e-9
+        )
 
 
 class TestAgainstGenericConvexSolver:
