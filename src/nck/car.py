@@ -187,12 +187,34 @@ class _BlockLayout:
     ``p`` and ``q`` major, like the dense ``n 2**d`` square.
     """
 
+    n: int
     pairs: tuple      # (start, stop, (m, rows, cols)) of each pair
     blocks: tuple     # (start, stop, stored shape, transposed) of B_1 .. B_d
     size: int
     sectors: tuple    # sectors[k]: the k-particle basis states, ascending
     support: np.ndarray  # (d, 2**(d-1), n, n): where y_i[p, q] a_i[u, v] goes
-    dense: np.ndarray    # (size,): flat index in the dense square of each entry
+
+    def position(self, k: int, row, col):
+        """Buffer position of entry ``(row, col)`` of ``B_k``, in ``B_k``'s own orientation."""
+        start, _, shape, transposed = self.blocks[k - 1]
+        if transposed:
+            row, col = col, row
+        return start + row * shape[1] + col
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """``(size,)``: the flat index in the dense square of each entry (built on first use)."""
+        sectors = self.sectors
+        dim = 1 << (len(sectors) - 1)
+        p = np.arange(self.n)[:, None] * dim
+        out = np.empty(self.size, dtype=np.intp)
+        for k in range(1, len(sectors)):
+            row = (p + sectors[k - 1]).ravel()
+            col = (p + sectors[k]).ravel()
+            at = self.position(k, np.arange(row.size)[:, None], np.arange(col.size))
+            out[at] = row[:, None] * (self.n * dim) + col
+        out.setflags(write=False)
+        return out
 
 
 @lru_cache(maxsize=16)
@@ -219,31 +241,20 @@ def _block_layout(d: int, n: int) -> _BlockLayout:
             pairs.append((offset, offset + size, (1,) + shape))
         offset = pairs[-1][1]
 
-    # buffer position of every entry of B_k, in B_k's own orientation
-    positions = [None]
-    for start, stop, shape, transposed in blocks[1:]:
-        pos = np.arange(start, stop).reshape(shape)
-        positions.append(pos.T if transposed else pos)
-
-    p = np.arange(n)
-    dense = np.empty(offset, dtype=np.intp)
-    for k in range(1, d + 1):
-        row = (p[:, None] * dim + sectors[k - 1][None, :]).ravel()
-        col = (p[:, None] * dim + sectors[k][None, :]).ravel()
-        dense[positions[k]] = row[:, None] * (n * dim) + col[None, :]
-
     rows, cols = _jw_support(d)
     sector_of = count[cols]
     support = np.empty(rows.shape + (n, n), dtype=np.intp)
+    layout = _BlockLayout(n, tuple(pairs), tuple(blocks[1:]), offset, sectors, support)
+    p = np.arange(n)
     for k in range(1, d + 1):
         at = sector_of == k
         r = p[None, :] * sectors[k - 1].size + rank[rows[at]][:, None]
         c = p[None, :] * sectors[k].size + rank[cols[at]][:, None]
-        support[at] = positions[k][r[:, :, None], c[:, None, :]]
+        support[at] = layout.position(k, r[:, :, None], c[:, None, :])
 
-    for a in (dense, support) + sectors:
+    for a in (support,) + sectors:
         a.setflags(write=False)
-    return _BlockLayout(tuple(pairs), tuple(blocks[1:]), offset, sectors, support, dense)
+    return layout
 
 
 @dataclass(frozen=True)
@@ -694,8 +705,9 @@ def fourth_moment_check(sys: CarSystem, y, tol: float = 1e-11) -> CheckReport:
     domination of the fourth moments by the second moments times the sum
     of the two weighted Gram norms.  ``Y*Y`` and ``YY*`` are block diagonal
     over the particle-number sectors, ``B_k* B_k`` on sector ``k`` and
-    ``B_k B_k*`` on sector ``k - 1``, so each is formed and squared one
-    sector at a time.
+    ``B_k B_k*`` on sector ``k - 1``, so each is formed one sector at a
+    time.  Their squares are not: for a Hermitian ``M`` on a sector,
+    ``(Id (x) state)(M^2) = W W*`` with ``W[p, (a, col)] = sqrt(r_a) M[(p, a), col]``.
     """
     ya = as_matrix_tuple(y)
     if ya.shape[0] != sys.d:
@@ -705,16 +717,17 @@ def fourth_moment_check(sys: CarSystem, y, tol: float = 1e-11) -> CheckReport:
     r = sys.density_diagonal
     sectors = _block_layout(sys.d, n).sectors
 
-    def state(m, k):
-        # (Id (x) state) of an operator on sector k
+    def states(m, k):
+        # (Id (x) state) of a Hermitian operator m on sector k, and of its square
         s = sectors[k].size
-        return np.einsum("a,paqa->pq", r[sectors[k]], m.reshape(n, s, n, s))
+        rows = m.reshape(n, s, n * s)
+        w = (rows * np.sqrt(r[sectors[k]])[:, None]).reshape(n, -1)
+        return np.einsum("a,paqa->pq", r[sectors[k]], rows.reshape(n, s, n, s)), w @ w.conj().T
 
     measured = np.zeros((4, n, n), dtype=complex)
     for k, b in enumerate(big.sector_blocks(), start=1):
-        cc = b.conj().T @ b
-        rr = b @ b.conj().T
-        measured += (state(cc, k), state(rr, k - 1), state(cc @ cc, k), state(rr @ rr, k - 1))
+        (m2_col, m4_col), (m2_row, m4_row) = states(b.conj().T @ b, k), states(b @ b.conj().T, k - 1)
+        measured += (m2_col, m2_row, m4_col, m4_row)
 
     nu = sys.nu
     closed = moment_forms(ya, nu, 1.0 - nu, np.outer(1.0 - nu, nu), np.zeros((sys.d, sys.d)))

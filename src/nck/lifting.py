@@ -22,7 +22,9 @@ unimodular scalar, and the read-out against the representatives' values
 with orbit weights is exact, so every step is the full space's step cut
 by the orbit size (2 for signs and lacunary, 5 for Steinhaus); the
 accumulated element is expanded to every atom, ``phase * blocks[owner]``,
-once at the end.  For a normalized input the corrected residual has
+once at the end.  Only the atoms whose Frobenius norm exceeds ``C`` go to
+the clip: a smaller atom has every singular value at most ``C``, and the
+clip leaves it unchanged.  For a normalized input the corrected residual has
 primal norm at most ``delta = 1/2``, so the accumulated element converges
 with norm at most ``C / (1 - delta)``:
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .car import CarElement, CarSystem, embed_tuple, extract_coefficients
-from .exceptions import DimensionMismatch, IdentityViolation, StalledIteration
+from .exceptions import DimensionMismatch, IdentityViolation, NonPositiveC, StalledIteration
 from .linalg import truncate_offdiag
 from .norms import as_matrix_tuple, triple_norm, weighted_triple_norm
 from .spaces import (
@@ -129,10 +131,22 @@ def corrector_commutative(y, space: DiscreteProbabilitySpace, clip_level: float)
     ``clip_level`` and reads back the corrected tuple.  Returns
     ``(Z, z)`` with ``sup_norm(Z) <= clip_level`` and, for exact kinds and
     ``triple_norm(y) = 1`` at the preset level, ``triple_norm(y - z) <= 1/2``.
+
+    An atom whose Frobenius norm is at most ``clip_level`` has every
+    singular value at most ``clip_level``, so the clip leaves it as it is;
+    only the other atoms go through :func:`truncate_offdiag`, in one call.
     """
+    if not clip_level > 0:
+        raise NonPositiveC(f"clip level must be > 0, got {clip_level}")
     ya = as_matrix_tuple(y)
-    elem = element_from_tuple(ya, space)
-    clipped = RandomElement(space, truncate_offdiag(elem.blocks, clip_level))
+    blocks = element_from_tuple(ya, space).blocks
+    flat = blocks.view(float).reshape(blocks.shape[0], -1)
+    # a NaN or Inf norm is not under the level, so such an atom reaches the
+    # clip, which raises NonFinite
+    over = ~(np.einsum("mk,mk->m", flat, flat) <= clip_level * clip_level)
+    if over.any():
+        blocks[over] = truncate_offdiag(blocks[over], clip_level)
+    clipped = RandomElement(space, blocks)
     return clipped, conditional_expectation(clipped)
 
 

@@ -28,7 +28,9 @@ Four kinds of space are provided:
 :func:`build` maps a family name (``gaussian`` for ``gaussian-mc``) to its
 space.  A tuple of coefficients ``y`` (shape ``(d, n, n)``) embeds as the
 random matrix ``Y(w) = sum_i y_i * family[i, w]``; conditional expectation
-against the family recovers the coefficients.  The moment check compares
+against the family recovers the coefficients.  Each is one matrix product
+over the tuple's flattened ``n x n`` entries: ``family.T`` for the embed,
+``weights * conj(family)`` for the read-out.  The moment check compares
 against the weighted closed form :func:`nck.norms.moment_forms`, the same
 one the fermionic check uses.
 
@@ -46,12 +48,12 @@ element with ``Z(w) = phase[w] Z(rep)`` on every orbit has the same sup
 norm on it, and the same conditional expectation, because
 ``conj(phi f) phi Z = conj(f) Z`` when ``|phi| = 1``.  The embedded tuple
 and its clip are such elements, so the lift (:mod:`nck.lifting`) runs on
-the quotient.
+the quotient.  So does :func:`l1_s1_norm` on the exact kinds: the trace
+norm of ``phi Y`` is that of ``Y``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,8 +206,9 @@ def rademacher_space(d: int) -> DiscreteProbabilitySpace:
     cap = caps.rademacher_dim_cap()
     if d > cap:
         raise DTooLarge(f"rademacher dimension {d} outside [1, {cap}]")
-    atoms = np.array(list(itertools.product([1.0, -1.0], repeat=d)))
-    family = atoms.T.astype(complex)
+    # variable i is bit d-1-i of the atom index, a set bit being -1
+    bits = (np.arange(1 << d) >> (d - 1 - np.arange(d))[:, None]) & 1
+    family = (1 - 2 * bits).astype(complex)
     weights = np.full(2**d, 2.0**-d)
     return DiscreteProbabilitySpace("rademacher", weights, family)
 
@@ -292,14 +295,15 @@ def build(family: str, d: int, *, samples: int = 0, seed: int = 0) -> DiscretePr
 
 
 def element_from_tuple(y, space: DiscreteProbabilitySpace) -> RandomElement:
-    """The random matrix ``Y(w) = sum_i y_i * family[i, w]``."""
+    """The random matrix ``Y(w) = sum_i y_i * family[i, w]``, one matrix product."""
     ya = as_matrix_tuple(y)
-    if ya.shape[0] != space.d:
+    d, n = ya.shape[:2]
+    if d != space.d:
         raise DimensionMismatch(
-            f"tuple has d={ya.shape[0]} but space carries d={space.d} variables"
+            f"tuple has d={d} but space carries d={space.d} variables"
         )
-    blocks = np.einsum("im,iab->mab", space.family, ya)
-    return RandomElement(space, blocks)
+    blocks = space.family.T @ ya.reshape(d, n * n)
+    return RandomElement(space, blocks.reshape(space.atoms, n, n))
 
 
 def _batched_trace_norms(blocks: np.ndarray) -> np.ndarray:
@@ -309,12 +313,14 @@ def _batched_trace_norms(blocks: np.ndarray) -> np.ndarray:
 def l1_s1_norm(x, space: DiscreteProbabilitySpace, with_stderr: bool = False):
     """Expected trace norm of ``sum_i x_i * family[i]``.
 
-    Exact for the finite kinds.  With ``with_stderr=True`` returns
-    ``(value, stderr)``; the standard error is zero for exact kinds.
+    Exact for the finite kinds, which are summed over their phase quotient:
+    the trace norm of ``phi Y`` is that of ``Y`` when ``|phi| = 1``.  With
+    ``with_stderr=True`` returns ``(value, stderr)``; the standard error is
+    zero for exact kinds.
     """
-    elem = element_from_tuple(x, space)
-    tn = _batched_trace_norms(elem.blocks)
-    value = float(space.weights @ tn)
+    atoms = space._quotient[0] if space.is_exact else space
+    tn = _batched_trace_norms(element_from_tuple(x, atoms).blocks)
+    value = float(atoms.weights @ tn)
     if not with_stderr:
         return value
     if space.kind == "gaussian-mc" and space.atoms > 1:
@@ -336,10 +342,10 @@ def gamma_ratio(d) -> float:
 
 
 def conditional_expectation(elem: RandomElement) -> np.ndarray:
-    """Recover the coefficient tuple: ``x_i = E(conj(family_i) * X)``."""
-    return np.einsum(
-        "m,im,mab->iab", elem.space.weights, elem.space.family.conj(), elem.blocks
-    )
+    """Recover the coefficient tuple: ``x_i = E(conj(family_i) * X)``, one matrix product."""
+    space, n = elem.space, elem.n
+    x = (space.weights * space.family.conj()) @ elem.blocks.reshape(space.atoms, n * n)
+    return x.reshape(space.d, n, n)
 
 
 def sup_norm(elem: RandomElement) -> float:

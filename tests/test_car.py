@@ -8,6 +8,7 @@ from scipy import sparse
 from nck import caps
 from nck.car import (
     CarSystem,
+    _block_layout,
     SubspaceModel,
     anticommutation_check,
     car_system,
@@ -318,6 +319,24 @@ class TestEmbedTuple:
         assert big.shape == (n * sys.dim, n * sys.dim)
         assert np.array_equal(big, reference.reshape(big.shape))
 
+    def test_dense_index_built_on_first_use(self):
+        d, n = 7, 4
+        _block_layout.cache_clear()
+        sys = random_system(d)
+        y = random_tuple(d, n)
+        elem = embed_tuple(sys, y)
+        fourth_moment_check(sys, y)
+        layout = _block_layout(d, n)
+        assert "dense" not in vars(layout)
+        big = elem.toarray()
+        assert "dense" in vars(layout)
+        dense = layout.dense
+        assert not dense.flags.writeable
+        assert np.unique(dense).size == dense.size == layout.size
+        reference = np.einsum("iab,icd->acbd", y, np.stack([g.toarray() for g in sys.generators]))
+        assert np.array_equal(big, reference.reshape(big.shape))
+        assert np.array_equal(extract_coefficients(sys, big), extract_coefficients(sys, elem))
+
     def test_reads_each_generators_own_signs(self):
         # a sign-flipped generator is still a valid CAR generator
         clean = random_system(3)
@@ -529,6 +548,27 @@ class TestFourthMoment:
         assert max(dense.deviations.values()) > 1e-3
         for tag, dev in dense.deviations.items():
             assert abs(report.deviations[tag] - dev) <= 1e-13, tag
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (3, 1), (5, 2), (6, 3)])
+    def test_squares_read_as_weighted_grams(self, d, n, monkeypatch):
+        # the measured moments themselves, against (Id (x) state) of the
+        # dense squares
+        captured = []
+        monkeypatch.setattr(
+            "nck.car.moment_report",
+            lambda name, tol, measured, closed, factor: captured.append(measured)
+            or moment_report(name, tol, measured, closed, factor),
+        )
+        sys = random_system(d)
+        y = random_tuple(d, n)
+        fourth_moment_check(sys, y)
+        big = embed_tuple(sys, y).toarray()
+        cc = big.conj().T @ big
+        rr = big @ big.conj().T
+        q = sys.dim
+        for got, m in zip(captured[0], (cc, rr, cc @ cc, rr @ rr)):
+            want = np.einsum("a,paqa->pq", sys.density_diagonal, m.reshape(n, q, n, q))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_corrupted_generator_detected(self):
         sys = random_system(2)

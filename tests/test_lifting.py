@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nck.car import CarSystem, car_system, embed_tuple, extract_coefficients
-from nck.exceptions import IdentityViolation, StalledIteration
+from nck import lifting
+from nck.exceptions import IdentityViolation, NonFinite, NonPositiveC, StalledIteration
 from nck.lifting import (
     corrector_car,
     corrector_commutative,
@@ -102,6 +103,97 @@ class TestCorrectorCommutative:
         assert np.abs(phase[:, None, None] * part.blocks[owner] - full.blocks).max() <= 1e-14
         assert np.abs(z_part - z_full).max() <= 1e-14
         assert sup_norm(part) == pytest.approx(sup_norm(full), rel=1e-14)
+
+
+def _frobenius_sq(blocks):
+    return (np.abs(blocks) ** 2).sum(axis=(1, 2))
+
+
+def element_from_tuple_blocks(y, space):
+    return lifting.element_from_tuple(y, space).blocks
+
+
+class TestClipOnlyAtomsOverTheLevel:
+    """``corrector_commutative`` clips only the atoms whose Frobenius norm exceeds the level."""
+
+    C = SQRT3 / 2
+
+    @staticmethod
+    def spy_on_the_clip(monkeypatch):
+        calls = []
+
+        def spy(blocks, c):
+            calls.append(np.array(blocks))
+            return truncate_offdiag(blocks, c)
+
+        monkeypatch.setattr("nck.lifting.truncate_offdiag", spy)
+        return calls
+
+    def mixed_tuple(self, space):
+        # scaled so that the atoms' Frobenius norms straddle the level
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            y = random_tuple(space.d, 2, rng)
+            sq = np.unique(_frobenius_sq(np.einsum("im,iab->mab", space.family, y)))
+            # the level squared halfway between two neighbouring atoms' norms squared
+            mid = sq.size // 2
+            scale = self.C**2 / (0.5 * (sq[mid - 1] + sq[mid]))
+            y *= np.sqrt(scale)
+            sq *= scale
+            # some atoms sit between the level squared and the level itself
+            if ((sq > self.C**4) & (sq <= self.C**2)).any():
+                return y
+        raise AssertionError("no tuple with atoms on both sides of the level")
+
+    @pytest.mark.parametrize(
+        "space",
+        [rademacher_space(6), steinhauss_space(3), lacunary_space(5)],
+        ids=["rademacher", "steinhauss", "lacunary"],
+    )
+    def test_under_kept_bit_for_bit_and_over_clipped(self, space, monkeypatch):
+        y = self.mixed_tuple(space)
+        same_embed = element_from_tuple_blocks(y, space)
+        under = _frobenius_sq(same_embed) <= self.C**2
+        assert under.any() and not under.all()
+        calls = self.spy_on_the_clip(monkeypatch)
+        clipped, z = corrector_commutative(y, space, self.C)
+        assert len(calls) == 1 and np.array_equal(calls[0], same_embed[~under])
+        assert np.array_equal(clipped.blocks[under], same_embed[under])
+        assert np.array_equal(clipped.blocks[~under], truncate_offdiag(same_embed[~under], self.C))
+        assert np.array_equal(z, conditional_expectation(clipped))
+        assert sup_norm(clipped) <= self.C * (1 + 1e-12)
+
+    def test_no_clip_call_when_every_atom_is_under(self, monkeypatch):
+        space = rademacher_space(5)
+        y = random_tuple(5, 3, np.random.default_rng(3))
+        sq = _frobenius_sq(np.einsum("im,iab->mab", space.family, y))
+        # the largest atom just under the level, the others far above its square
+        y *= 0.999 * self.C / np.sqrt(sq.max())
+        assert (sq / sq.max() * (0.999 * self.C) ** 2 > self.C**4).any()
+        calls = self.spy_on_the_clip(monkeypatch)
+        clipped, z = corrector_commutative(y, space, self.C)
+        assert calls == []
+        assert np.array_equal(clipped.blocks, element_from_tuple_blocks(y, space))
+        assert np.abs(z - y).max() <= 1e-14 * np.abs(y).max()
+
+    def test_nan_atom_under_the_level_is_non_finite(self, monkeypatch):
+        space = rademacher_space(3)
+        real_embed = lifting.element_from_tuple
+
+        def embed_with_nan(y, sp):
+            elem = real_embed(y, sp)
+            elem.blocks[2, 0, 0] = np.nan
+            return elem
+
+        monkeypatch.setattr("nck.lifting.element_from_tuple", embed_with_nan)
+        y = 1e-3 * random_tuple(3, 2, np.random.default_rng(4))
+        with pytest.raises(NonFinite):
+            corrector_commutative(y, space, self.C)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan])
+    def test_level_not_positive(self, c):
+        with pytest.raises(NonPositiveC):
+            corrector_commutative(np.zeros((2, 1, 1)), rademacher_space(2), c)
 
 
 class TestCorrectorCar:
@@ -303,6 +395,23 @@ class TestLiftOnThePhaseQuotient:
             assert np.all(np.abs(rep.residual_history - history) <= 1e-12 * history)
             assert np.abs(rep.lifted.blocks - blocks).max() <= 1e-12 * np.abs(blocks).max()
             assert abs(rep.achieved_norm - achieved) <= 1e-12
+
+
+    @pytest.mark.parametrize("family,d,n", SIGN_SCHEDULE)
+    def test_same_lift_as_clipping_every_representative(self, family, d, n):
+        # the reference iterates on the quotient's atoms with plain einsum
+        # embed and read-out and clips every atom at every step
+        space = BUILDERS[family](d)
+        reps, owner, _ = space._quotient
+        first = np.unique(owner, return_index=True)[1]
+        for seed in range(3):
+            x = random_tuple(d, n, np.random.default_rng(seed))
+            rep = lift(x, space)
+            blocks, history, iterations, achieved = full_space_lift(x, reps)
+            assert rep.iterations == iterations and rep.converged
+            assert np.all(np.abs(rep.residual_history - history) <= 1e-12 * history)
+            assert np.abs(rep.lifted.blocks[first] - blocks).max() <= 1e-12 * np.abs(blocks).max()
+            assert abs(rep.achieved_norm - achieved) <= 1e-12 * achieved
 
 
 class TestQuotientNormBracket:

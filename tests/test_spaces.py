@@ -65,6 +65,13 @@ class TestRademacher:
         with pytest.raises(DTooLarge):
             rademacher_space(17)
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_bit_family_is_the_product_enumeration(self, d):
+        reference = np.array(list(itertools.product([1.0, -1.0], repeat=d))).T.astype(complex)
+        family = rademacher_space(d).family
+        assert family.dtype == reference.dtype and family.shape == reference.shape
+        assert family.tobytes() == reference.tobytes()
+
 
 class TestSteinhauss:
     def test_first_and_second_moments_exact(self):
@@ -286,6 +293,28 @@ class TestL1S1Norm:
         with pytest.raises(DimensionMismatch):
             l1_s1_norm(random_tuple(3, 2), rademacher_space(2))
 
+    @pytest.mark.parametrize("family", ["rademacher", "steinhauss", "lacunary"])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_quotient_sum_is_the_per_atom_sum(self, family, d):
+        space = {"rademacher": rademacher_space, "steinhauss": steinhauss_space,
+                 "lacunary": lacunary_space}[family](d)
+        rng = np.random.default_rng(100 * d)
+        for n in (1, 2, 3):
+            x = random_tuple(d, n, rng)
+            blocks = np.einsum("im,iab->mab", space.family, x)
+            per_atom = space.weights @ np.linalg.svd(blocks, compute_uv=False).sum(axis=1)
+            value, stderr = l1_s1_norm(x, space, with_stderr=True)
+            assert abs(value - per_atom) <= 1e-14 * per_atom
+            assert stderr == 0.0
+
+    def test_gaussian_sums_every_atom(self):
+        space = gaussian_space(3, 500, seed=11)
+        x = random_tuple(3, 2)
+        tn = np.linalg.svd(element_from_tuple(x, space).blocks, compute_uv=False).sum(axis=1)
+        value, stderr = l1_s1_norm(x, space, with_stderr=True)
+        assert value == float(space.weights @ tn)
+        assert stderr == float(tn.std(ddof=1) / np.sqrt(space.atoms))
+
 
 class TestGammaRatio:
     def test_d1(self):
@@ -300,6 +329,28 @@ class TestGammaRatio:
     def test_sqrt_d_limit(self):
         d = 10_000
         assert gamma_ratio(d) / np.sqrt(d) == pytest.approx(1.0, abs=1e-4)
+
+
+class TestProductEmbedAndReadout:
+    """``element_from_tuple`` and ``conditional_expectation`` against plain ``einsum``."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [rademacher_space(5), steinhauss_space(3), lacunary_space(4), gaussian_space(3, 200, seed=2)],
+        ids=["rademacher", "steinhauss", "lacunary", "gaussian"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matches_einsum(self, space, n):
+        y = random_tuple(space.d, n)
+        embedded = element_from_tuple(y, space).blocks
+        reference = np.einsum("im,iab->mab", space.family, y)
+        assert embedded.shape == reference.shape
+        assert np.abs(embedded - reference).max() <= 1e-14 * np.abs(reference).max()
+        blocks = random_tuple(space.atoms, n)
+        readout = conditional_expectation(RandomElement(space, blocks))
+        expected = np.einsum("m,im,mab->iab", space.weights, space.family.conj(), blocks)
+        assert readout.shape == expected.shape
+        assert np.abs(readout - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestConditionalExpectation:
