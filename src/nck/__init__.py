@@ -63,9 +63,6 @@ from .lifting import (
     quotient_norm_bracket,
 )
 from .linalg import (
-    clip_remainder,
-    hard_clip,
-    mat_func,
     op_norm,
     psd_ge,
     trace_norm,

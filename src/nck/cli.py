@@ -29,7 +29,6 @@ from .car import (
     state_weight_check,
 )
 from .constants import (
-    THEORETICAL,
     c2_witness_gaussian,
     car_c1_witness,
     car_c2_sequence,
@@ -51,7 +50,7 @@ from .exceptions import (
 )
 from .lifting import lift, preset_config
 from .norms import dual_norm, triple_norm, weighted_triple_norm
-from .spaces import EXACT_KINDS, FAMILIES, build, gamma_ratio, moment_identity_check
+from .spaces import FAMILIES, build, gamma_ratio, moment_identity_check
 from .tupleio import load_tuple_file, render_report
 
 USAGE_ERRORS = (
@@ -65,7 +64,6 @@ USAGE_ERRORS = (
     InvalidParameter,
 )
 
-LIFT_FAMILIES = FAMILIES + ("car",)
 BOUND_SLACK = 1e-6
 
 
@@ -202,7 +200,9 @@ def run_verify_suite(suite: str, d: int, nu=None, seed: int = 0):
     if suite in ("orthogonality", "all"):
         ok &= _collect(lambda: orthogonality_check(sys_car), "orthogonality", rows)
     if suite in ("moments", "all"):
-        for kind in EXACT_KINDS:
+        for _k, kind, exact in FAMILIES.values():
+            if kind is None or not exact:
+                continue
             dk = min(d, 6)
             space = build(kind, dk)
             y = rng.standard_normal((dk, 2, 2)) + 1j * rng.standard_normal((dk, 2, 2))
@@ -263,18 +263,25 @@ def _cmd_constants(args) -> int:
                     "pass": bool(row_ok),
                 }
             )
+        # the bound decreases strictly toward the proved lower constant 1 / K
+        target = 1.0 / FAMILIES["gaussian"][0]
+        prev = np.inf
         for m in (1, 10, 100, 1000, 10_000, 100_000):
+            value = gaussian_c1_bound_sequence(m)
+            row_ok = target < value < prev
+            ok &= row_ok
             rows.append(
                 {
                     "experiment": "gauss-c1-bound",
                     "m": m,
-                    "value": gaussian_c1_bound_sequence(m),
-                    "target": float(1.0 / np.sqrt(2.0)),
-                    "pass": True,
+                    "value": value,
+                    "target": target,
+                    "pass": bool(row_ok),
                 }
             )
+            prev = value
     elif args.experiment == "car-c2":
-        d_max = min(10 if args.d is None else args.d, caps.car_dim_cap())
+        d_max = 10 if args.d is None else args.d
         prev = 0.0
         for d in range(1, d_max + 1):
             matrix_value, binomial_value = car_c2_sequence(d)
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lift = sub.add_parser("lift", help="lift a tuple and check the norm bound")
     p_lift.add_argument("--file", required=True)
-    p_lift.add_argument("--family", required=True, choices=LIFT_FAMILIES)
+    p_lift.add_argument("--family", required=True, choices=tuple(FAMILIES))
     common(p_lift)
     p_lift.set_defaults(fn=_cmd_lift)
 
@@ -394,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--d", type=int, default=None)
     p_const.add_argument("--n", type=int, default=2, help="matrix size for search")
     p_const.add_argument("--trials", type=int, default=50, help="search trial count")
-    p_const.add_argument("--family", default=None, choices=sorted(THEORETICAL) + ["gaussian"])
+    space_families = [f for f, row in FAMILIES.items() if row[1] is not None]
+    p_const.add_argument("--family", default=None, choices=space_families)
     common(p_const)
     p_const.set_defaults(fn=_cmd_constants)
     return parser

@@ -10,7 +10,8 @@ Three families of evidence:
   algebra at weights ``1/2`` (binomial closed form
   ``2^-d sum_k C(d,k) sqrt(k)``);
 * seeded random search over tuple ensembles, checking that every observed
-  ratio ``l1 / dual`` respects the proved sandwich.
+  ratio ``l1 / dual`` respects the proved sandwich ``[1 / K, 1]``, with the
+  family's lift constant ``K`` read from :data:`nck.spaces.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .car import car_system
 from .exceptions import DTooLarge, IdentityViolation, InvalidParameter
 from .linalg import trace_norm
 from .norms import dual_norm
-from .spaces import build, gamma_ratio, gaussian_space, l1_s1_norm
+from .spaces import build, family_row, gamma_ratio, gaussian_space, l1_s1_norm
 
 __all__ = [
     "ConstantReport",
@@ -38,16 +39,6 @@ __all__ = [
 ]
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-INV_SQRT3 = 1.0 / math.sqrt(3.0)
-
-#: proved (lower, upper) constants per family; the sign-family lower value
-#: is the proved guarantee, not known to be sharp
-THEORETICAL = {
-    "gaussian-mc": (INV_SQRT2, 1.0),
-    "steinhauss": (INV_SQRT2, 1.0),
-    "lacunary": (INV_SQRT2, 1.0),
-    "rademacher": (INV_SQRT3, 1.0),
-}
 
 
 def gaussian_c1_bound_sequence(m: int) -> float:
@@ -68,12 +59,15 @@ def c2_witness_gaussian(d: int, samples: int = 100_000, seed: int = 0, exact: bo
     length of the Gaussian vector, so the ratio is a lower witness for the
     upper constant; it increases to 1.  Returns ``(value, stderr)``;
     ``exact=True`` evaluates the closed form ``gamma_ratio(d)/sqrt(d)``
-    instead of sampling.
+    instead of sampling.  Sampling needs ``samples >= 2``, since the
+    standard error is taken with one degree of freedom removed.
     """
     if d < 1:
         raise InvalidParameter(f"need d >= 1, got {d}")
     if exact:
         return gamma_ratio(d) / math.sqrt(d), 0.0
+    if samples < 2:
+        raise InvalidParameter(f"need samples >= 2 for a standard error, got {samples}")
     space = gaussian_space(d, samples, seed)
     # trace norm of sum_i gamma_i e_{i1} is the column length (sum |gamma_i|^2)^(1/2)
     lengths = np.sqrt((np.abs(space.family) ** 2).sum(axis=0))
@@ -203,7 +197,7 @@ def random_search_ratio(
     if min(n, d, trials) < 1:
         raise InvalidParameter(f"need n, d, trials >= 1, got n={n}, d={d}, trials={trials}")
     space = build(kind, d, samples=samples, seed=seed)
-    c1, c2 = THEORETICAL[space.kind]
+    c1, c2 = 1.0 / family_row(space.kind)[0], 1.0
     rng = np.random.default_rng(seed)
 
     ensembles = ("gaussian", "isometry", "matrix-unit")

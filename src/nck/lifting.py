@@ -26,11 +26,13 @@ once at the end.  Only the atoms whose Frobenius norm exceeds ``C`` go to
 the clip: a smaller atom has every singular value at most ``C``, and the
 clip leaves it unchanged.  For a normalized input the corrected residual has
 primal norm at most ``delta = 1/2``, so the accumulated element converges
-with norm at most ``C / (1 - delta)``:
+with norm at most ``C / (1 - delta)``.  The preset for a family reads its
+lift constant ``K`` from :data:`nck.spaces.FAMILIES` and clips at
+``C = K / 2``, so the bound ``C / (1 - delta)`` is ``K`` exactly:
 
-    commutative circular families  C = 1/sqrt(2)  ->  K = sqrt(2)
-    sign families                  C = sqrt(3)/2  ->  K = sqrt(3)
-    fermionic (weighted) setting   C = 1/sqrt(2)  ->  K = sqrt(2)
+    commutative circular families  K = sqrt(2)  ->  C = sqrt(2)/2
+    sign families                  K = sqrt(3)  ->  C = sqrt(3)/2
+    fermionic (weighted) setting   K = sqrt(2)  ->  C = sqrt(2)/2
 
 Sampled Gaussian spaces carry no exact moment identities, so the one-step
 contraction can fail there; such steps raise :class:`StalledIteration`
@@ -39,7 +41,6 @@ instead of silently looping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .spaces import (
     RandomElement,
     conditional_expectation,
     element_from_tuple,
-    family_kind,
+    family_row,
     sup_norm,
 )
 
@@ -90,19 +91,9 @@ class LiftConfig:
         return self.clip_level / (1.0 - self.contraction)
 
 
-_PRESETS = {
-    "gaussian-mc": 1.0 / math.sqrt(2.0),
-    "steinhauss": 1.0 / math.sqrt(2.0),
-    "lacunary": 1.0 / math.sqrt(2.0),
-    "rademacher": math.sqrt(3.0) / 2.0,
-    "car": 1.0 / math.sqrt(2.0),
-}
-
-
 def preset_config(family: str) -> LiftConfig:
-    """The clip level achieving the sharp bound for each family."""
-    key = "car" if family == "car" else family_kind(family)
-    return LiftConfig(clip_level=_PRESETS[key])
+    """The clip level ``K / 2`` achieving the family's sharp bound ``K``."""
+    return LiftConfig(clip_level=family_row(family)[0] / 2.0)
 
 
 @dataclass

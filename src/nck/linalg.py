@@ -1,8 +1,9 @@
 """Dense complex-matrix kernel.
 
-Functional calculus, Schatten norms and the clipped off-diagonal truncation
-that drives every lifting corrector.  All matrices are plain numpy complex
-arrays; every function here is pure and safe to call from multiple threads.
+Schatten norms, a semidefinite order test and the clipped off-diagonal
+truncation that drives every lifting corrector.  All matrices are plain
+numpy complex arrays; every function here is pure and safe to call from
+multiple threads.
 
 Tolerances are relative to ``1 + norm(input)`` so that checks are scale
 invariant.
@@ -10,16 +11,11 @@ invariant.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .exceptions import NonFinite, NonHermitian, NonPositiveC, NonSquare
 
 __all__ = [
-    "mat_func",
-    "hard_clip",
-    "clip_remainder",
     "truncate_offdiag",
     "op_norm",
     "trace_norm",
@@ -41,40 +37,6 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise NonSquare(f"{name}: expected square, got shape {a.shape}")
     return a
-
-
-def mat_func(h, f: Callable) -> np.ndarray:
-    """Apply a real scalar map to a Hermitian matrix by functional calculus.
-
-    Returns ``U diag(f(lam)) U*`` for the eigendecomposition of
-    ``(H + H*)/2``; the symmetrization absorbs ulp-level asymmetry produced
-    by upstream arithmetic.  ``f`` may be vectorized (preferred) or a plain
-    scalar callable.
-    """
-    a = _as_square(h, "mat_func")
-    lam, u = np.linalg.eigh(0.5 * (a + a.conj().T))
-    try:
-        flam = np.asarray(f(lam), dtype=float)
-        if flam.shape != lam.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        flam = np.array([float(f(t)) for t in lam])
-    return (u * flam) @ u.conj().T
-
-
-def hard_clip(t, c: float):
-    """Clamp ``t`` (scalar or array) to the band ``[-c, c]``."""
-    if not c > 0:
-        raise NonPositiveC(f"clip level must be > 0, got {c}")
-    return np.clip(t, -c, c)
-
-
-def clip_remainder(t, c: float):
-    """Part of ``t`` removed by :func:`hard_clip`; ``t - hard_clip(t, c)``.
-
-    Satisfies ``|clip_remainder(t, c)| <= t**2 / (4c)`` for all real ``t``.
-    """
-    return np.asarray(t, dtype=float) - hard_clip(t, c)
 
 
 def truncate_offdiag(y, c: float) -> np.ndarray:

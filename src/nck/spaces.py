@@ -25,9 +25,15 @@ Four kinds of space are provided:
     a seeded generator.  Estimates carry a standard error and nothing is
     exact.
 
-:func:`build` maps a family name (``gaussian`` for ``gaussian-mc``) to its
-space.  A tuple of coefficients ``y`` (shape ``(d, n, n)``) embeds as the
-random matrix ``Y(w) = sum_i y_i * family[i, w]``; conditional expectation
+One table, :data:`FAMILIES`, holds every family the toolkit names: the
+four above and ``car``, the fermionic (weighted) setting of :mod:`nck.car`.
+Each row stores the family's lift constant ``K`` once; the lift clips at
+``K / 2`` (:func:`nck.lifting.preset_config`) and ``1 / K`` is the proved
+lower constant (:func:`nck.constants.random_search_ratio`).  :func:`build`
+maps a family name (``gaussian`` for ``gaussian-mc``) to its space.
+
+A tuple of coefficients ``y`` (shape ``(d, n, n)``) embeds as the random
+matrix ``Y(w) = sum_i y_i * family[i, w]``; conditional expectation
 against the family recovers the coefficients.  Each is one matrix product
 over the tuple's flattened ``n x n`` entries: ``family.T`` for the embed,
 ``weights * conj(family)`` for the read-out.  The moment check compares
@@ -54,6 +60,7 @@ norm of ``phi Y`` is that of ``Y``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +80,7 @@ __all__ = [
     "lacunary_space",
     "gaussian_space",
     "FAMILIES",
+    "family_row",
     "family_kind",
     "build",
     "element_from_tuple",
@@ -83,7 +91,19 @@ __all__ = [
     "moment_identity_check",
 ]
 
-EXACT_KINDS = ("rademacher", "steinhauss", "lacunary")
+#: per family name: ``(K, kind, exact)``.  ``K`` is the norm bound of the
+#: constructive lift, so ``1 / K`` is the proved lower constant (1/sqrt(3)
+#: for signs is a guarantee, not known to be sharp); ``kind`` is the kind of
+#: the space :func:`build` makes (``None``: the fermionic setting, which has
+#: no probability space); ``exact`` says whether that setting's moments are
+#: exact
+FAMILIES = {
+    "rademacher": (math.sqrt(3.0), "rademacher", True),
+    "steinhauss": (math.sqrt(2.0), "steinhauss", True),
+    "lacunary": (math.sqrt(2.0), "lacunary", True),
+    "gaussian": (math.sqrt(2.0), "gaussian-mc", False),
+    "car": (math.sqrt(2.0), None, True),
+}
 
 #: largest deviation, relative to the atom's largest value, with which two
 #: atoms may be merged into one orbit of the phase quotient
@@ -131,7 +151,7 @@ class DiscreteProbabilitySpace:
 
     @property
     def is_exact(self) -> bool:
-        return self.kind in EXACT_KINDS
+        return family_row(self.kind)[2]
 
     @cached_property
     def _quotient(self):
@@ -263,8 +283,15 @@ def gaussian_space(d: int, samples: int, seed: int = 0) -> DiscreteProbabilitySp
     return DiscreteProbabilitySpace("gaussian-mc", weights, family, seed=seed)
 
 
-#: the family names :func:`build` accepts
-FAMILIES = ("rademacher", "steinhauss", "lacunary", "gaussian")
+def family_row(name: str) -> tuple:
+    """The :data:`FAMILIES` row ``(K, kind, exact)`` of a family name.
+
+    A space kind is accepted as the name of its family.
+    """
+    for family, row in FAMILIES.items():
+        if name in (family, row[1]):
+            return row
+    raise InvalidParameter(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
 
 
 def family_kind(family: str) -> str:
@@ -273,9 +300,9 @@ def family_kind(family: str) -> str:
     ``gaussian`` names the sampled ``gaussian-mc`` kind; a kind is accepted
     as its own name.
     """
-    kind = "gaussian-mc" if family == "gaussian" else family
-    if kind not in EXACT_KINDS + ("gaussian-mc",):
-        raise InvalidParameter(f"unknown family {family!r}; choose from {FAMILIES}")
+    kind = family_row(family)[1]
+    if kind is None:
+        raise InvalidParameter(f"family {family!r} has no probability space")
     return kind
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -6,9 +7,16 @@ import pytest
 import nck.cli as cli
 from nck.cli import main
 from nck.exceptions import ParseError
+from nck.spaces import FAMILIES
 from nck.tupleio import load_tuple_file, render_report, save_tuple_file
 
 RNG = np.random.default_rng(33)
+
+
+def family_choices(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(next(a for a in sub.choices[command]._actions if a.dest == "family").choices)
 
 
 @pytest.fixture
@@ -209,6 +217,18 @@ class TestConstantsCommand:
         assert rows[0]["binomial"] == pytest.approx(1 / np.sqrt(2))
         assert all(r["pass"] for r in rows)
 
+    def test_car_c2_rows_above_the_cap_have_no_matrix(self, monkeypatch, capsys):
+        monkeypatch.delenv("NCK_MAX_DIM", raising=False)
+        assert main(["constants", "--experiment", "car-c2", "--d", "14"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["d"] for r in rows] == list(range(1, 15))
+        assert all(r["matrix"] is not None for r in rows[:10])
+        assert all(r["matrix"] is None for r in rows[10:])
+
+    def test_car_c2_above_sixty_exit_2(self, capsys):
+        assert main(["constants", "--experiment", "car-c2", "--d", "61"]) == 2
+        assert "d <= 60" in capsys.readouterr().err
+
     def test_car_c1(self, capsys):
         assert main(["constants", "--experiment", "car-c1"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -248,6 +268,51 @@ class TestConstantsCommand:
         assert len(witness_rows) == 3
         for row in witness_rows:
             assert abs(row["value"] - row["target"]) <= 3.0 * row["stderr"] + 1e-12
+        bound_rows = [r for r in out["rows"] if r["experiment"] == "gauss-c1-bound"]
+        assert len(bound_rows) == 6 and all(r["pass"] for r in bound_rows)
+        assert all(r["target"] == 1.0 / FAMILIES["gaussian"][0] for r in bound_rows)
+
+    @pytest.mark.parametrize(
+        "sequence,passes",
+        [
+            (lambda m: 0.75, [True] + [False] * 5),  # not decreasing
+            (lambda m: 0.7 + 0.1 / m, [True] * 2 + [False] * 4),  # falls below 1/sqrt(2)
+        ],
+        ids=["constant", "below-lower-constant"],
+    )
+    def test_gauss_c1_bound_rows_assert(self, sequence, passes, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "gaussian_c1_bound_sequence", sequence)
+        code = main(["constants", "--experiment", "gauss-c2", "--d", "1", "--samples", "2000"])
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        assert all(r["pass"] for r in out["rows"] if r["experiment"] == "gauss-c2")
+        assert [r["pass"] for r in out["rows"] if r["experiment"] == "gauss-c1-bound"] == passes
+
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_gauss_c2_fewer_than_two_samples_exit_2(self, samples, capsys):
+        code = main(["constants", "--experiment", "gauss-c2", "--d", "2", "--samples", samples])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples" in captured.err
+
+    def test_family_choices_come_from_the_table(self):
+        assert family_choices("lift") == list(FAMILIES)
+        assert family_choices("constants") == [f for f in FAMILIES if f != "car"]
+
+    def test_search_rejects_the_kind_name(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--experiment", "search", "--family", "gaussian-mc", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_search_gaussian_family(self, capsys):
+        code = main(
+            ["constants", "--experiment", "search", "--family", "gaussian", "--d", "1", "--n", "1",
+             "--trials", "1", "--samples", "2000"]
+        )
+        assert code == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["family"] == "gaussian-mc" and row["c1"] == 1.0 / np.sqrt(2.0)
 
 
 class TestDeterminism:

@@ -5,7 +5,6 @@ import pytest
 
 from nck.constants import (
     INV_SQRT2,
-    INV_SQRT3,
     c2_witness_gaussian,
     car_c1_witness,
     car_c2_sequence,
@@ -13,7 +12,9 @@ from nck.constants import (
     random_search_ratio,
 )
 from nck.exceptions import DTooLarge, InvalidParameter
-from nck.spaces import gamma_ratio
+from nck.spaces import FAMILIES, gamma_ratio
+
+INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
 class TestGaussianC1Bound:
@@ -55,6 +56,12 @@ class TestC2WitnessGaussian:
             value, stderr = c2_witness_gaussian(d, samples=50_000, seed=4)
             exact, _ = c2_witness_gaussian(d, exact=True)
             assert abs(value - exact) <= 3.0 * stderr
+
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_fewer_than_two_samples_is_invalid_parameter(self, samples):
+        # one sample has no standard error: std(ddof=1) would be NaN
+        with pytest.raises(InvalidParameter):
+            c2_witness_gaussian(3, samples=samples)
 
     def test_increases_toward_one(self):
         values = [c2_witness_gaussian(d, exact=True)[0] for d in (1, 2, 4, 8, 16, 64)]
@@ -127,6 +134,17 @@ class TestRandomSearch:
         assert rep.lower_witness >= INV_SQRT3 - 1e-6
         assert rep.upper_witness <= 1.0 + 1e-5
         assert len(rep.ratios) == 500
+
+    @pytest.mark.parametrize("family", [f for f, row in FAMILIES.items() if row[1] is not None])
+    def test_theoretical_is_one_over_the_table_constant(self, family):
+        rep = random_search_ratio(family, n=1, d=1, trials=1, seed=0, samples=200)
+        assert rep.theoretical == (1.0 / FAMILIES[family][0], 1.0)
+        # the constants the search reported before they were derived from K
+        assert rep.theoretical[0] == (INV_SQRT3 if family == "rademacher" else 1.0 / math.sqrt(2.0))
+
+    def test_car_has_no_search_space(self):
+        with pytest.raises(InvalidParameter):
+            random_search_ratio("car", n=1, d=1, trials=1)
 
     @pytest.mark.parametrize("kind", ["steinhauss", "lacunary"])
     def test_circular_kinds_respect_sandwich(self, kind):

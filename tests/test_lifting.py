@@ -7,6 +7,7 @@ from nck.car import CarSystem, car_system, embed_tuple, extract_coefficients
 from nck import lifting
 from nck.exceptions import IdentityViolation, NonFinite, NonPositiveC, StalledIteration
 from nck.lifting import (
+    LiftConfig,
     corrector_car,
     corrector_commutative,
     lift,
@@ -16,6 +17,7 @@ from nck.lifting import (
 from nck.linalg import op_norm, psd_ge, truncate_offdiag
 from nck.norms import triple_norm, weighted_triple_norm
 from nck.spaces import (
+    FAMILIES,
     conditional_expectation,
     gaussian_space,
     lacunary_space,
@@ -53,6 +55,38 @@ class TestPresets:
         cfg = preset_config(family)
         assert abs(cfg.clip_level / (1.0 - cfg.contraction) - bound) <= 1e-12
         assert cfg.bound == pytest.approx(bound, abs=1e-12)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_clip_level_is_half_the_table_constant(self, family):
+        k = FAMILIES[family][0]
+        cfg = preset_config(family)
+        assert cfg.bound == k
+        assert cfg.clip_level == k / 2.0
+
+    # the clip levels the presets used before they were derived from K:
+    # 1/sqrt(2) sits one ulp below sqrt(2)/2
+    @pytest.mark.parametrize(
+        "setting,clip_level",
+        [
+            (rademacher_space(3), np.sqrt(3.0) / 2.0),
+            (steinhauss_space(2), 1.0 / np.sqrt(2.0)),
+            (lacunary_space(3), 1.0 / np.sqrt(2.0)),
+            (car_system([0.2, 0.5, 0.7]), 1.0 / np.sqrt(2.0)),
+        ],
+        ids=["rademacher", "steinhauss", "lacunary", "car"],
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_preset_lift_matches_the_written_clip_level(self, setting, clip_level, n):
+        d = setting.d
+        for seed in range(3):
+            x = random_tuple(d, n, np.random.default_rng(seed))
+            rep = lift(x, setting)
+            ref = lift(x, setting, LiftConfig(clip_level))
+            assert rep.iterations == ref.iterations and rep.converged and ref.converged
+            assert np.all(
+                np.abs(rep.residual_history - ref.residual_history) <= 1e-12 * ref.residual_history
+            )
+            assert abs(rep.achieved_norm - ref.achieved_norm) <= 1e-12 * ref.achieved_norm
 
 
 class TestCorrectorCommutative:

@@ -4,64 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nck.exceptions import NonFinite, NonHermitian, NonPositiveC, NonSquare
-from nck.linalg import (
-    clip_remainder,
-    hard_clip,
-    mat_func,
-    op_norm,
-    psd_ge,
-    trace_norm,
-    truncate_offdiag,
-)
+from nck.linalg import op_norm, psd_ge, trace_norm, truncate_offdiag
 
 RNG = np.random.default_rng(20240901)
-
-
-def random_hermitian(n, rng=RNG):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (a + a.conj().T)
 
 
 def random_complex(shape, rng=RNG):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestMatFunc:
-    def test_identity_map_fixes_input(self):
-        for n in (2, 16, 64):
-            h = random_hermitian(n)
-            out = mat_func(h, lambda t: t)
-            assert op_norm(out - h) <= 1e-10 * (1.0 + op_norm(h))
-
-    def test_sqrt_of_diagonal(self):
-        out = mat_func(np.diag([4.0, 9.0]), np.sqrt)
-        assert np.allclose(out, np.diag([2.0, 3.0]))
-
-    def test_clip_profile_on_diagonal(self):
-        out = mat_func(np.diag([3.0, -0.5]), lambda t: hard_clip(t, 1.0))
-        assert np.allclose(out, np.diag([1.0, -0.5]))
-
-    def test_scalar_callable_accepted(self):
-        out = mat_func(np.diag([1.0, 4.0]), lambda t: float(t) ** 2)
-        assert np.allclose(out, np.diag([1.0, 16.0]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(NonSquare):
-            mat_func(np.zeros((2, 3)), np.sqrt)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFinite):
-            mat_func(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.sqrt)
+def clip_remainder(t, c):
+    """The part of ``t`` that clamping to ``[-c, c]`` removes: ``t - clip(t)``."""
+    return np.asarray(t, dtype=float) - np.clip(t, -c, c)
 
 
 class TestClip:
-    def test_inside_band(self):
-        assert hard_clip(0.3, 1.0) == pytest.approx(0.3)
-        assert clip_remainder(0.3, 1.0) == pytest.approx(0.0)
-
-    def test_clamped(self):
-        assert hard_clip(5.0, 1.0) == pytest.approx(1.0)
-        assert clip_remainder(5.0, 1.0) == pytest.approx(4.0)
+    # the scalar lemma |t - clip(t)| <= t^2 / (4c) behind criterion 8's
+    # operator domination (Y-Z)*(Y-Z) <= (Y*Y)^2 / (16 C^2), applied to the
+    # dilation's eigenvalues
 
     def test_remainder_quadratic_bound_on_grid(self):
         t = np.linspace(-100.0, 100.0, 20001)
@@ -74,8 +34,6 @@ class TestClip:
         assert abs(clip_remainder(t, c)) <= t * t / (4.0 * c) + 1e-9
 
     def test_nonpositive_level_rejected(self):
-        with pytest.raises(NonPositiveC):
-            hard_clip(1.0, 0.0)
         with pytest.raises(NonPositiveC):
             truncate_offdiag(np.eye(2), -1.0)
 
@@ -185,6 +143,14 @@ class TestNorms:
     def test_psd_ge(self):
         assert psd_ge(2 * np.eye(3), np.eye(3))
         assert not psd_ge(np.eye(3), 2 * np.eye(3))
+
+    def test_psd_ge_rejects_non_square(self):
+        with pytest.raises(NonSquare):
+            psd_ge(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_psd_ge_rejects_non_finite(self):
+        with pytest.raises(NonFinite):
+            psd_ge(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2))
 
     def test_psd_ge_rejects_non_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -210,6 +210,23 @@ class TestDualNorm:
             res.value - res.gap, abs=1e-9
         )
 
+    def test_near_rank_deficient_instance_status(self):
+        # pins the solver's present status on a nearly rank-deficient tuple:
+        # it spends the whole budget and stops with a gap above GAP_TOL that
+        # still counts as converged, being under NONCONVERGENCE_GAP
+        x = np.zeros((2, 3, 3), dtype=complex)
+        x[0] = np.diag([1.0, 2.0, 0.0])
+        x[1] = 1e-3 * np.random.default_rng(5).standard_normal((3, 3))
+        res = dual_norm(x)
+        assert res.iterations == norms.MAX_ITER
+        assert norms.GAP_TOL < res.gap <= norms.NONCONVERGENCE_GAP
+        assert res.gap == pytest.approx(2.28e-6, rel=0.01)
+        assert res.converged
+        assert res.value == pytest.approx(3.00075034, abs=1e-8)
+        assert pairing_certificate(x, res.certificate) == pytest.approx(
+            res.value - res.gap, abs=1e-9
+        )
+
     @pytest.mark.parametrize("bad", [0.0, 1.0])
     def test_degenerate_weights_rejected(self, bad):
         with pytest.raises(DegenerateWeight):

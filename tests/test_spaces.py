@@ -13,10 +13,14 @@ from nck.exceptions import (
 )
 from nck.norms import triple_norm
 from nck.spaces import (
+    FAMILIES,
     DiscreteProbabilitySpace,
     RandomElement,
+    build,
     conditional_expectation,
     element_from_tuple,
+    family_kind,
+    family_row,
     gamma_ratio,
     gaussian_space,
     l1_s1_norm,
@@ -150,6 +154,25 @@ def test_counts_below_one_are_invalid_parameters(make):
     # a usage error, not DTooLarge ("exceeds the configured cap")
     with pytest.raises(InvalidParameter):
         make()
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize(
+        "space",
+        [rademacher_space(2), steinhauss_space(1), lacunary_space(2), gaussian_space(2, 4)],
+        ids=lambda sp: sp.kind,
+    )
+    def test_every_builder_kind_has_a_row(self, space):
+        family = next(f for f, row in FAMILIES.items() if row[1] == space.kind)
+        assert family_row(space.kind) is FAMILIES[family]
+        assert family_kind(family) == space.kind
+        assert space.is_exact == FAMILIES[family][2]
+        assert build(family, space.d, samples=4).kind == space.kind
+
+    @pytest.mark.parametrize("name", ["car", "bernoulli"])
+    def test_build_rejects_a_family_without_a_space(self, name):
+        with pytest.raises(InvalidParameter):
+            build(name, 2)
 
 
 class TestDiscreteProbabilitySpace:
