@@ -29,6 +29,7 @@ from .car import (
     state_weight_check,
 )
 from .constants import (
+    CAR_C2_MAX_D,
     c2_witness_gaussian,
     car_c1_witness,
     car_c2_sequence,
@@ -282,6 +283,9 @@ def _cmd_constants(args) -> int:
             prev = value
     elif args.experiment == "car-c2":
         d_max = 10 if args.d is None else args.d
+        # checked before any row: the rows below the limit build CAR systems
+        if d_max > CAR_C2_MAX_D:
+            raise DTooLarge(f"need 1 <= d <= {CAR_C2_MAX_D}, got {d_max}")
         prev = 0.0
         for d in range(1, d_max + 1):
             matrix_value, binomial_value = car_c2_sequence(d)

@@ -26,7 +26,7 @@ from .car import car_system
 from .exceptions import DTooLarge, IdentityViolation, InvalidParameter
 from .linalg import trace_norm
 from .norms import dual_norm
-from .spaces import build, family_row, gamma_ratio, gaussian_space, l1_s1_norm
+from .spaces import build, family_name, family_row, gamma_ratio, gaussian_space, l1_s1_norm
 
 __all__ = [
     "ConstantReport",
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+#: largest ``d`` that :func:`car_c2_sequence` accepts
+CAR_C2_MAX_D = 60
 
 
 def gaussian_c1_bound_sequence(m: int) -> float:
@@ -123,8 +125,8 @@ def car_c2_sequence(d: int):
     """
     if d < 1:
         raise InvalidParameter(f"need d >= 1, got {d}")
-    if d > 60:
-        raise DTooLarge(f"need 1 <= d <= 60, got {d}")
+    if d > CAR_C2_MAX_D:
+        raise DTooLarge(f"need 1 <= d <= {CAR_C2_MAX_D}, got {d}")
     binomial = math.sqrt(2.0 / d) * 2.0**-d * sum(
         math.comb(d, k) * math.sqrt(k) for k in range(d + 1)
     )
@@ -138,7 +140,11 @@ def car_c2_sequence(d: int):
 
 @dataclass
 class ConstantReport:
-    """Observed ratio range from a seeded random search."""
+    """Observed ratio range from a seeded random search.
+
+    ``family`` is the :data:`nck.spaces.FAMILIES` key searched, the name
+    ``--family`` takes.
+    """
 
     family: str
     lower_witness: float
@@ -224,7 +230,7 @@ def random_search_ratio(
         hi = max(hi, ratio)
 
     return ConstantReport(
-        family=space.kind,
+        family=family_name(kind),
         lower_witness=float(lo),
         upper_witness=float(hi),
         theoretical=(c1, c2),

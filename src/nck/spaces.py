@@ -80,6 +80,7 @@ __all__ = [
     "lacunary_space",
     "gaussian_space",
     "FAMILIES",
+    "family_name",
     "family_row",
     "family_kind",
     "build",
@@ -283,15 +284,20 @@ def gaussian_space(d: int, samples: int, seed: int = 0) -> DiscreteProbabilitySp
     return DiscreteProbabilitySpace("gaussian-mc", weights, family, seed=seed)
 
 
+def family_name(name: str) -> str:
+    """The :data:`FAMILIES` key of a family name or of a space kind."""
+    for family, row in FAMILIES.items():
+        if name in (family, row[1]):
+            return family
+    raise InvalidParameter(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+
+
 def family_row(name: str) -> tuple:
     """The :data:`FAMILIES` row ``(K, kind, exact)`` of a family name.
 
     A space kind is accepted as the name of its family.
     """
-    for family, row in FAMILIES.items():
-        if name in (family, row[1]):
-            return row
-    raise InvalidParameter(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+    return FAMILIES[family_name(name)]
 
 
 def family_kind(family: str) -> str:

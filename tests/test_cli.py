@@ -229,6 +229,14 @@ class TestConstantsCommand:
         assert main(["constants", "--experiment", "car-c2", "--d", "61"]) == 2
         assert "d <= 60" in capsys.readouterr().err
 
+    def test_car_c2_above_sixty_computes_no_row(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "car_c2_sequence", lambda d: calls.append(d))
+        assert main(["constants", "--experiment", "car-c2", "--d", "61"]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and "d <= 60" in captured.err
+
     def test_car_c1(self, capsys):
         assert main(["constants", "--experiment", "car-c1"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -312,7 +320,17 @@ class TestConstantsCommand:
         )
         assert code == 0
         row = json.loads(capsys.readouterr().out)["rows"][0]
-        assert row["family"] == "gaussian-mc" and row["c1"] == 1.0 / np.sqrt(2.0)
+        assert row["family"] == "gaussian" and row["c1"] == 1.0 / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("family", ["rademacher", "steinhauss", "lacunary", "gaussian"])
+    def test_search_row_replays_from_its_family(self, family, capsys):
+        argv = ["constants", "--experiment", "search", "--d", "1", "--n", "1",
+                "--trials", "1", "--samples", "2000"]
+        assert main(argv + ["--family", family]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["family"] in family_choices("constants")
+        assert main(argv + ["--family", row["family"]]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0] == row
 
 
 class TestDeterminism:

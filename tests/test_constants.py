@@ -142,6 +142,11 @@ class TestRandomSearch:
         # the constants the search reported before they were derived from K
         assert rep.theoretical[0] == (INV_SQRT3 if family == "rademacher" else 1.0 / math.sqrt(2.0))
 
+    def test_reports_the_family_key(self):
+        # a space kind is accepted as its family's name; the report names the family
+        rep = random_search_ratio("gaussian-mc", n=1, d=1, trials=1, seed=0, samples=200)
+        assert rep.family == "gaussian"
+
     def test_car_has_no_search_space(self):
         with pytest.raises(InvalidParameter):
             random_search_ratio("car", n=1, d=1, trials=1)
