@@ -41,7 +41,7 @@ print("\n--- the sign-family sandwich: dual/sqrt(3) <= E||.||_1 <= dual ---")
 for trial in range(5):
     d, n = rng.integers(1, 5), rng.integers(1, 5)
     x = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-    l1 = l1_s1_norm(x, rademacher_space(d))
+    l1, _ = l1_s1_norm(x, rademacher_space(d))
     dv = dual_norm(x).value
     print(
         f"d={d} n={n}: E||.||_1 = {l1:9.5f} in "

@@ -9,7 +9,10 @@ correction back; each step halves the residual, so the accumulated element
 converges geometrically with
 
     K = clip_level / (1 - 1/2):   sqrt(2) for circular and fermionic
-                                  families, sqrt(3) for signs.
+                                  families, sqrt(3) for signs,
+
+with the clip level K/2 read from the family table; each report carries
+it as rep.clip_level and the bound as rep.bound.
 
 Sampled Gaussian spaces have noisy moments: the same iteration detects the
 failure and stops with a diagnosis instead of looping.
@@ -24,7 +27,6 @@ from nck import (
     extract_coefficients,
     gaussian_space,
     lift,
-    preset_config,
     quotient_norm_bracket,
     rademacher_space,
 )
@@ -60,12 +62,9 @@ print(f"scalar 1 at weight 1/2: quotient norm in [{lower:.6f}, {upper:.6f}], "
       f"ratio {upper/lower:.6f}")
 
 print("\n--- sampled Gaussians: noisy moments are detected, not hidden ---")
-cfg = preset_config("gaussian")
 try:
-    lift(rng.standard_normal((4, 2, 2)).astype(complex), gaussian_space(4, 8, seed=1), cfg)
+    lift(rng.standard_normal((4, 2, 2)).astype(complex), gaussian_space(4, 8, seed=1))
 except StalledIteration as exc:
     print(f"8-sample space: {exc}")
-rep = lift(
-    rng.standard_normal((2, 2, 2)).astype(complex), gaussian_space(2, 20_000, seed=1), cfg
-)
+rep = lift(rng.standard_normal((2, 2, 2)).astype(complex), gaussian_space(2, 20_000, seed=1))
 print(f"20000-sample space: converged with ratio {rep.ratio:.4f} (no exact guarantee)")

@@ -54,12 +54,10 @@ from .exceptions import (
     ZeroWitness,
 )
 from .lifting import (
-    LiftConfig,
     LiftReport,
     corrector_car,
     corrector_commutative,
     lift,
-    preset_config,
     quotient_norm_bracket,
 )
 from .linalg import (

@@ -80,6 +80,16 @@ __all__ = [
     "fourth_moment_check",
 ]
 
+#: largest entry of ``Gram(row) + Gram(col) - I`` that
+#: :func:`subspace_to_weights` accepts as orthonormal
+ORTHONORMAL_TOL = 1e-10
+#: tolerance of the anticommutation, second-moment, state-weight and
+#: orthogonality checks
+IDENTITY_TOL = 1e-12
+#: tolerance of :func:`fourth_moment_check`
+FOURTH_MOMENT_TOL = 1e-11
+
+
 @dataclass(frozen=True)
 class SubspaceModel:
     """A d-dimensional subspace of a row/column direct sum.
@@ -109,7 +119,7 @@ def _gram(v: np.ndarray) -> np.ndarray:
     return v @ v.conj().T
 
 
-def subspace_to_weights(model: SubspaceModel, tol: float = 1e-10):
+def subspace_to_weights(model: SubspaceModel):
     """Diagonalize the column-part Gram operator of an orthonormal basis.
 
     Returns ``(nu, rotation)`` where ``nu`` (ascending, in ``[0, 1]``) is the
@@ -119,7 +129,7 @@ def subspace_to_weights(model: SubspaceModel, tol: float = 1e-10):
     g_row = _gram(model.basis_row)
     g_col = _gram(model.basis_col)
     eye = np.eye(model.d)
-    if np.abs(g_row + g_col - eye).max() > tol:
+    if np.abs(g_row + g_col - eye).max() > ORTHONORMAL_TOL:
         raise NotOrthonormal(
             "basis is not orthonormal: row and column Grams do not sum to I "
             f"(deviation {np.abs(g_row + g_col - eye).max():.3e})"
@@ -600,9 +610,9 @@ def _block_states(blocks, r, d: int) -> np.ndarray:
     return (diagonals * r).sum(axis=2)
 
 
-def anticommutation_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
+def anticommutation_check(sys: CarSystem) -> CheckReport:
     """``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0``, all pairs at once."""
-    report = CheckReport(name="anticommutation", tolerance=tol)
+    report = CheckReport(name="anticommutation", tolerance=IDENTITY_TOL)
     d, q = sys.d, sys.dim
     aa_adj, (ci, cj, cu, cv, c), (pi, pj, pu, pv, p) = sys._pair_products
     mixed = _minus_identity(_joined(aa_adj, (cj, ci, cu, cv, c)), np.ones(d), q)
@@ -613,13 +623,13 @@ def anticommutation_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     return report
 
 
-def second_moment_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
+def second_moment_check(sys: CarSystem) -> CheckReport:
     """``state(a_i* a_j) = nu_i delta_ij`` and ``state(a_i a_j*) = (1-nu_i) delta_ij``.
 
     The density is diagonal, so each state is the ``r``-weighted trace of
     one block of the pairwise products, ``r = diag(rho)``.
     """
-    report = CheckReport(name="second-moments", tolerance=tol)
+    report = CheckReport(name="second-moments", tolerance=IDENTITY_TOL)
     r, nu = sys.density_diagonal, sys.nu
     aa_adj, adj_a, _ = sys._pair_products
     report.record("two-point-creation", np.abs(_block_states(adj_a, r, sys.d) - np.diag(nu)).max())
@@ -629,7 +639,7 @@ def second_moment_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     return report
 
 
-def state_weight_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
+def state_weight_check(sys: CarSystem) -> CheckReport:
     """One-sided products split through the coefficient functionals.
 
     Verifies ``state(a_i* b) = nu_i phi_i(b)`` and
@@ -638,7 +648,7 @@ def state_weight_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     All three are ``a_i*`` rescaled, so only the generators' stored entries
     are read: at ``(v, u)``, ``K_i`` holds ``conj(a_i[u, v]) (r_u + r_v)``.
     """
-    report = CheckReport(name="state-weights", tolerance=tol)
+    report = CheckReport(name="state-weights", tolerance=IDENTITY_TOL)
     r, nu = sys.density_diagonal, sys.nu
     i, u, v, val = sys._entries
     adj = val.conj()
@@ -650,7 +660,7 @@ def state_weight_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     return report
 
 
-def orthogonality_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
+def orthogonality_check(sys: CarSystem) -> CheckReport:
     """Centered quadratic monomials form orthogonal families.
 
     ``f_ij = a_i* a_j - delta_ij nu_i I`` are orthogonal for the form
@@ -681,7 +691,7 @@ def orthogonality_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
                        shape=(2 * d * d, used.size))
     gram = (fam @ fam.conj().T).toarray()
 
-    report = CheckReport(name="orthogonality", tolerance=tol)
+    report = CheckReport(name="orthogonality", tolerance=IDENTITY_TOL)
     off = ~np.eye(d * d, dtype=bool)
     sq_norms = np.outer(1.0 - nu, nu).ravel()
     for side, (name, blocks, center) in enumerate(families):
@@ -695,7 +705,7 @@ def orthogonality_check(sys: CarSystem, tol: float = 1e-12) -> CheckReport:
     return report
 
 
-def fourth_moment_check(sys: CarSystem, y, tol: float = 1e-11) -> CheckReport:
+def fourth_moment_check(sys: CarSystem, y) -> CheckReport:
     """Second and fourth moments of ``Y = sum y_i (x) a_i`` in closed form.
 
     Compares ``(Id (x) state)`` of ``Y*Y``, ``YY*`` and their squares,
@@ -732,4 +742,4 @@ def fourth_moment_check(sys: CarSystem, y, tol: float = 1e-11) -> CheckReport:
     nu = sys.nu
     closed = moment_forms(ya, nu, 1.0 - nu, np.outer(1.0 - nu, nu), np.zeros((sys.d, sys.d)))
     factor = gram_norm(closed[0]) + gram_norm(closed[1])
-    return moment_report("fourth-moments", tol, tuple(measured), closed, factor)
+    return moment_report("fourth-moments", FOURTH_MOMENT_TOL, tuple(measured), closed, factor)

@@ -49,8 +49,8 @@ from .exceptions import (
     StalledIteration,
     ZeroWitness,
 )
-from .lifting import lift, preset_config
-from .norms import dual_norm, triple_norm, weighted_triple_norm
+from .lifting import lift
+from .norms import as_weights, dual_norm, triple_norm, weighted_triple_norm
 from .spaces import FAMILIES, build, gamma_ratio, moment_identity_check
 from .tupleio import load_tuple_file, render_report
 
@@ -69,12 +69,16 @@ BOUND_SLACK = 1e-6
 
 
 def _parse_nu(raw: str | None):
+    """The ``--nu`` weights, through :func:`nck.norms.as_weights`; ``None`` when absent."""
     if raw is None:
         return None
     try:
-        return np.array([float(v) for v in raw.split(",") if v.strip() != ""])
+        nu = np.array([float(v) for v in raw.split(",") if v.strip() != ""])
     except ValueError:
         raise ParseError(f"--nu must be a comma-separated list of numbers, got {raw!r}")
+    if nu.size < 1:
+        raise ParseError(f"--nu must list at least one weight, got {raw!r}")
+    return as_weights(nu)
 
 
 def _emit(report, args) -> None:
@@ -118,21 +122,21 @@ def _lift_setting(family: str, x, nu, args):
 def _cmd_lift(args) -> int:
     x, nu, _meta = load_tuple_file(args.file)
     setting = _lift_setting(args.family, x, nu, args)
-    config = preset_config(args.family)
+    bound = FAMILIES[args.family][0]
     report = {
         "seed": args.seed,
         "family": args.family,
-        "bound": config.bound,
+        "bound": bound,
     }
     if args.family == "gaussian":
         report["samples"] = args.samples
     try:
-        out = lift(x, setting, config)
+        out = lift(x, setting)
     except StalledIteration as exc:
         report.update(error="stalled-iteration", step=exc.step, message=str(exc))
         _emit(report, args)
         return 1
-    passed = bool(out.converged and out.ratio <= config.bound * (1.0 + BOUND_SLACK))
+    passed = bool(out.converged and out.ratio <= bound * (1.0 + BOUND_SLACK))
     report.update(
         ratio=out.ratio,
         achieved_norm=out.achieved_norm,
@@ -217,8 +221,6 @@ def run_verify_suite(suite: str, d: int, nu=None, seed: int = 0):
 
 def _cmd_verify(args) -> int:
     nu = _parse_nu(args.nu)
-    if nu is not None and (nu.size < 1 or nu.min() < 0.0 or nu.max() > 1.0):
-        raise ParseError(f"--nu entries must lie in [0, 1], got {args.nu}")
     if nu is None and args.d < 1:
         raise ParseError(f"--d must be >= 1, got {args.d}")
     d = args.d if nu is None else len(nu)
@@ -369,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
-        p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -382,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift = sub.add_parser("lift", help="lift a tuple and check the norm bound")
     p_lift.add_argument("--file", required=True)
     p_lift.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    p_lift.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
     common(p_lift)
     p_lift.set_defaults(fn=_cmd_lift)
 
@@ -407,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--trials", type=int, default=50, help="search trial count")
     space_families = [f for f, row in FAMILIES.items() if row[1] is not None]
     p_const.add_argument("--family", default=None, choices=space_families)
+    p_const.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
     common(p_const)
     p_const.set_defaults(fn=_cmd_constants)
     return parser

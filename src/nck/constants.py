@@ -26,7 +26,7 @@ from .car import car_system
 from .exceptions import DTooLarge, IdentityViolation, InvalidParameter
 from .linalg import trace_norm
 from .norms import dual_norm
-from .spaces import build, family_name, family_row, gamma_ratio, gaussian_space, l1_s1_norm
+from .spaces import build, family_name, family_row, gaussian_space, l1_s1_norm
 
 __all__ = [
     "ConstantReport",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+#: largest distance of :func:`car_c1_witness`'s ratio from ``1/sqrt(2)``
+C1_WITNESS_TOL = 1e-6
+#: slack with which a searched ratio may leave the proved sandwich
+SEARCH_TOL = 1e-5
 #: largest ``d`` that :func:`car_c2_sequence` accepts
 CAR_C2_MAX_D = 60
 
@@ -53,21 +57,20 @@ def gaussian_c1_bound_sequence(m: int) -> float:
     return math.sqrt((m + 1.0) / (2.0 * m + 1.0))
 
 
-def c2_witness_gaussian(d: int, samples: int = 100_000, seed: int = 0, exact: bool = False):
+def c2_witness_gaussian(d: int, samples: int = 100_000, seed: int = 0):
     """Ratio ``E(sum |g_i|^2)^(1/2) / sqrt(d)`` for the first-column tuple.
 
     The tuple ``x_i = e_{i1}`` has dual norm at most ``sqrt(d)`` while the
     expected trace norm of its Gaussian average is the expected Euclidean
     length of the Gaussian vector, so the ratio is a lower witness for the
-    upper constant; it increases to 1.  Returns ``(value, stderr)``;
-    ``exact=True`` evaluates the closed form ``gamma_ratio(d)/sqrt(d)``
-    instead of sampling.  Sampling needs ``samples >= 2``, since the
-    standard error is taken with one degree of freedom removed.
+    upper constant; it increases to 1.  Returns ``(value, stderr)``, a
+    sampled estimate of the closed form
+    :func:`nck.spaces.gamma_ratio` ``(d) / sqrt(d)``.
+    Sampling needs ``samples >= 2``, since the standard error is taken with
+    one degree of freedom removed.
     """
     if d < 1:
         raise InvalidParameter(f"need d >= 1, got {d}")
-    if exact:
-        return gamma_ratio(d) / math.sqrt(d), 0.0
     if samples < 2:
         raise InvalidParameter(f"need samples >= 2 for a standard error, got {samples}")
     space = gaussian_space(d, samples, seed)
@@ -90,20 +93,22 @@ class CarC1Witness:
         return self.functional_norm / self.dual_value
 
 
-def car_c1_witness(tol: float = 1e-6) -> CarC1Witness:
+def car_c1_witness() -> CarC1Witness:
     """Sharpness witness at ``d = n = 1`` with weight ``1/2``.
 
     The coefficient functional has norm 1 in the dual of the one-mode
     algebra (its kernel is a rank-one partial isometry), while the weighted
     dual norm of the scalar 1 is ``sqrt(2)``; the ratio ``1/sqrt(2)`` shows
-    the lower constant cannot be improved.
+    the lower constant cannot be improved.  Raises
+    :class:`IdentityViolation` when the ratio is more than
+    :data:`C1_WITNESS_TOL` away from ``1/sqrt(2)``.
     """
     sys = car_system([0.5])
     kernel = sys.functional_kernels[0].toarray()
     functional_norm = trace_norm(kernel)
     res = dual_norm(np.array([[[1.0 + 0.0j]]]), nu=[0.5])
     witness = CarC1Witness(functional_norm=functional_norm, dual_value=res.value)
-    if abs(witness.ratio - INV_SQRT2) > tol:
+    if abs(witness.ratio - INV_SQRT2) > C1_WITNESS_TOL:
         raise IdentityViolation(
             f"witness ratio {witness.ratio:.8f} differs from {INV_SQRT2:.8f}",
             max_deviation=abs(witness.ratio - INV_SQRT2),
@@ -157,7 +162,7 @@ class ConstantReport:
     @property
     def passed(self) -> bool:
         c1, c2 = self.theoretical
-        return self.lower_witness >= c1 - 1e-5 and self.upper_witness <= c2 + 1e-5
+        return self.lower_witness >= c1 - SEARCH_TOL and self.upper_witness <= c2 + SEARCH_TOL
 
 
 def _random_tuple(rng: np.random.Generator, ensemble: str, d: int, n: int) -> np.ndarray:
@@ -189,7 +194,6 @@ def random_search_ratio(
     trials: int,
     seed: int = 0,
     samples: int = 20_000,
-    tol: float = 1e-5,
 ) -> ConstantReport:
     """Scan random tuples and record the range of ``l1 / dual`` ratios.
 
@@ -197,8 +201,8 @@ def random_search_ratio(
     isometries and random matrix units (the family the sharp witnesses are
     built from); the first-column tuple is always included when it fits.
     Every ratio must respect the proved sandwich: at least the family's
-    lower constant minus ``tol`` (minus three standard errors for sampled
-    spaces) and at most 1 plus ``tol``.
+    lower constant minus :data:`SEARCH_TOL` (minus three standard errors for
+    sampled spaces) and at most 1 plus :data:`SEARCH_TOL`.
     """
     if min(n, d, trials) < 1:
         raise InvalidParameter(f"need n, d, trials >= 1, got n={n}, d={d}, trials={trials}")
@@ -215,10 +219,10 @@ def random_search_ratio(
             x[np.arange(d), np.arange(d), 0] = 1.0
         else:
             x = _random_tuple(rng, ensembles[trial % len(ensembles)], d, n)
-        value, stderr = l1_s1_norm(x, space, with_stderr=True)
+        value, stderr = l1_s1_norm(x, space)
         dres = dual_norm(x)
         ratio = value / dres.value
-        slack = tol + (3.0 * stderr / dres.value if space.kind == "gaussian-mc" else 0.0)
+        slack = SEARCH_TOL + (3.0 * stderr / dres.value if space.kind == "gaussian-mc" else 0.0)
         if ratio < c1 - slack or ratio > c2 + slack:
             raise IdentityViolation(
                 f"{space.kind}: ratio {ratio:.8f} outside [{c1:.6f}, {c2:.6f}] "

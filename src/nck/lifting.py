@@ -26,7 +26,8 @@ once at the end.  Only the atoms whose Frobenius norm exceeds ``C`` go to
 the clip: a smaller atom has every singular value at most ``C``, and the
 clip leaves it unchanged.  For a normalized input the corrected residual has
 primal norm at most ``delta = 1/2``, so the accumulated element converges
-with norm at most ``C / (1 - delta)``.  The preset for a family reads its
+with norm at most ``C / (1 - delta)``.  Every number here is fixed by the
+paper: ``delta`` is :data:`CONTRACTION`, and the lift reads its setting's
 lift constant ``K`` from :data:`nck.spaces.FAMILIES` and clips at
 ``C = K / 2``, so the bound ``C / (1 - delta)`` is ``K`` exactly:
 
@@ -59,46 +60,32 @@ from .spaces import (
 )
 
 __all__ = [
-    "LiftConfig",
     "LiftReport",
-    "preset_config",
     "corrector_commutative",
     "corrector_car",
     "lift",
     "quotient_norm_bracket",
 ]
 
+#: factor ``delta`` by which each corrector step contracts the residual norm
+CONTRACTION = 0.5
+#: most corrector steps one lift takes
+MAX_STEPS = 64
+#: the lift stops once the residual norm is at most ``TOL`` times the target's
+TOL = 1e-10
 #: slack over the nominal contraction factor before a step counts as stalled;
 #: distinguishes genuine corrector failure (Monte Carlo noise) from rounding
 STALL_SLACK = 0.05
 
 
-@dataclass(frozen=True)
-class LiftConfig:
-    """Truncation level, contraction factor and stopping controls.
-
-    ``clip_level / (1 - contraction)`` is the norm bound ``K`` the lift
-    guarantees.
-    """
-
-    clip_level: float
-    contraction: float = 0.5
-    max_iter: int = 64
-    tol: float = 1e-10
-
-    @property
-    def bound(self) -> float:
-        return self.clip_level / (1.0 - self.contraction)
-
-
-def preset_config(family: str) -> LiftConfig:
-    """The clip level ``K / 2`` achieving the family's sharp bound ``K``."""
-    return LiftConfig(clip_level=family_row(family)[0] / 2.0)
-
-
 @dataclass
 class LiftReport:
-    """Iterate history and the norm bookkeeping of one lift."""
+    """Iterate history and the norm bookkeeping of one lift.
+
+    ``clip_level`` is the level ``C = K / 2`` the corrector clipped at, and
+    :attr:`bound` is the norm bound ``C / (1 - CONTRACTION)`` it guarantees,
+    the setting's ``K`` bit for bit.
+    """
 
     lifted: object                 # RandomElement or dense fermionic matrix
     residual_history: np.ndarray   # primal norms of the residual tuples
@@ -106,7 +93,11 @@ class LiftReport:
     target_norm: float
     iterations: int
     converged: bool
-    config: LiftConfig
+    clip_level: float
+
+    @property
+    def bound(self) -> float:
+        return self.clip_level / (1.0 - CONTRACTION)
 
     @property
     def ratio(self) -> float:
@@ -121,7 +112,7 @@ def corrector_commutative(y, space: DiscreteProbabilitySpace, clip_level: float)
     Embeds ``y``, clips the singular values of every atom at
     ``clip_level`` and reads back the corrected tuple.  Returns
     ``(Z, z)`` with ``sup_norm(Z) <= clip_level`` and, for exact kinds and
-    ``triple_norm(y) = 1`` at the preset level, ``triple_norm(y - z) <= 1/2``.
+    ``triple_norm(y) = 1`` at the level ``K / 2``, ``triple_norm(y - z) <= 1/2``.
 
     An atom whose Frobenius norm is at most ``clip_level`` has every
     singular value at most ``clip_level``, so the clip leaves it as it is;
@@ -156,12 +147,13 @@ def corrector_car(y, sys: CarSystem, clip_level: float):
 
 
 def _setting_ops(setting):
-    """``(primal, corrector, zero, finish, family)`` of a lifting setting.
+    """``(primal, corrector, zero, finish, clip_level)`` of a lifting setting.
 
     ``zero(n)`` is the empty element, which the lift accumulates through its
     ``blocks`` array; ``finish`` turns it into ``(lifted, achieved_norm)``.
     A probability space is lifted on its phase quotient, and ``finish``
-    expands the accumulated representatives to every atom.
+    expands the accumulated representatives to every atom.  ``clip_level``
+    is half the setting's lift constant ``K``.
     """
     if isinstance(setting, DiscreteProbabilitySpace):
         reps, owner, phase = setting._quotient
@@ -173,7 +165,7 @@ def _setting_ops(setting):
                 RandomElement(setting, phase[:, None, None] * e.blocks[owner]),
                 sup_norm(e),
             ),
-            setting.kind,
+            family_row(setting.kind)[0] / 2.0,
         )
     if isinstance(setting, CarSystem):
         return (
@@ -181,29 +173,27 @@ def _setting_ops(setting):
             lambda t, c: corrector_car(t, setting, c),
             lambda n: CarElement.zeros(setting.d, n),
             lambda e: (e.toarray(), e.op_norm()),
-            "car",
+            family_row("car")[0] / 2.0,
         )
     raise DimensionMismatch(
         f"setting must be a DiscreteProbabilitySpace or CarSystem, got {type(setting)!r}"
     )
 
 
-def lift(x, setting, config: LiftConfig | None = None) -> LiftReport:
+def lift(x, setting) -> LiftReport:
     """Build an element with prescribed coefficients and controlled norm.
 
     Iterates ``w_0 = x``, ``w_{k+1} = w_k - readout(corrector(w_k))``,
     accumulating the clipped elements; the corrector acts on the normalized
     residual and is rescaled back, so each step contracts the residual norm
-    by the configured factor.  Stops when the residual falls below
-    ``tol * norm(x)``.
+    by :data:`CONTRACTION`.  Stops when the residual falls below
+    ``TOL * norm(x)``, or after :data:`MAX_STEPS` steps.
 
     Raises :class:`StalledIteration` when a step fails to contract by
-    ``contraction + 0.05`` (corrector precondition violated, e.g. noisy
-    sampled moments).
+    ``CONTRACTION + STALL_SLACK`` (corrector precondition violated, e.g.
+    noisy sampled moments).
     """
-    primal, corrector, zero, finish, family = _setting_ops(setting)
-    if config is None:
-        config = preset_config(family)
+    primal, corrector, zero, finish, clip_level = _setting_ops(setting)
 
     xa = as_matrix_tuple(x)
     target = primal(xa)
@@ -218,33 +208,33 @@ def lift(x, setting, config: LiftConfig | None = None) -> LiftReport:
             target_norm=0.0,
             iterations=0,
             converged=True,
-            config=config,
+            clip_level=clip_level,
         )
 
     w = xa.copy()
     norm_w = target
     iterations = 0
     converged = False
-    for k in range(config.max_iter):
-        if norm_w <= config.tol * target:
+    for k in range(MAX_STEPS):
+        if norm_w <= TOL * target:
             converged = True
             break
         iterations = k + 1
-        clipped, z = corrector(w / norm_w, config.clip_level)
+        clipped, z = corrector(w / norm_w, clip_level)
         accum.blocks[...] += norm_w * clipped.blocks
         w = w - norm_w * z
         norm_next = primal(w)
-        if norm_next > (config.contraction + STALL_SLACK) * norm_w:
+        if norm_next > (CONTRACTION + STALL_SLACK) * norm_w:
             raise StalledIteration(
                 f"residual contracted only to {norm_next / norm_w:.4f} of the "
                 f"previous norm at step {iterations} "
-                f"(allowed {config.contraction + STALL_SLACK})",
+                f"(allowed {CONTRACTION + STALL_SLACK})",
                 step=iterations,
             )
         history.append(norm_next)
         norm_w = norm_next
     else:
-        converged = norm_w <= config.tol * target
+        converged = norm_w <= TOL * target
 
     lifted, achieved = finish(accum)
     return LiftReport(
@@ -254,28 +244,28 @@ def lift(x, setting, config: LiftConfig | None = None) -> LiftReport:
         target_norm=target,
         iterations=iterations,
         converged=converged,
-        config=config,
+        clip_level=clip_level,
     )
 
 
-def quotient_norm_bracket(x, setting, config: LiftConfig | None = None):
+def quotient_norm_bracket(x, setting):
     """Two-sided bracket on the quotient norm of a coefficient tuple.
 
     The primal norm of ``x`` is a lower bound (no representative beats it);
     the lifted element's norm is an upper bound.  Returns
-    ``(lower, upper)`` and checks ``lower <= upper <= K * lower`` up to the
-    configured tolerance.
+    ``(lower, upper)`` and checks ``lower <= upper <= K * lower`` up to
+    ``10 * TOL`` relative.
     """
-    report = lift(x, setting, config)
+    report = lift(x, setting)
     lower = report.target_norm
     upper = report.achieved_norm
-    k = report.config.bound
-    slack = 1.0 + 10.0 * report.config.tol
+    k = report.bound
+    slack = 1.0 + 10.0 * TOL
     if upper > k * lower * slack + 1e-12:
         raise IdentityViolation(
             f"lift norm {upper:.6e} exceeds {k:.6f} x lower bound {lower:.6e}"
         )
-    if upper < lower * (1.0 - 10.0 * report.config.tol) - 1e-12:
+    if upper < lower * (1.0 - 10.0 * TOL) - 1e-12:
         raise IdentityViolation(
             f"lift norm {upper:.6e} fell below the lower bound {lower:.6e}"
         )

@@ -22,6 +22,9 @@ __all__ = [
     "psd_ge",
 ]
 
+#: relative slack of :func:`psd_ge`, for Hermitian inputs and for the order
+PSD_TOL = 1e-9
+
 
 def _as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
@@ -79,11 +82,11 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def psd_ge(a, b, tol: float = 1e-9) -> bool:
+def psd_ge(a, b) -> bool:
     """Whether ``A - B`` is positive semidefinite up to a relative slack.
 
     True iff the smallest eigenvalue of ``A - B`` is at least
-    ``-tol * (1 + op_norm(A) + op_norm(B))``.  Both inputs must be Hermitian.
+    ``-PSD_TOL * (1 + op_norm(A) + op_norm(B))``.  Both inputs must be Hermitian.
     """
     am = _as_square(a, "psd_ge")
     bm = _as_square(b, "psd_ge")
@@ -91,8 +94,8 @@ def psd_ge(a, b, tol: float = 1e-9) -> bool:
         raise NonSquare(f"psd_ge: shape mismatch {am.shape} vs {bm.shape}")
     scale = 1.0 + op_norm(am) + op_norm(bm)
     for name, m in (("A", am), ("B", bm)):
-        if op_norm(m - m.conj().T) > 1e-9 * scale:
+        if op_norm(m - m.conj().T) > PSD_TOL * scale:
             raise NonHermitian(f"psd_ge: argument {name} is not Hermitian")
     diff = 0.5 * (am + am.conj().T) - 0.5 * (bm + bm.conj().T)
     lam_min = float(np.linalg.eigvalsh(diff)[0])
-    return lam_min >= -tol * scale
+    return lam_min >= -PSD_TOL * scale

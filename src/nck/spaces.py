@@ -7,10 +7,10 @@ Four kinds of space are provided:
     every order is exact.
 
 ``steinhauss``
-    Independent variables uniform on the unit circle, discretized by m-th
-    roots of unity (``m >= 5``).  Every moment identity used here involves
-    exponent sums in ``[-2, 2]`` per variable, and those root-of-unity sums
-    vanish exactly.
+    Independent variables uniform on the unit circle, discretized by the
+    ``STEINHAUSS_ORDER = 5``-th roots of unity.  Every moment identity used
+    here involves exponent sums in ``[-2, 2]`` per variable, and those
+    root-of-unity sums vanish exactly.
 
 ``lacunary``
     The exponentials ``t -> exp(i 2^j t)``, ``j = 1..d``, integrated on a
@@ -28,7 +28,7 @@ Four kinds of space are provided:
 One table, :data:`FAMILIES`, holds every family the toolkit names: the
 four above and ``car``, the fermionic (weighted) setting of :mod:`nck.car`.
 Each row stores the family's lift constant ``K`` once; the lift clips at
-``K / 2`` (:func:`nck.lifting.preset_config`) and ``1 / K`` is the proved
+``K / 2`` (:func:`nck.lifting.lift`) and ``1 / K`` is the proved
 lower constant (:func:`nck.constants.random_search_ratio`).  :func:`build`
 maps a family name (``gaussian`` for ``gaussian-mc``) to its space.
 
@@ -106,6 +106,12 @@ FAMILIES = {
     "car": (math.sqrt(2.0), None, True),
 }
 
+#: root-of-unity order of the Steinhaus space: its moment identities'
+#: exponent sums lie in ``[-2, 2]``, where only 0 is a multiple of it
+STEINHAUSS_ORDER = 5
+#: tolerance of :func:`moment_identity_check` on an exact space; a sampled
+#: space of ``m`` atoms is held to ``50 / sqrt(m)``
+MOMENT_TOL = 1e-11
 #: largest deviation, relative to the atom's largest value, with which two
 #: atoms may be merged into one orbit of the phase quotient
 PHASE_TOL = 1e-14
@@ -234,11 +240,10 @@ def rademacher_space(d: int) -> DiscreteProbabilitySpace:
     return DiscreteProbabilitySpace("rademacher", weights, family)
 
 
-def steinhauss_space(d: int, order: int = 5) -> DiscreteProbabilitySpace:
-    """Product of independent uniform ``order``-th roots of unity."""
-    if order < 5:
-        raise InvalidParameter(f"root-of-unity order must be >= 5, got {order}")
+def steinhauss_space(d: int) -> DiscreteProbabilitySpace:
+    """Product of independent uniform ``STEINHAUSS_ORDER``-th roots of unity."""
     _require_positive("d", d)
+    order = STEINHAUSS_ORDER
     if order**d > caps.STEINHAUSS_ATOM_CAP:
         raise SpaceTooLarge(
             f"{order}**{d} atoms exceed the {caps.STEINHAUSS_ATOM_CAP} budget"
@@ -339,23 +344,16 @@ def element_from_tuple(y, space: DiscreteProbabilitySpace) -> RandomElement:
     return RandomElement(space, blocks.reshape(space.atoms, n, n))
 
 
-def _batched_trace_norms(blocks: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(blocks, compute_uv=False).sum(axis=1)
-
-
-def l1_s1_norm(x, space: DiscreteProbabilitySpace, with_stderr: bool = False):
-    """Expected trace norm of ``sum_i x_i * family[i]``.
+def l1_s1_norm(x, space: DiscreteProbabilitySpace):
+    """Expected trace norm of ``sum_i x_i * family[i]``, as ``(value, stderr)``.
 
     Exact for the finite kinds, which are summed over their phase quotient:
-    the trace norm of ``phi Y`` is that of ``Y`` when ``|phi| = 1``.  With
-    ``with_stderr=True`` returns ``(value, stderr)``; the standard error is
-    zero for exact kinds.
+    the trace norm of ``phi Y`` is that of ``Y`` when ``|phi| = 1``.  The
+    standard error is zero for exact kinds.
     """
     atoms = space._quotient[0] if space.is_exact else space
-    tn = _batched_trace_norms(element_from_tuple(x, atoms).blocks)
+    tn = np.linalg.svd(element_from_tuple(x, atoms).blocks, compute_uv=False).sum(axis=1)
     value = float(atoms.weights @ tn)
-    if not with_stderr:
-        return value
     if space.kind == "gaussian-mc" and space.atoms > 1:
         stderr = float(tn.std(ddof=1) / np.sqrt(space.atoms))
     else:
@@ -392,7 +390,7 @@ def sup_norm(elem: RandomElement) -> float:
     return float(np.linalg.svd(elem.blocks, compute_uv=False)[:, 0].max())
 
 
-def moment_identity_check(y, space: DiscreteProbabilitySpace, tol: float | None = None) -> CheckReport:
+def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
     """Verify second/fourth moment identities of ``Y = sum y_i (x) family_i``.
 
     Moments are evaluated by direct atom summation and compared with the
@@ -405,9 +403,9 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace, tol: float | None 
     ``3 * triple_norm(y)**2`` for signs).
 
     Deviations are normalized by ``1 + norm(target)``.  Raises
-    :class:`IdentityViolation` when the worst deviation exceeds ``tol``
-    (default ``1e-11`` for exact kinds, ``50/sqrt(atoms)`` for sampled
-    Gaussians).
+    :class:`IdentityViolation` when the worst deviation exceeds the
+    tolerance: :data:`MOMENT_TOL` for exact kinds, ``50/sqrt(atoms)`` for
+    sampled Gaussians.
     """
     kind = family_kind(space.kind)
     ya = as_matrix_tuple(y)
@@ -431,8 +429,7 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace, tol: float | None 
     n_col, n_row = gram_norm(closed[0]), gram_norm(closed[1])
     factor = 3.0 * max(n_col, n_row) if kind == "rademacher" else n_col + n_row
 
-    if tol is None:
-        tol = 1e-11 if space.is_exact else 50.0 / np.sqrt(space.atoms)
+    tol = MOMENT_TOL if space.is_exact else 50.0 / np.sqrt(space.atoms)
     return moment_report(
         f"moments[{space.kind}]", tol, (m2_col, m2_row, m4_col, m4_row), closed, factor
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import ParseError
 
-__all__ = ["load_tuple_file", "save_tuple_file", "tuple_to_payload", "render_report"]
+__all__ = ["load_tuple_file", "save_tuple_file", "render_report"]
 
 
 def _fail(path: str, message: str):
@@ -100,7 +100,7 @@ def load_tuple_file(path: str):
     return x, nu, metadata
 
 
-def tuple_to_payload(x, nu=None, metadata=None) -> dict:
+def save_tuple_file(path: str, x, nu=None, metadata=None):
     xa = np.asarray(x, dtype=complex)
     payload = {
         "version": "1",
@@ -115,19 +115,9 @@ def tuple_to_payload(x, nu=None, metadata=None) -> dict:
         payload["nu"] = [float(v) for v in np.asarray(nu)]
     if metadata:
         payload["metadata"] = metadata
-    return payload
-
-
-def save_tuple_file(path: str, x, nu=None, metadata=None):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tuple_to_payload(x, nu, metadata), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _flatten_rows(report) -> list:
-    if isinstance(report, dict):
-        return [report]
-    return list(report)
 
 
 def render_report(report, fmt: str = "json") -> str:
@@ -135,7 +125,7 @@ def render_report(report, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        rows = _flatten_rows(report)
+        rows = [report] if isinstance(report, dict) else list(report)
         if not rows:
             return ""
         fieldnames = sorted({k for row in rows for k in row})

@@ -20,6 +20,7 @@ from nck.car import (
     state_weight_check,
 )
 from nck.constants import (
+    C1_WITNESS_TOL,
     c2_witness_gaussian,
     car_c1_witness,
     car_c2_sequence,
@@ -28,7 +29,7 @@ from nck.constants import (
 )
 from nck.exceptions import IdentityViolation
 from nck.lifting import corrector_commutative, lift
-from nck.linalg import psd_ge, trace_norm, truncate_offdiag
+from nck.linalg import PSD_TOL, psd_ge, trace_norm, truncate_offdiag
 from nck.norms import dual_norm, triple_norm
 from nck.spaces import (
     element_from_tuple,
@@ -179,7 +180,7 @@ def test_criterion_4_khintchine_sandwich_rademacher():
         n = int(rng.integers(1, 5))
         x = random_tuple(rng, d, n)
         space = rademacher_space(d)
-        l1 = l1_s1_norm(x, space)
+        l1, _ = l1_s1_norm(x, space)
         dual = dual_norm(x).value
         worst_low = min(worst_low, l1 - (dual / SQRT3 - 1e-5))
         worst_high = max(worst_high, l1 - (dual + 1e-5))
@@ -236,7 +237,8 @@ def test_criterion_5_gaussian_constants_statistical():
 
 
 def test_criterion_6_car_sharpness():
-    witness = car_c1_witness(tol=1e-6)  # raises if the ratio is off
+    assert C1_WITNESS_TOL == 1e-6
+    witness = car_c1_witness()  # raises if the ratio is off
     agree = 0.0
     values = []
     for d in range(1, 11):
@@ -290,6 +292,7 @@ def test_criterion_7_dual_norm_solver():
 def test_criterion_8_truncation_psd_bounds():
     rng = np.random.default_rng(808)
     c = 1.0 / SQRT2
+    assert PSD_TOL == 1e-9
     ok = True
 
     # commutative setting: the bound holds atomwise for embedded tuples
@@ -304,8 +307,8 @@ def test_criterion_8_truncation_psd_bounds():
             y, z = elem.blocks[k], clipped[k]
             r = y - z
             gc, gr = y.conj().T @ y, y @ y.conj().T
-            ok &= psd_ge(gc @ gc / (16 * c * c), r.conj().T @ r, tol=1e-9)
-            ok &= psd_ge(gr @ gr / (16 * c * c), r @ r.conj().T, tol=1e-9)
+            ok &= psd_ge(gc @ gc / (16 * c * c), r.conj().T @ r)
+            ok &= psd_ge(gr @ gr / (16 * c * c), r @ r.conj().T)
 
     # fermionic setting: one global check per tuple
     for _ in range(100):
@@ -316,8 +319,8 @@ def test_criterion_8_truncation_psd_bounds():
         z = truncate_offdiag(y, c)
         r = y - z
         gc, gr = y.conj().T @ y, y @ y.conj().T
-        ok &= psd_ge(gc @ gc / (16 * c * c), r.conj().T @ r, tol=1e-9)
-        ok &= psd_ge(gr @ gr / (16 * c * c), r @ r.conj().T, tol=1e-9)
+        ok &= psd_ge(gc @ gc / (16 * c * c), r.conj().T @ r)
+        ok &= psd_ge(gr @ gr / (16 * c * c), r @ r.conj().T)
 
     report(
         "criterion 8 (truncation residual domination)",

@@ -195,7 +195,10 @@ class TestState:
                 delta = float(i == j)
                 dev_c = max(dev_c, abs(state_eval(sys, gi.conj().T @ gj) - delta * sys.nu[i]))
                 dev_a = max(dev_a, abs(state_eval(sys, gi @ gj.conj().T) - delta * (1 - sys.nu[i])))
-        report = second_moment_check(sys, tol=np.inf)
+        with pytest.raises(IdentityViolation) as exc:
+            second_moment_check(sys)
+        report = exc.value.report
+        assert dev_c > 1e-3 and dev_a > 1e-3
         assert report.deviations["two-point-creation"] == pytest.approx(dev_c, rel=1e-12)
         assert report.deviations["two-point-annihilation"] == pytest.approx(dev_a, rel=1e-12)
 
@@ -484,7 +487,9 @@ class TestOrthogonality:
         adj = [g.conj().T for g in gens]
         off = ~np.eye(d * d, dtype=bool)
         sq_norms = np.outer(1.0 - nu, nu).ravel()
-        report = orthogonality_check(sys, tol=np.inf)
+        with pytest.raises(IdentityViolation) as exc:
+            orthogonality_check(sys)
+        report = exc.value.report
         for side, left, right, center, weight in (
             ("creation", adj, gens, nu, np.sqrt(r)[None, :]),
             ("annihilation", gens, adj, 1.0 - nu, np.sqrt(r)[:, None]),
@@ -543,7 +548,9 @@ class TestFourthMoment:
         closed = moment_forms(y, nu, 1.0 - nu, np.outer(1.0 - nu, nu), np.zeros((d, d)))
         factor = gram_norm(closed[0]) + gram_norm(closed[1])
         dense = moment_report("fourth-moments", np.inf, measured, closed, factor)
-        report = fourth_moment_check(sys, y, tol=np.inf)
+        with pytest.raises(IdentityViolation) as exc:
+            fourth_moment_check(sys, y)
+        report = exc.value.report
         assert report.deviations.keys() == dense.deviations.keys()
         assert max(dense.deviations.values()) > 1e-3
         for tag, dev in dense.deviations.items():
@@ -593,7 +600,9 @@ class TestAnticommutation:
                 mixed = gi @ gj.conj().T + gj.conj().T @ gi - (i == j) * np.eye(q)
                 dev_mixed = max(dev_mixed, np.abs(mixed).max())
                 dev_plain = max(dev_plain, np.abs(gi @ gj + gj @ gi).max())
-        report = anticommutation_check(sys, tol=np.inf)
+        with pytest.raises(IdentityViolation) as exc:
+            anticommutation_check(sys)
+        report = exc.value.report
         assert dev_mixed > 1e-3 and dev_plain > 1e-3
         assert abs(report.deviations["anticommutator-mixed"] - dev_mixed) <= 1e-13 * dev_mixed
         assert abs(report.deviations["anticommutator-plain"] - dev_plain) <= 1e-13 * dev_plain

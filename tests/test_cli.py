@@ -140,6 +140,13 @@ class TestLiftCommand:
         assert out["passed"] is True
         assert out["residual_history"][0] > 0.0
 
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_bound_is_the_table_constant(self, tmp_path, family, capsys):
+        path = tmp_path / "x.json"
+        save_tuple_file(path, np.zeros((2, 1, 1), dtype=complex), nu=[0.3, 0.6])
+        assert main(["lift", "--file", str(path), "--family", family, "--samples", "100"]) == 0
+        assert json.loads(capsys.readouterr().out)["bound"] == FAMILIES[family][0]
+
     def test_car_without_nu_exit_2(self, tmp_path):
         path = tmp_path / "plain.json"
         save_tuple_file(path, np.ones((2, 1, 1), dtype=complex))
@@ -170,6 +177,38 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "car-identities", "--nu", "0.5,0.5"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["nu"] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("suite", ["moments", "car-identities", "all"])
+    @pytest.mark.parametrize("nu", ["nan,0.5", "0.5,inf", "-0.1,0.5", "0.5,1.5", ","])
+    def test_bad_nu_exit_2(self, suite, nu, capsys):
+        assert main(["verify", "--suite", suite, f"--nu={nu}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nck: error:" in captured.err
+
+    def test_tolerance_of_every_row(self, capsys):
+        # the tolerances the checks had when each took its own ``tol``
+        expected = {
+            "anticommutation": 1e-12,
+            "second-moments": 1e-12,
+            "state-weights": 1e-12,
+            "orthogonality": 1e-12,
+            "fourth-moments": 1e-11,
+        }
+        assert main(["verify", "--suite", "all", "--d", "3", "--seed", "0"]) == 0
+        rows = json.loads(capsys.readouterr().out)["identities"]
+        names = {row["identity"].split("/")[0] for row in rows}
+        assert names == set(expected) | {f"moments[{k}]" for k in ("rademacher", "steinhauss", "lacunary")}
+        for row in rows:
+            name = row["identity"].split("/")[0]
+            assert row["tolerance"] == expected.get(name, 1e-11), row["identity"]
+
+    @pytest.mark.parametrize("command", ["norm", "verify"])
+    def test_samples_is_not_an_option(self, command, scalar_file, capsys):
+        argv = [command, "--samples", "5"] + (["--file", scalar_file] if command == "norm" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
     def test_dimension_cap_exit_2(self):
         assert main(["verify", "--suite", "car-identities", "--d", "11"]) == 2

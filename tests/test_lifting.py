@@ -7,18 +7,22 @@ from nck.car import CarSystem, car_system, embed_tuple, extract_coefficients
 from nck import lifting
 from nck.exceptions import IdentityViolation, NonFinite, NonPositiveC, StalledIteration
 from nck.lifting import (
-    LiftConfig,
+    CONTRACTION,
+    MAX_STEPS,
+    TOL,
     corrector_car,
     corrector_commutative,
     lift,
-    preset_config,
     quotient_norm_bracket,
 )
 from nck.linalg import op_norm, psd_ge, truncate_offdiag
 from nck.norms import triple_norm, weighted_triple_norm
 from nck.spaces import (
     FAMILIES,
+    RandomElement,
+    build,
     conditional_expectation,
+    family_row,
     gaussian_space,
     lacunary_space,
     rademacher_space,
@@ -40,6 +44,40 @@ def normalized(x, norm):
     return x / norm(x)
 
 
+def family_setting(family, d=2):
+    if family == "car":
+        return car_system(np.linspace(0.2, 0.7, d))
+    return build(family, d, samples=20_000, seed=1)
+
+
+def written_level_lift(x, setting, clip_level):
+    """The lift iterated with the public correctors at a given clip level.
+
+    Returns ``(iterations, history, achieved)``; the accumulated element is
+    dense for the fermionic setting and one block per atom otherwise.
+    """
+    if isinstance(setting, CarSystem):
+        primal = lambda t: weighted_triple_norm(t, setting.nu)
+        step = lambda t: corrector_car(t, setting, clip_level)
+        dense = lambda e: e.toarray()
+        achieved = op_norm
+    else:
+        primal = triple_norm
+        step = lambda t: corrector_commutative(t, setting, clip_level)
+        dense = lambda e: e.blocks
+        achieved = lambda blocks: sup_norm(RandomElement(setting, blocks))
+    target = primal(x)
+    w, norm_w, history, accum, iterations = x.copy(), target, [target], 0.0, 0
+    while norm_w > TOL * target and iterations < MAX_STEPS:
+        iterations += 1
+        clipped, z = step(w / norm_w)
+        accum = accum + norm_w * dense(clipped)
+        w = w - norm_w * z
+        norm_w = primal(w)
+        history.append(norm_w)
+    return iterations, np.array(history), achieved(accum)
+
+
 class TestPresets:
     @pytest.mark.parametrize(
         "family,bound",
@@ -52,16 +90,16 @@ class TestPresets:
         ],
     )
     def test_bound_identity(self, family, bound):
-        cfg = preset_config(family)
-        assert abs(cfg.clip_level / (1.0 - cfg.contraction) - bound) <= 1e-12
-        assert cfg.bound == pytest.approx(bound, abs=1e-12)
+        rep = lift(np.zeros((2, 1, 1)), family_setting(family))
+        assert abs(rep.clip_level / (1.0 - CONTRACTION) - bound) <= 1e-12
+        assert rep.bound == pytest.approx(bound, abs=1e-12)
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_clip_level_is_half_the_table_constant(self, family):
         k = FAMILIES[family][0]
-        cfg = preset_config(family)
-        assert cfg.bound == k
-        assert cfg.clip_level == k / 2.0
+        rep = lift(random_tuple(2, 2, np.random.default_rng(0)), family_setting(family))
+        assert rep.bound == k
+        assert rep.clip_level == k / 2.0
 
     # the clip levels the presets used before they were derived from K:
     # 1/sqrt(2) sits one ulp below sqrt(2)/2
@@ -81,12 +119,10 @@ class TestPresets:
         for seed in range(3):
             x = random_tuple(d, n, np.random.default_rng(seed))
             rep = lift(x, setting)
-            ref = lift(x, setting, LiftConfig(clip_level))
-            assert rep.iterations == ref.iterations and rep.converged and ref.converged
-            assert np.all(
-                np.abs(rep.residual_history - ref.residual_history) <= 1e-12 * ref.residual_history
-            )
-            assert abs(rep.achieved_norm - ref.achieved_norm) <= 1e-12 * ref.achieved_norm
+            iterations, history, achieved = written_level_lift(x, setting, clip_level)
+            assert rep.iterations == iterations and rep.converged
+            assert np.all(np.abs(rep.residual_history - history) <= 1e-12 * history)
+            assert abs(rep.achieved_norm - achieved) <= 1e-12 * achieved
 
 
 class TestCorrectorCommutative:
@@ -357,10 +393,9 @@ class TestLift:
         # accumulated norm stays within the geometric-series budget
         sp = rademacher_space(4)
         x = random_tuple(4, 2)
-        cfg = preset_config("rademacher")
-        rep = lift(x, sp, cfg)
+        rep = lift(x, sp)
         budget = sum(
-            cfg.clip_level * h for h in rep.residual_history[: rep.iterations]
+            rep.clip_level * h for h in rep.residual_history[: rep.iterations]
         )
         assert rep.achieved_norm <= budget * (1.0 + 1e-9)
 
@@ -398,15 +433,15 @@ BUILDERS = {"rademacher": rademacher_space, "steinhauss": steinhauss_space, "lac
 
 def full_space_lift(x, space):
     """The lift iterated on every atom: ``(blocks, history, iterations, achieved)``."""
-    cfg = preset_config(space.kind)
+    clip_level = family_row(space.kind)[0] / 2.0
     target = triple_norm(x)
     w, norm_w, history = x.copy(), target, [target]
     blocks = np.zeros((space.atoms,) + x.shape[1:], dtype=complex)
     iterations = 0
-    while norm_w > cfg.tol * target and iterations < cfg.max_iter:
+    while norm_w > TOL * target and iterations < MAX_STEPS:
         iterations += 1
         y = np.einsum("im,iab->mab", space.family, w / norm_w)
-        clipped = truncate_offdiag(y, cfg.clip_level)
+        clipped = truncate_offdiag(y, clip_level)
         z = np.einsum("m,im,mab->iab", space.weights, space.family.conj(), clipped)
         blocks += norm_w * clipped
         w = w - norm_w * z

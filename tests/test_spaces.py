@@ -14,6 +14,7 @@ from nck.exceptions import (
 from nck.norms import triple_norm
 from nck.spaces import (
     FAMILIES,
+    STEINHAUSS_ORDER,
     DiscreteProbabilitySpace,
     RandomElement,
     build,
@@ -101,12 +102,15 @@ class TestSteinhauss:
     def test_atom_budget(self):
         # 5**8 < 2**20 < 5**10
         with pytest.raises(SpaceTooLarge):
-            steinhauss_space(10, order=5)
+            steinhauss_space(10)
         assert steinhauss_space(8).atoms == 5**8
 
-    def test_order_floor(self):
-        with pytest.raises(ValueError):
-            steinhauss_space(2, order=3)
+    def test_fifth_roots_of_unity(self):
+        assert STEINHAUSS_ORDER == 5
+        values = steinhauss_space(1).family[0]
+        assert values.size == 5
+        assert np.allclose(values**5, 1.0, rtol=0.0, atol=1e-14)
+        assert np.abs(values[:, None] - values[None, :])[~np.eye(5, dtype=bool)].min() > 1.0
 
 
 class TestLacunary:
@@ -293,11 +297,11 @@ class TestGaussian:
 
 class TestL1S1Norm:
     def test_scalar_rademacher(self):
-        assert l1_s1_norm([[[1.0 + 0j]]], rademacher_space(1)) == pytest.approx(1.0)
+        assert l1_s1_norm([[[1.0 + 0j]]], rademacher_space(1)) == (pytest.approx(1.0), 0.0)
 
     def test_scalar_gaussian_half_sqrt_pi(self):
         sp = gaussian_space(1, 100_000, seed=5)
-        value, stderr = l1_s1_norm([[[1.0 + 0j]]], sp, with_stderr=True)
+        value, stderr = l1_s1_norm([[[1.0 + 0j]]], sp)
         assert abs(value - np.sqrt(np.pi) / 2.0) <= 3.0 * stderr
         assert np.sqrt(np.pi) / 2.0 == pytest.approx(0.886227, abs=1e-6)
 
@@ -310,7 +314,7 @@ class TestL1S1Norm:
             [abs(r1) + abs(r2) for r1, r2 in itertools.product([1, -1], repeat=2)]
         )
         assert oracle == 2.0
-        assert l1_s1_norm(x, rademacher_space(2)) == pytest.approx(2.0)
+        assert l1_s1_norm(x, rademacher_space(2))[0] == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -326,7 +330,7 @@ class TestL1S1Norm:
             x = random_tuple(d, n, rng)
             blocks = np.einsum("im,iab->mab", space.family, x)
             per_atom = space.weights @ np.linalg.svd(blocks, compute_uv=False).sum(axis=1)
-            value, stderr = l1_s1_norm(x, space, with_stderr=True)
+            value, stderr = l1_s1_norm(x, space)
             assert abs(value - per_atom) <= 1e-14 * per_atom
             assert stderr == 0.0
 
@@ -334,7 +338,7 @@ class TestL1S1Norm:
         space = gaussian_space(3, 500, seed=11)
         x = random_tuple(3, 2)
         tn = np.linalg.svd(element_from_tuple(x, space).blocks, compute_uv=False).sum(axis=1)
-        value, stderr = l1_s1_norm(x, space, with_stderr=True)
+        value, stderr = l1_s1_norm(x, space)
         assert value == float(space.weights @ tn)
         assert stderr == float(tn.std(ddof=1) / np.sqrt(space.atoms))
 
@@ -434,6 +438,7 @@ class TestMomentIdentityCheck:
     def test_exact_kinds_pass(self, space):
         report = moment_identity_check(random_tuple(4, 3), space)
         assert report.passed and report.max_deviation <= 1e-12
+        assert report.tolerance == 1e-11
 
     def test_rademacher_scalar_decomposition(self):
         # 8 = (sum y^2)^2 + cross-square + cross-mixed = 4 + 2 + 2
@@ -457,6 +462,7 @@ class TestMomentIdentityCheck:
     def test_gaussian_mc_statistical_tolerance(self):
         report = moment_identity_check(random_tuple(2, 2), gaussian_space(2, 20_000, seed=9))
         assert report.passed
+        assert report.tolerance == 50.0 / np.sqrt(20_000)
 
     def test_violation_raises(self):
         # a biased measure no longer satisfies the sign-family moments
