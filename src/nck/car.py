@@ -9,12 +9,16 @@ with ``e = [[0, 1], [0, 0]]`` and ``u = diag(1, -1)``.  Each ``a_i`` is a
 signed partial permutation with ``2**(d-1)`` entries of +-1, and that is
 how it is kept: a ``scipy.sparse`` CSR matrix, built by bit arithmetic
 (:func:`jordan_wigner`).  A hand-built :class:`CarSystem` is converted to
-CSR too.  The generators satisfy the anticommutation relations
-``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
-in floating point.  The identity checks take every pairwise product
-``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j`` from one sparse product of the
-stacked generators and their adjoints with its own adjoint, so they cost
-``O(d^2 2^d)`` rather than ``O(d^2 8^d)``, and ``d = 12`` fits in memory.
+CSR too.  ``import nck`` needs only numpy: scipy is loaded by the first
+function here that builds or reads a sparse matrix (the generators, the
+functional kernels and the identity checks), so the probability-space
+lifts, the norms and the dual solver never load it.  The generators
+satisfy the anticommutation relations ``a_i a_j* + a_j* a_i = delta_ij I``
+and ``a_i a_j + a_j a_i = 0`` exactly in floating point.  The identity
+checks take every pairwise product ``a_i a_j*``, ``a_i* a_j`` and
+``a_i a_j`` from one sparse product of the stacked generators and their
+adjoints with its own adjoint, so they cost ``O(d^2 2^d)`` rather than
+``O(d^2 8^d)``, and ``d = 12`` fits in memory.
 
 The reference state for weights ``nu`` is ``b -> Tr(rho b)`` with the
 product density ``rho = (x)_i diag(1 - nu_i, nu_i)``, kept as its diagonal;
@@ -46,8 +50,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
+# ``scipy.sparse`` is imported inside the functions that build or read a
+# sparse matrix, never at module level: it is most of a fresh process's
+# import time, and only the fermionic setting needs it.
 from . import caps
 from .exceptions import (
     DimensionMismatch,
@@ -160,6 +166,8 @@ def _jw_support(d: int):
 
 @lru_cache(maxsize=8)
 def _jordan_wigner_cached(d: int):
+    import scipy.sparse as sp
+
     rows, cols = _jw_support(d)
     # the modes j < i are the bits above bit d - 1 - i
     parity = np.bitwise_count(cols >> (d - np.arange(d))[:, None]) & 1
@@ -323,13 +331,17 @@ class CarElement:
         return out.reshape(side, side)
 
 
-def _as_csr(g):
-    """``g`` as a complex CSR matrix without repeated entries; a copy unless it is one."""
-    if isinstance(g, sp.csr_array) and g.dtype == complex and g.has_canonical_format:
-        return g
-    g = sp.csr_array(g, dtype=complex, copy=True)
-    g.sum_duplicates()
-    return g
+def _as_csr(generators) -> tuple:
+    """Each generator as a complex CSR matrix without repeated entries; a copy unless it is one."""
+    import scipy.sparse as sp
+
+    out = []
+    for g in generators:
+        if not (isinstance(g, sp.csr_array) and g.dtype == complex and g.has_canonical_format):
+            g = sp.csr_array(g, dtype=complex, copy=True)
+            g.sum_duplicates()
+        out.append(g)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -344,7 +356,7 @@ class CarSystem:
     generators: tuple
 
     def __post_init__(self):
-        gens = tuple(map(_as_csr, self.generators))
+        gens = _as_csr(self.generators)
         side = gens[0].shape[0] if gens else 0
         if side == 0 or any(g.shape != (side, side) for g in gens):
             raise DimensionMismatch(
@@ -426,6 +438,8 @@ class CarSystem:
         ``(v, u)`` scaled by ``r_u + r_v``, ``r = diag(rho)``; it has the
         sparsity of ``a_i*``.
         """
+        import scipy.sparse as sp
+
         r = self.density_diagonal
         i, u, v, val = self._entries
         kern = val.conj() * (r[u] + r[v])
@@ -445,6 +459,8 @@ class CarSystem:
         is not read.  Each family is returned as block entries
         ``(i, j, u, v, value)``.
         """
+        import scipy.sparse as sp
+
         d, q = self.d, self.dim
         i, u, v, val = self._entries
         rows = np.concatenate([i * q + u, (d + i) * q + v])
@@ -466,6 +482,8 @@ def car_system(nu) -> CarSystem:
 
 
 def _check_size(sys: CarSystem, b) -> np.ndarray:
+    import scipy.sparse as sp
+
     a = np.asarray(b.toarray() if sp.issparse(b) else b, dtype=complex)
     if a.shape != (sys.dim, sys.dim):
         raise SizeMismatch(f"expected {sys.dim} x {sys.dim}, got {a.shape}")
@@ -520,6 +538,8 @@ def npoint_function(sys: CarSystem, create, annihilate) -> complex:
 
 def generator_monomial(sys: CarSystem, create, annihilate) -> np.ndarray:
     """Dense matrix of ``a*_{create[0]} ... a_{annihilate[-1]}`` (for cross-checks)."""
+    import scipy.sparse as sp
+
     _check_indices(sys, list(create) + list(annihilate))
     out = sp.identity(sys.dim, dtype=complex, format="csr")
     for i in create:
@@ -596,6 +616,8 @@ def _minus_identity(blocks, center, q: int) -> tuple:
 
 def _max_abs(blocks, d: int, q: int) -> float:
     """Largest ``|entry|`` of the block matrix; repeated entries add up."""
+    import scipy.sparse as sp
+
     i, j, u, v, val = blocks
     total = sp.csr_array((val, (i * q + u, j * q + v)), shape=(d * q, d * q))
     return float(np.abs(total.data).max(initial=0.0))
@@ -671,6 +693,8 @@ def orthogonality_check(sys: CarSystem) -> CheckReport:
     families are the rows of one sparse matrix, a row per monomial, and the
     diagonal blocks of its Gram are the two forms.
     """
+    import scipy.sparse as sp
+
     d, q, nu = sys.d, sys.dim, sys.nu
     r = sys.density_diagonal
     root = np.sqrt(r)
@@ -728,11 +752,14 @@ def fourth_moment_check(sys: CarSystem, y) -> CheckReport:
     sectors = _block_layout(sys.d, n).sectors
 
     def states(m, k):
-        # (Id (x) state) of a Hermitian operator m on sector k, and of its square
+        # (Id (x) state) of a Hermitian operator m on sector k, and of its
+        # square; m is a fresh product, so its rows are weighted in place
         s = sectors[k].size
         rows = m.reshape(n, s, n * s)
-        w = (rows * np.sqrt(r[sectors[k]])[:, None]).reshape(n, -1)
-        return np.einsum("a,paqa->pq", r[sectors[k]], rows.reshape(n, s, n, s)), w @ w.conj().T
+        m2 = np.einsum("a,paqa->pq", r[sectors[k]], rows.reshape(n, s, n, s))
+        rows *= np.sqrt(r[sectors[k]])[:, None]
+        w = rows.reshape(n, -1)
+        return m2, w @ w.conj().T
 
     measured = np.zeros((4, n, n), dtype=complex)
     for k, b in enumerate(big.sector_blocks(), start=1):

@@ -66,6 +66,17 @@ USAGE_ERRORS = (
 )
 
 BOUND_SLACK = 1e-6
+#: Monte Carlo sample count when ``--samples`` is not given
+DEFAULT_SAMPLES = 100_000
+#: the optional flags of ``nck constants`` that each experiment reads (search
+#: reads them all); a flag given to an experiment that does not read it is a
+#: usage error
+CONSTANTS_FLAGS = {
+    "gauss-c2": ("d", "samples"),
+    "car-c2": ("d",),
+    "car-c1": (),
+    "search": ("family", "d", "n", "trials", "samples"),
+}
 
 
 def _parse_nu(raw: str | None):
@@ -79,6 +90,17 @@ def _parse_nu(raw: str | None):
     if nu.size < 1:
         raise ParseError(f"--nu must list at least one weight, got {raw!r}")
     return as_weights(nu)
+
+
+def _or_default(value, default):
+    return default if value is None else value
+
+
+def _reject_unread(args, unread, where: str) -> None:
+    """A :class:`ParseError` naming the first flag in ``unread`` that was given."""
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise ParseError(f"--{flag} is not read by {where}")
 
 
 def _emit(report, args) -> None:
@@ -120,6 +142,10 @@ def _lift_setting(family: str, x, nu, args):
 
 
 def _cmd_lift(args) -> int:
+    if args.family != "gaussian":
+        # only the sampled space reads a sample count
+        _reject_unread(args, ("samples",), f"--family {args.family}")
+    args.samples = _or_default(args.samples, DEFAULT_SAMPLES)
     x, nu, _meta = load_tuple_file(args.file)
     setting = _lift_setting(args.family, x, nu, args)
     bound = FAMILIES[args.family][0]
@@ -245,6 +271,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    read = CONSTANTS_FLAGS[args.experiment]
+    unread = [f for f in CONSTANTS_FLAGS["search"] if f not in read]
+    _reject_unread(args, unread, f"--experiment {args.experiment}")
+    samples = _or_default(args.samples, DEFAULT_SAMPLES)
     if args.d is not None and args.d < 1:
         raise ParseError(f"--d must be >= 1, got {args.d}")
     rows = []
@@ -252,7 +282,7 @@ def _cmd_constants(args) -> int:
     if args.experiment == "gauss-c2":
         d_max = 16 if args.d is None else args.d
         for d in range(1, d_max + 1):
-            value, stderr = c2_witness_gaussian(d, samples=args.samples, seed=args.seed)
+            value, stderr = c2_witness_gaussian(d, samples=samples, seed=args.seed)
             target = gamma_ratio(d) / np.sqrt(d)
             row_ok = abs(value - target) <= 3.0 * stderr + 1e-12
             ok &= row_ok
@@ -328,11 +358,11 @@ def _cmd_constants(args) -> int:
         try:
             rep = random_search_ratio(
                 family,
-                n=args.n,
-                d=3 if args.d is None else args.d,
-                trials=args.trials,
+                n=_or_default(args.n, 2),
+                d=_or_default(args.d, 3),
+                trials=_or_default(args.trials, 50),
                 seed=args.seed,
-                samples=args.samples,
+                samples=samples,
             )
             row = {
                 "experiment": "search",
@@ -354,8 +384,6 @@ def _cmd_constants(args) -> int:
             }
             ok = False
         rows.append(row)
-    else:
-        raise ParseError(f"unknown experiment {args.experiment!r}")
 
     report = {"seed": args.seed, "experiment": args.experiment, "rows": rows, "pass": bool(ok)}
     _emit(rows if args.format == "csv" else report, args)
@@ -383,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift = sub.add_parser("lift", help="lift a tuple and check the norm bound")
     p_lift.add_argument("--file", required=True)
     p_lift.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p_lift.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
+    p_lift.add_argument("--samples", type=int, default=None,
+                        help=f"Monte Carlo sample count, gaussian only (default {DEFAULT_SAMPLES})")
     common(p_lift)
     p_lift.set_defaults(fn=_cmd_lift)
 
@@ -402,14 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument(
         "--experiment",
         required=True,
-        choices=("gauss-c2", "car-c2", "car-c1", "search"),
+        choices=tuple(CONSTANTS_FLAGS),
     )
-    p_const.add_argument("--d", type=int, default=None)
-    p_const.add_argument("--n", type=int, default=2, help="matrix size for search")
-    p_const.add_argument("--trials", type=int, default=50, help="search trial count")
+    p_const.add_argument("--d", type=int, default=None, help="largest d (not for car-c1)")
+    p_const.add_argument("--n", type=int, default=None, help="matrix size for search (default 2)")
+    p_const.add_argument("--trials", type=int, default=None, help="search trial count (default 50)")
     space_families = [f for f, row in FAMILIES.items() if row[1] is not None]
-    p_const.add_argument("--family", default=None, choices=space_families)
-    p_const.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
+    p_const.add_argument("--family", default=None, choices=space_families,
+                         help="search family (default rademacher)")
+    p_const.add_argument("--samples", type=int, default=None,
+                         help=f"Monte Carlo sample count for gauss-c2 and search (default {DEFAULT_SAMPLES})")
     common(p_const)
     p_const.set_defaults(fn=_cmd_constants)
     return parser

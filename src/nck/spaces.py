@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import caps
 from .exceptions import DimensionMismatch, DTooLarge, InvalidParameter, NonFinite, SpaceTooLarge
@@ -362,14 +361,14 @@ def l1_s1_norm(x, space: DiscreteProbabilitySpace):
 
 
 def gamma_ratio(d) -> float:
-    """``Gamma(d + 1/2) / Gamma(d)`` via log-gamma differences.
+    """``Gamma(d + 1/2) / Gamma(d)`` via the difference of :func:`math.lgamma` values.
 
     Equals the expected Euclidean length of a standard complex Gaussian
     vector in dimension ``d``; grows like ``sqrt(d)``.
     """
     if d < 1:
         raise InvalidParameter(f"need d >= 1, got {d}")
-    return float(np.exp(gammaln(d + 0.5) - gammaln(d)))
+    return math.exp(math.lgamma(d + 0.5) - math.lgamma(d))
 
 
 def conditional_expectation(elem: RandomElement) -> np.ndarray:

@@ -144,8 +144,24 @@ class TestLiftCommand:
     def test_bound_is_the_table_constant(self, tmp_path, family, capsys):
         path = tmp_path / "x.json"
         save_tuple_file(path, np.zeros((2, 1, 1), dtype=complex), nu=[0.3, 0.6])
-        assert main(["lift", "--file", str(path), "--family", family, "--samples", "100"]) == 0
+        samples = ["--samples", "100"] if family == "gaussian" else []
+        assert main(["lift", "--file", str(path), "--family", family] + samples) == 0
         assert json.loads(capsys.readouterr().out)["bound"] == FAMILIES[family][0]
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "gaussian"])
+    def test_samples_outside_gaussian_exit_2(self, tmp_path, family, capsys):
+        path = tmp_path / "x.json"
+        save_tuple_file(path, np.zeros((2, 1, 1), dtype=complex), nu=[0.3, 0.6])
+        assert main(["lift", "--file", str(path), "--family", family, "--samples", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--samples is not read by --family {family}" in captured.err
+
+    def test_gaussian_default_samples(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        save_tuple_file(path, np.zeros((1, 1, 1), dtype=complex))
+        assert main(["lift", "--file", str(path), "--family", "gaussian"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == cli.DEFAULT_SAMPLES == 100_000
 
     def test_car_without_nu_exit_2(self, tmp_path):
         path = tmp_path / "plain.json"
@@ -301,9 +317,42 @@ class TestConstantsCommand:
         [("gauss-c2", "-1"), ("car-c2", "-3"), ("car-c2", "0"), ("search", "0")],
     )
     def test_nonpositive_d_exit_2(self, experiment, d, capsys):
-        code = main(["constants", "--experiment", experiment, "--d", d, "--trials", "1"])
+        code = main(["constants", "--experiment", experiment, "--d", d])
         assert code == 2
         assert "--d must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment,flag",
+        [
+            (experiment, flag)
+            for experiment, read in cli.CONSTANTS_FLAGS.items()
+            for flag in cli.CONSTANTS_FLAGS["search"]
+            if flag not in read
+        ],
+    )
+    def test_unread_flag_exit_2(self, experiment, flag, capsys):
+        value = "lacunary" if flag == "family" else "3"
+        code = main(["constants", "--experiment", experiment, f"--{flag}", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{flag} is not read by --experiment {experiment}" in captured.err
+
+    def test_unread_flags_are_the_ones_named(self):
+        unread = {e: set(cli.CONSTANTS_FLAGS["search"]) - set(r) for e, r in cli.CONSTANTS_FLAGS.items()}
+        assert unread == {
+            "gauss-c2": {"family", "n", "trials"},
+            "car-c2": {"family", "n", "trials", "samples"},
+            "car-c1": {"family", "d", "n", "trials", "samples"},
+            "search": set(),
+        }
+
+    def test_default_samples_is_applied_where_read(self, capsys):
+        argv = ["constants", "--experiment", "gauss-c2", "--d", "1", "--seed", "2"]
+        assert main(argv) == 0
+        implicit = capsys.readouterr().out
+        assert main(argv + ["--samples", str(cli.DEFAULT_SAMPLES)]) == 0
+        assert capsys.readouterr().out == implicit
 
     def test_gauss_c2_small(self, capsys):
         code = main(

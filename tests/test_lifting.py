@@ -303,6 +303,20 @@ class TestCorrectorCar:
         dense = truncate_offdiag(embed_tuple(sys, y).toarray(), 1 / SQRT2)
         assert np.abs(clipped.toarray() - dense).max() <= 1e-13
 
+    @pytest.mark.parametrize("d", [1, 4, 10, 12])
+    def test_scalar_clip_is_a_rescaling(self, d, monkeypatch):
+        # at n = 1, Y*Y + YY* = |y|^2 I and Y^2 = 0, so every nonzero singular
+        # value of every block is |y|: the clip is min(1, c / |y|) Y
+        monkeypatch.setenv("NCK_MAX_DIM", "12")
+        rng = np.random.default_rng(d)
+        sys = car_system(rng.uniform(0.05, 0.95, d))
+        c = family_row("car")[0] / 2.0
+        y = random_tuple(d, 1, rng)
+        y *= 3.0 * c / np.linalg.norm(y)
+        clipped, _z = corrector_car(y, sys, c)
+        expected = min(1.0, c / np.linalg.norm(y)) * embed_tuple(sys, y).blocks
+        assert np.abs(clipped.blocks - expected).max() <= 1e-13
+
     def test_step_psd_bounds(self):
         # each corrector step obeys the quadratic residual domination
         sys = car_system(RNG.uniform(0.1, 0.9, 3))

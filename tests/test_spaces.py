@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -352,6 +354,12 @@ class TestGammaRatio:
         # Gamma(5/2) = (3/2)(1/2) sqrt(pi)
         assert gamma_ratio(2) == pytest.approx(1.5 * np.sqrt(np.pi) / 2.0, rel=1e-12)
         assert gamma_ratio(2) == pytest.approx(1.3293404, abs=1e-7)
+
+    def test_closed_form(self):
+        # Gamma(d + 1/2) / Gamma(d) = sqrt(pi) d C(2d, d) / 4^d, the ratio in exact integers
+        for d in range(1, 201):
+            exact = math.sqrt(math.pi) * float(Fraction(d * math.comb(2 * d, d), 4**d))
+            assert gamma_ratio(d) == pytest.approx(exact, rel=1e-12, abs=0.0), d
 
     def test_sqrt_d_limit(self):
         d = 10_000
