@@ -64,7 +64,7 @@ from .exceptions import (
     SizeMismatch,
 )
 from .norms import as_matrix_tuple, as_weights, gram_norm, moment_forms
-from .reports import CheckReport, moment_report, raise_if_failed
+from .reports import CheckReport, checked, moment_report
 
 __all__ = [
     "SubspaceModel",
@@ -145,6 +145,12 @@ def subspace_to_weights(model: SubspaceModel):
     return nu, rotation
 
 
+def _read_only(*arrays) -> None:
+    """Lock cached arrays, so that no caller can change a cached value."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @lru_cache(maxsize=8)
 def _jw_support(d: int):
     """Where the Jordan-Wigner generators can be nonzero, by bit arithmetic.
@@ -159,8 +165,7 @@ def _jw_support(d: int):
     states = np.arange(1 << d)
     cols = np.stack([states[(states >> (d - 1 - i)) & 1 == 1] for i in range(d)])
     rows = cols ^ (1 << (d - 1 - np.arange(d)))[:, None]
-    for a in (rows, cols):
-        a.setflags(write=False)
+    _read_only(rows, cols)
     return rows, cols
 
 
@@ -174,8 +179,7 @@ def _jordan_wigner_cached(d: int):
     gens = []
     for r, c, odd in zip(rows, cols, parity):
         g = sp.csr_array(((1.0 - 2.0 * odd).astype(complex), (r, c)), shape=(1 << d, 1 << d))
-        for a in (g.data, g.indices, g.indptr):
-            a.setflags(write=False)
+        _read_only(g.data, g.indices, g.indptr)
         gens.append(g)
     return tuple(gens)
 
@@ -388,12 +392,14 @@ class CarSystem:
     def _entries(self) -> tuple:
         """``(i, u, v, value)`` for every stored entry ``a_i[u, v]`` of every generator."""
         gens = self.generators
-        return (
+        entries = (
             np.repeat(np.arange(self.d), [g.nnz for g in gens]),
             np.concatenate([np.repeat(np.arange(self.dim), np.diff(g.indptr)) for g in gens]),
             np.concatenate([g.indices for g in gens]),
             np.concatenate([g.data for g in gens]),
         )
+        _read_only(*entries)
+        return entries
 
     @cached_property
     def support_values(self) -> np.ndarray:
@@ -407,7 +413,8 @@ class CarSystem:
         if self.dim != 1 << d:
             raise IdentityViolation(
                 f"{d} generators of side {self.dim} do not act on the 2**{d}-dimensional "
-                "Jordan-Wigner space"
+                "Jordan-Wigner space",
+                CheckReport("jordan-wigner-support", 0.0, {"side": abs(self.dim - (1 << d))}),
             )
         i, u, v, val = self._entries
         bit = 1 << (d - 1 - i)
@@ -416,13 +423,10 @@ class CarSystem:
         if off.any():
             k = int(i[off].min())
             mass = float(np.abs(val[off & (i == k)]).sum())
-            report = CheckReport(name="jordan-wigner-support")
-            report.record(f"off-support-generator-{k}", mass)
             raise IdentityViolation(
                 f"generator {k} has weight {mass:.3e} off its Jordan-Wigner support; "
                 "it does not lower the occupation number by one",
-                max_deviation=mass,
-                report=report,
+                CheckReport("jordan-wigner-support", 0.0, {f"off-support-generator-{k}": mass}),
             )
         by_col = np.zeros((d, self.dim), dtype=complex)
         by_col[i[on], v[on]] = val[on]
@@ -436,17 +440,20 @@ class CarSystem:
 
         The density is diagonal, so ``K_i`` is ``a_i*`` with its entry at
         ``(v, u)`` scaled by ``r_u + r_v``, ``r = diag(rho)``; it has the
-        sparsity of ``a_i*``.
+        sparsity of ``a_i*``.  Their arrays are read-only.
         """
         import scipy.sparse as sp
 
         r = self.density_diagonal
         i, u, v, val = self._entries
         kern = val.conj() * (r[u] + r[v])
-        return tuple(
+        kernels = tuple(
             sp.csr_array((kern[i == k], (v[i == k], u[i == k])), shape=(self.dim, self.dim))
             for k in range(self.d)
         )
+        for k in kernels:
+            _read_only(k.data, k.indices, k.indptr)
+        return kernels
 
     @cached_property
     def _pair_products(self) -> tuple:
@@ -456,7 +463,7 @@ class CarSystem:
         ``a_i a_j*`` at block ``(i, j)`` (the ``vstack(a_i)`` part times its
         adjoint), ``a_i* a_j`` at ``(d+i, d+j)`` (the Gram of
         ``hstack(a_i)``) and ``a_i a_j`` at ``(i, d+j)``; the fourth quarter
-        is not read.  Each family is returned as block entries
+        is not read.  Each family is returned as read-only block entries
         ``(i, j, u, v, value)``.
         """
         import scipy.sparse as sp
@@ -471,8 +478,10 @@ class CarSystem:
         bi, u = np.divmod(gram.row, q)
         bj, v = np.divmod(gram.col, q)
         top, left = bi < d, bj < d
-        return tuple((bi[at] % d, bj[at] % d, u[at], v[at], gram.data[at])
-                     for at in (top & left, ~top & ~left, top & ~left))
+        families = tuple((bi[at] % d, bj[at] % d, u[at], v[at], gram.data[at])
+                         for at in (top & left, ~top & ~left, top & ~left))
+        _read_only(*(a for family in families for a in family))
+        return families
 
 
 def car_system(nu) -> CarSystem:
@@ -634,15 +643,14 @@ def _block_states(blocks, r, d: int) -> np.ndarray:
 
 def anticommutation_check(sys: CarSystem) -> CheckReport:
     """``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0``, all pairs at once."""
-    report = CheckReport(name="anticommutation", tolerance=IDENTITY_TOL)
     d, q = sys.d, sys.dim
     aa_adj, (ci, cj, cu, cv, c), (pi, pj, pu, pv, p) = sys._pair_products
     mixed = _minus_identity(_joined(aa_adj, (cj, ci, cu, cv, c)), np.ones(d), q)
     plain = _joined((pi, pj, pu, pv, p), (pj, pi, pu, pv, p))
-    report.record("anticommutator-mixed", _max_abs(mixed, d, q))
-    report.record("anticommutator-plain", _max_abs(plain, d, q))
-    raise_if_failed(report)
-    return report
+    return checked("anticommutation", IDENTITY_TOL, {
+        "anticommutator-mixed": _max_abs(mixed, d, q),
+        "anticommutator-plain": _max_abs(plain, d, q),
+    })
 
 
 def second_moment_check(sys: CarSystem) -> CheckReport:
@@ -651,14 +659,12 @@ def second_moment_check(sys: CarSystem) -> CheckReport:
     The density is diagonal, so each state is the ``r``-weighted trace of
     one block of the pairwise products, ``r = diag(rho)``.
     """
-    report = CheckReport(name="second-moments", tolerance=IDENTITY_TOL)
     r, nu = sys.density_diagonal, sys.nu
     aa_adj, adj_a, _ = sys._pair_products
-    report.record("two-point-creation", np.abs(_block_states(adj_a, r, sys.d) - np.diag(nu)).max())
-    report.record("two-point-annihilation",
-                  np.abs(_block_states(aa_adj, r, sys.d) - np.diag(1.0 - nu)).max())
-    raise_if_failed(report)
-    return report
+    return checked("second-moments", IDENTITY_TOL, {
+        "two-point-creation": np.abs(_block_states(adj_a, r, sys.d) - np.diag(nu)).max(),
+        "two-point-annihilation": np.abs(_block_states(aa_adj, r, sys.d) - np.diag(1.0 - nu)).max(),
+    })
 
 
 def state_weight_check(sys: CarSystem) -> CheckReport:
@@ -670,16 +676,14 @@ def state_weight_check(sys: CarSystem) -> CheckReport:
     All three are ``a_i*`` rescaled, so only the generators' stored entries
     are read: at ``(v, u)``, ``K_i`` holds ``conj(a_i[u, v]) (r_u + r_v)``.
     """
-    report = CheckReport(name="state-weights", tolerance=IDENTITY_TOL)
     r, nu = sys.density_diagonal, sys.nu
     i, u, v, val = sys._entries
     adj = val.conj()
     kernel = adj * (r[v] + r[u])
-    report.record("weight-split-left", np.abs(r[v] * adj - nu[i] * kernel).max(initial=0.0))
-    report.record("weight-split-right",
-                  np.abs(adj * r[u] - (1.0 - nu[i]) * kernel).max(initial=0.0))
-    raise_if_failed(report)
-    return report
+    return checked("state-weights", IDENTITY_TOL, {
+        "weight-split-left": np.abs(r[v] * adj - nu[i] * kernel).max(initial=0.0),
+        "weight-split-right": np.abs(adj * r[u] - (1.0 - nu[i]) * kernel).max(initial=0.0),
+    })
 
 
 def orthogonality_check(sys: CarSystem) -> CheckReport:
@@ -715,18 +719,16 @@ def orthogonality_check(sys: CarSystem) -> CheckReport:
                        shape=(2 * d * d, used.size))
     gram = (fam @ fam.conj().T).toarray()
 
-    report = CheckReport(name="orthogonality", tolerance=IDENTITY_TOL)
+    deviations = {}
     off = ~np.eye(d * d, dtype=bool)
     sq_norms = np.outer(1.0 - nu, nu).ravel()
     for side, (name, blocks, center) in enumerate(families):
         form = gram[side * d * d:(side + 1) * d * d, side * d * d:(side + 1) * d * d]
-        report.record(
-            f"centered-mean-{name}", np.abs(_block_states(blocks, r, d) - np.diag(center)).max()
-        )
-        report.record(f"pairwise-orthogonality-{name}", np.abs(form[off]).max(initial=0.0))
-        report.record(f"squared-norms-{name}", np.abs(np.diag(form) - sq_norms).max())
-    raise_if_failed(report)
-    return report
+        states = _block_states(blocks, r, d)
+        deviations[f"centered-mean-{name}"] = np.abs(states - np.diag(center)).max()
+        deviations[f"pairwise-orthogonality-{name}"] = np.abs(form[off]).max(initial=0.0)
+        deviations[f"squared-norms-{name}"] = np.abs(np.diag(form) - sq_norms).max()
+    return checked("orthogonality", IDENTITY_TOL, deviations)
 
 
 def fourth_moment_check(sys: CarSystem, y) -> CheckReport:

@@ -193,17 +193,6 @@ def _collect(fn, suite: str, rows: list) -> bool:
     try:
         rep = fn()
     except IdentityViolation as exc:
-        if exc.report is None:
-            rows.append(
-                {
-                    "suite": suite,
-                    "identity": "unknown",
-                    "deviation": float(exc.max_deviation or np.inf),
-                    "tolerance": 0.0,
-                    "pass": False,
-                }
-            )
-            return False
         rep = exc.report
     rows.extend(_report_rows(rep, suite))
     return rep.passed

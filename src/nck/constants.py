@@ -26,6 +26,7 @@ from .car import car_system
 from .exceptions import DTooLarge, IdentityViolation, InvalidParameter
 from .linalg import trace_norm
 from .norms import dual_norm
+from .reports import CheckReport
 from .spaces import build, family_name, family_row, gaussian_space, l1_s1_norm
 
 __all__ = [
@@ -108,10 +109,11 @@ def car_c1_witness() -> CarC1Witness:
     functional_norm = trace_norm(kernel)
     res = dual_norm(np.array([[[1.0 + 0.0j]]]), nu=[0.5])
     witness = CarC1Witness(functional_norm=functional_norm, dual_value=res.value)
-    if abs(witness.ratio - INV_SQRT2) > C1_WITNESS_TOL:
+    deviation = abs(witness.ratio - INV_SQRT2)
+    if deviation > C1_WITNESS_TOL:
         raise IdentityViolation(
             f"witness ratio {witness.ratio:.8f} differs from {INV_SQRT2:.8f}",
-            max_deviation=abs(witness.ratio - INV_SQRT2),
+            CheckReport("car-c1-witness", C1_WITNESS_TOL, {"ratio": deviation}),
         )
     return witness
 
@@ -227,7 +229,7 @@ def random_search_ratio(
             raise IdentityViolation(
                 f"{space.kind}: ratio {ratio:.8f} outside [{c1:.6f}, {c2:.6f}] "
                 f"(slack {slack:.2e}) at trial {trial}",
-                max_deviation=max(c1 - ratio, ratio - c2),
+                CheckReport("sandwich", slack, {f"trial-{trial}": max(c1 - ratio, ratio - c2)}),
             )
         ratios.append(ratio)
         lo = min(lo, ratio)

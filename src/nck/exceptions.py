@@ -54,12 +54,23 @@ class NotOrthonormal(NckError, ValueError):
 
 
 class IdentityViolation(NckError, AssertionError):
-    """An exact identity check exceeded its tolerance."""
+    """An exact identity check exceeded its tolerance.
 
-    def __init__(self, message, max_deviation=None, report=None):
+    ``report`` is always set: the :class:`nck.reports.CheckReport` of the
+    check, whose worst deviation is over its tolerance.
+    """
+
+    def __init__(self, message, report):
         super().__init__(message)
-        self.max_deviation = max_deviation
         self.report = report
+
+    def __reduce__(self):
+        # pickled with its report, e.g. to leave a worker process
+        return type(self), (str(self), self.report)
+
+    @property
+    def max_deviation(self) -> float:
+        return self.report.max_deviation
 
 
 class StalledIteration(NckError, RuntimeError):

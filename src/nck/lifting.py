@@ -47,9 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .car import CarElement, CarSystem, embed_tuple, extract_coefficients
-from .exceptions import DimensionMismatch, IdentityViolation, NonPositiveC, StalledIteration
+from .exceptions import DimensionMismatch, NonPositiveC, StalledIteration
 from .linalg import truncate_offdiag
 from .norms import as_matrix_tuple, triple_norm, weighted_triple_norm
+from .reports import checked
 from .spaces import (
     DiscreteProbabilitySpace,
     RandomElement,
@@ -200,17 +201,6 @@ def lift(x, setting) -> LiftReport:
     history = [target]
     accum = zero(xa.shape[1])
 
-    if target == 0.0:
-        return LiftReport(
-            lifted=finish(accum)[0],
-            residual_history=np.array(history),
-            achieved_norm=0.0,
-            target_norm=0.0,
-            iterations=0,
-            converged=True,
-            clip_level=clip_level,
-        )
-
     w = xa.copy()
     norm_w = target
     iterations = 0
@@ -254,19 +244,13 @@ def quotient_norm_bracket(x, setting):
     The primal norm of ``x`` is a lower bound (no representative beats it);
     the lifted element's norm is an upper bound.  Returns
     ``(lower, upper)`` and checks ``lower <= upper <= K * lower`` up to
-    ``10 * TOL`` relative.
+    ``10 * TOL`` relative and ``1e-12`` absolute.
     """
     report = lift(x, setting)
     lower = report.target_norm
     upper = report.achieved_norm
-    k = report.bound
-    slack = 1.0 + 10.0 * TOL
-    if upper > k * lower * slack + 1e-12:
-        raise IdentityViolation(
-            f"lift norm {upper:.6e} exceeds {k:.6f} x lower bound {lower:.6e}"
-        )
-    if upper < lower * (1.0 - 10.0 * TOL) - 1e-12:
-        raise IdentityViolation(
-            f"lift norm {upper:.6e} fell below the lower bound {lower:.6e}"
-        )
+    checked("quotient-norm-bracket", 1e-12, {
+        "above-upper-bound": max(0.0, upper - report.bound * lower * (1.0 + 10.0 * TOL)),
+        "below-lower-bound": max(0.0, lower * (1.0 - 10.0 * TOL) - upper),
+    })
     return lower, upper

@@ -49,7 +49,6 @@ import numpy as np
 from .exceptions import (
     DegenerateWeight,
     DimensionMismatch,
-    InvalidParameter,
     NonFinite,
     ZeroWitness,
 )
@@ -64,10 +63,10 @@ __all__ = [
     "pairing_certificate",
 ]
 
-#: solver defaults: fixed unit step on the normalized problem, generous
-#: iteration budget for desk-scale problems (a small fraction of random
-#: instances needs several thousand iterations to certify the gap), stop on
-#: certified gap or on a stationary iterate.
+#: solver settings, read at each call: fixed unit step on the normalized
+#: problem, generous iteration budget for desk-scale problems (a small
+#: fraction of random instances needs several thousand iterations to certify
+#: the gap), stop on certified gap or on a stationary iterate.
 MAX_ITER = 20_000
 GAP_TOL = 1e-6
 CHANGE_TOL = 1e-10
@@ -279,13 +278,7 @@ class DualNormResult:
     certificate: np.ndarray | None = None
 
 
-def dual_norm(
-    x,
-    nu=None,
-    *,
-    max_iter: int = MAX_ITER,
-    gap_tol: float = GAP_TOL,
-) -> DualNormResult:
+def dual_norm(x, nu=None) -> DualNormResult:
     """Infimal-convolution dual norm with achieving decomposition.
 
     Unweighted mode minimizes the sum of the column-stack nuclear norm of
@@ -311,8 +304,6 @@ def dual_norm(
     """
     xa = as_matrix_tuple(x)
     d, n, _ = xa.shape
-    if max_iter < 1:
-        raise InvalidParameter(f"need max_iter >= 1, got {max_iter}")
     if nu is not None:
         w = as_weights(nu, d)
         if w.min() <= 0.0 or w.max() >= 1.0:
@@ -380,7 +371,7 @@ def dual_norm(
     extrapolated = False
     best_primal = None   # (value, f)
     best_cert = (0.0, None)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         s1, g, ds = _dr_step(s, step, project)
         t = s + ds
         tr, dr = t.view(float).ravel(), ds.view(float).ravel()
@@ -415,14 +406,14 @@ def dual_norm(
                 s = t
         change = float(np.abs(ds).max())
         stalled = change <= CHANGE_TOL * (1.0 + scale)
-        if it % CERT_EVERY and not stalled and it < max_iter:
+        if it % CERT_EVERY and not stalled and it < MAX_ITER:
             continue
         f, primal, cert, cert_tuple = evaluate(s1, g)
         if best_primal is None or primal < best_primal[0]:
             best_primal = (primal, f)
         if cert > best_cert[0]:
             best_cert = (cert, cert_tuple)
-        if best_primal[0] - best_cert[0] <= gap_tol or stalled:
+        if best_primal[0] - best_cert[0] <= GAP_TOL or stalled:
             break
 
     primal, f = best_primal

@@ -1,15 +1,17 @@
-"""Shared result container and deviation measures for identity checks."""
+"""Shared result container, deviation measures and verdict of identity checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import IdentityViolation
 
+__all__ = ["CheckReport", "checked", "rel_dev", "psd_violation", "moment_report"]
 
-@dataclass
+
+@dataclass(frozen=True)
 class CheckReport:
     """Deviations of a family of exact identities from their closed forms.
 
@@ -18,15 +20,8 @@ class CheckReport:
     """
 
     name: str
-    deviations: dict = field(default_factory=dict)
-    tolerance: float = 0.0
-
-    def record(self, tag: str, value: float):
-        value = float(value)
-        if tag in self.deviations:
-            self.deviations[tag] = max(self.deviations[tag], value)
-        else:
-            self.deviations[tag] = value
+    tolerance: float
+    deviations: dict
 
     @property
     def max_deviation(self) -> float:
@@ -36,11 +31,22 @@ class CheckReport:
     def passed(self) -> bool:
         return self.max_deviation <= self.tolerance
 
-    def worst(self) -> tuple:
-        if not self.deviations:
-            return ("", 0.0)
-        tag = max(self.deviations, key=self.deviations.get)
-        return (tag, self.deviations[tag])
+
+def checked(name: str, tolerance: float, deviations: dict) -> CheckReport:
+    """The report of ``deviations`` against ``tolerance``, once it passed.
+
+    Raises :class:`IdentityViolation` carrying the report, and naming its
+    worst identity, unless every deviation is within ``tolerance``.
+    """
+    report = CheckReport(name, tolerance, {tag: float(dev) for tag, dev in deviations.items()})
+    if not report.passed:
+        tag = max(report.deviations, key=report.deviations.get)
+        raise IdentityViolation(
+            f"{name}: identity {tag!r} deviates by {report.deviations[tag]:.3e} "
+            f"(tol {tolerance:.1e})",
+            report,
+        )
+    return report
 
 
 def rel_dev(actual: np.ndarray, expected: np.ndarray) -> float:
@@ -58,18 +64,6 @@ def psd_violation(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return max(0.0, -lam_min) / scale
 
 
-def raise_if_failed(report: CheckReport):
-    """Raise :class:`IdentityViolation` carrying ``report`` unless it passed."""
-    if not report.passed:
-        tag, dev = report.worst()
-        raise IdentityViolation(
-            f"{report.name}: identity {tag!r} deviates by {dev:.3e} "
-            f"(tol {report.tolerance:.1e})",
-            max_deviation=dev,
-            report=report,
-        )
-
-
 def moment_report(name: str, tol: float, measured, closed, factor: float) -> CheckReport:
     """Compare directly evaluated moments with their closed forms.
 
@@ -81,12 +75,11 @@ def moment_report(name: str, tol: float, measured, closed, factor: float) -> Che
     """
     m2_col, m2_row, m4_col, m4_row = measured
     col2, row2, col4, row4 = closed
-    report = CheckReport(name=name, tolerance=tol)
-    report.record("second-moment-column", rel_dev(m2_col, col2))
-    report.record("second-moment-row", rel_dev(m2_row, row2))
-    report.record("fourth-moment-column", rel_dev(m4_col, col4))
-    report.record("fourth-moment-row", rel_dev(m4_row, row4))
-    report.record("fourth-psd-column", psd_violation(m4_col, factor * m2_col))
-    report.record("fourth-psd-row", psd_violation(m4_row, factor * m2_row))
-    raise_if_failed(report)
-    return report
+    return checked(name, tol, {
+        "second-moment-column": rel_dev(m2_col, col2),
+        "second-moment-row": rel_dev(m2_row, row2),
+        "fourth-moment-column": rel_dev(m4_col, col4),
+        "fourth-moment-row": rel_dev(m4_row, row4),
+        "fourth-psd-column": psd_violation(m4_col, factor * m2_col),
+        "fourth-psd-row": psd_violation(m4_row, factor * m2_row),
+    })

@@ -12,7 +12,7 @@ import inspect
 
 import nck
 
-MODULES = ("car", "constants", "lifting", "linalg", "norms", "spaces", "tupleio")
+MODULES = ("car", "constants", "lifting", "linalg", "norms", "reports", "spaces", "tupleio")
 
 ALLOWED = {
     # math and data inputs: absent weights mean the unweighted setting
@@ -21,9 +21,6 @@ ALLOWED = {
     ("pairing_certificate", "nu"),
     ("save_tuple_file", "nu"),
     ("save_tuple_file", "metadata"),
-    # the solver's budget: max_iter=1 is how the non-converged path is reached
-    ("dual_norm", "max_iter"),
-    ("dual_norm", "gap_tol"),
     # sample counts and seeds, which the CLI sets
     ("gaussian_space", "seed"),
     ("build", "samples"),
@@ -38,8 +35,6 @@ ALLOWED = {
     ("ConstantReport", "ratios"),
     ("DiscreteProbabilitySpace", "seed"),
     ("DualNormResult", "certificate"),
-    ("IdentityViolation", "max_deviation"),
-    ("IdentityViolation", "report"),
     ("StalledIteration", "step"),
 }
 

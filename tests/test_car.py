@@ -309,6 +309,17 @@ class TestFunctionalKernels:
         assert np.abs(kernels - expected).max() <= 1e-15
         assert np.abs(kernels - clean_kernels).max() > 1e-5
 
+    def test_cached_arrays_are_read_only(self):
+        sys = random_system(3)
+        cached = [a for k in sys.functional_kernels for a in (k.data, k.indices, k.indptr)]
+        cached += [*sys._entries, *(a for family in sys._pair_products for a in family)]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = 0
+        for i in range(3):
+            for j, gj in enumerate(sys.generators):
+                assert coefficient_functional(sys, i, gj) == pytest.approx(float(i == j), abs=1e-13)
+
 
 class TestEmbedTuple:
     @pytest.mark.parametrize("d,n", [(1, 1), (3, 2), (6, 1), (6, 3), (7, 2), (8, 1)])
@@ -359,15 +370,20 @@ class TestEmbedTuple:
         gens[0] = gens[0] + 1e-4 * np.eye(clean.dim)
         corrupted = CarSystem(nu=clean.nu, generators=tuple(gens))
         mass = f"{1e-4 * clean.dim:.3e}"
-        with pytest.raises(IdentityViolation, match=f"generator 0 has weight {mass} off"):
+        with pytest.raises(IdentityViolation, match=f"generator 0 has weight {mass} off") as exc:
             embed_tuple(corrupted, random_tuple(d, 2))
+        report = exc.value.report
+        assert report.name == "jordan-wigner-support" and not report.passed
+        assert report.deviations == {"off-support-generator-0": pytest.approx(1e-4 * clean.dim)}
         with pytest.raises(IdentityViolation, match="generator 0"):
             extract_coefficients(corrupted, np.eye(clean.dim))
 
     def test_generators_of_the_wrong_side_are_an_identity_violation(self):
         gens = tuple(random_tuple(3, 4))
-        with pytest.raises(IdentityViolation, match="Jordan-Wigner space"):
+        with pytest.raises(IdentityViolation, match="Jordan-Wigner space") as exc:
             embed_tuple(CarSystem(nu=np.full(3, 0.5), generators=gens), random_tuple(3, 1))
+        assert exc.value.report.deviations == {"side": 4.0}
+        assert exc.value.max_deviation == 4.0
 
     @pytest.mark.parametrize("d,n", [(1, 2), (4, 1), (5, 2), (7, 1)])
     def test_norm_is_the_largest_block_norm(self, d, n):
@@ -375,6 +391,20 @@ class TestEmbedTuple:
         big = embed_tuple(sys, random_tuple(d, n))
         dense = np.linalg.norm(big.toarray(), 2)
         assert abs(big.op_norm() - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("d,n", [(12, 1), (10, 2)])
+    def test_norm_survives_a_mode_rotation(self, d, n, monkeypatch):
+        # b_j = sum_i Q_ij a_i satisfy the CAR, so with y = Q R over the
+        # d x n^2 coefficient matrix, sum_i y_i (x) a_i = sum_j R_j (x) b_j
+        # is the r-mode element of R, r = min(d, n^2), tensored with an
+        # identity: the sector layout at d is checked against the one at r
+        monkeypatch.setenv("NCK_MAX_DIM", "12")
+        y = random_tuple(d, n)
+        _, r = np.linalg.qr(y.reshape(d, n * n))
+        modes = r.reshape(-1, n, n)
+        full = embed_tuple(random_system(d), y).op_norm()
+        reduced = embed_tuple(random_system(len(modes)), modes).op_norm()
+        assert abs(full - reduced) <= 1e-13 * reduced
 
 
 class TestExtractCoefficients:

@@ -13,7 +13,8 @@ from nck.constants import (
     gaussian_c1_bound_sequence,
     random_search_ratio,
 )
-from nck.exceptions import DTooLarge, InvalidParameter
+from nck import constants
+from nck.exceptions import DTooLarge, IdentityViolation, InvalidParameter
 from nck.spaces import FAMILIES, gamma_ratio
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -76,6 +77,14 @@ class TestCarC1Witness:
         assert w.functional_norm == pytest.approx(1.0, abs=1e-12)
         assert w.dual_value == pytest.approx(np.sqrt(2.0), abs=1e-8)
         assert abs(w.ratio - INV_SQRT2) <= 1e-6
+
+    def test_a_missed_ratio_is_an_identity_violation(self, monkeypatch):
+        monkeypatch.setattr(constants, "C1_WITNESS_TOL", -1.0)
+        with pytest.raises(IdentityViolation, match="witness ratio") as exc:
+            car_c1_witness()
+        report = exc.value.report
+        assert report.name == "car-c1-witness" and report.tolerance == -1.0
+        assert report.deviations["ratio"] <= 1e-6 and not report.passed
 
 
 class TestCarC2Sequence:
@@ -159,6 +168,14 @@ class TestRandomSearch:
         assert report(c1 - SEARCH_TOL, 1.0 + SEARCH_TOL).passed
         assert not report(c1 - 2 * SEARCH_TOL, 1.0).passed
         assert not report(c1, 1.0 + 2 * SEARCH_TOL).passed
+
+    def test_a_ratio_outside_the_sandwich_is_an_identity_violation(self, monkeypatch):
+        monkeypatch.setattr(constants, "SEARCH_TOL", -1.0)
+        with pytest.raises(IdentityViolation, match="outside") as exc:
+            random_search_ratio("rademacher", n=1, d=1, trials=1)
+        report = exc.value.report
+        assert report.name == "sandwich" and report.tolerance == -1.0
+        assert list(report.deviations) == ["trial-0"] and not report.passed
 
     def test_car_has_no_search_space(self):
         with pytest.raises(InvalidParameter):

@@ -333,9 +333,15 @@ class TestCorrectorCar:
 
 
 class TestLift:
-    def test_zero_tuple(self):
-        rep = lift(np.zeros((2, 2, 2)), rademacher_space(2))
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_zero_tuple(self, family):
+        # a zero target is converged before the first step, in every setting
+        rep = lift(np.zeros((2, 2, 2)), family_setting(family))
         assert rep.iterations == 0 and rep.ratio == 0.0 and rep.converged
+        assert rep.achieved_norm == 0.0 and rep.target_norm == 0.0
+        assert np.array_equal(rep.residual_history, [0.0])
+        lifted = rep.lifted if family == "car" else rep.lifted.blocks
+        assert not np.any(lifted)
 
     def test_rademacher_bound_and_decay(self):
         for _ in range(5):
@@ -517,3 +523,16 @@ class TestQuotientNormBracket:
             lower, upper = quotient_norm_bracket(random_tuple(d, n), sys)
             assert lower <= upper * (1.0 + 1e-9)
             assert upper <= SQRT2 * lower * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize(
+        "achieved,tag", [(2.0, "above-upper-bound"), (0.5, "below-lower-bound")]
+    )
+    def test_a_broken_bracket_is_an_identity_violation(self, achieved, tag, monkeypatch):
+        rep = lift(np.ones((1, 1, 1)), rademacher_space(1))
+        monkeypatch.setattr(lifting, "lift", lambda x, setting: lifting.LiftReport(
+            rep.lifted, rep.residual_history, achieved, 1.0, rep.iterations, True, 0.5))
+        with pytest.raises(IdentityViolation, match=tag) as exc:
+            quotient_norm_bracket(np.ones((1, 1, 1)), rademacher_space(1))
+        report = exc.value.report
+        assert report.name == "quotient-norm-bracket" and not report.passed
+        assert max(report.deviations, key=report.deviations.get) == tag
