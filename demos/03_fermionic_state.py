@@ -1,7 +1,7 @@
 """The fermionic side: anticommuting generators and a weighted product state.
 
 The d generators are explicit 2^d x 2^d matrices, the Jordan-Wigner tensor
-products of 2 x 2 blocks, stored as sparse CSR matrices: each is a signed
+products of 2 x 2 blocks, read as sparse CSR matrices: each is a signed
 partial permutation with 2^(d-1) entries of +-1.  The anticommutation
 relations hold with zero floating-point error because every entry is 0 or
 +-1.  A weight vector nu in [0,1]^d fixes the product

@@ -7,18 +7,22 @@ Generators are realized concretely inside ``(2 x 2)^(tensor d)``:
 
 with ``e = [[0, 1], [0, 0]]`` and ``u = diag(1, -1)``.  Each ``a_i`` is a
 signed partial permutation with ``2**(d-1)`` entries of +-1, and that is
-how it is kept: a ``scipy.sparse`` CSR matrix, built by bit arithmetic
-(:func:`jordan_wigner`).  A hand-built :class:`CarSystem` is converted to
-CSR too.  ``import nck`` needs only numpy: scipy is loaded by the first
-function here that builds or reads a sparse matrix (the generators, the
-functional kernels and the identity checks), so the probability-space
-lifts, the norms and the dual solver never load it.  The generators
-satisfy the anticommutation relations ``a_i a_j* + a_j* a_i = delta_ij I``
-and ``a_i a_j + a_j a_i = 0`` exactly in floating point.  The identity
-checks take every pairwise product ``a_i a_j*``, ``a_i* a_j`` and
-``a_i a_j`` from one sparse product of the stacked generators and their
-adjoints with its own adjoint, so they cost ``O(d^2 2^d)`` rather than
-``O(d^2 8^d)``, and ``d = 12`` fits in memory.
+how it is kept: a :class:`CarSystem` holds its generators as one set of
+read-only entry arrays ``(i, u, v, value)``, one row per entry
+``a_i[u, v]``, built by bit arithmetic.  A hand-built system's generators,
+dense or ``scipy.sparse``, are copied into the same form.  Only numpy is
+needed to build a system, embed a tuple, read coefficients off an
+element, run the fermionic lift and the state-weight and fourth-moment
+checks.  scipy is loaded by the code that does sparse algebra: the CSR
+generators (:attr:`CarSystem.generators`, :func:`jordan_wigner`), the
+functional kernels, the pairwise products behind the anticommutation,
+second-moment and orthogonality checks, and :func:`generator_monomial`.
+The generators satisfy the anticommutation relations
+``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
+in floating point.  The identity checks take every pairwise product
+``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j`` from one sparse product of the
+stacked generators and their adjoints with its own adjoint, so they cost
+``O(d^2 2^d)`` rather than ``O(d^2 8^d)``, and ``d = 12`` fits in memory.
 
 The reference state for weights ``nu`` is ``b -> Tr(rho b)`` with the
 product density ``rho = (x)_i diag(1 - nu_i, nu_i)``, kept as its diagonal;
@@ -46,14 +50,15 @@ smaller side as columns, ready for one batched clip.  The dense
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys as _sys  # ``sys`` names a CarSystem throughout this module
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 # ``scipy.sparse`` is imported inside the functions that build or read a
 # sparse matrix, never at module level: it is most of a fresh process's
-# import time, and only the fermionic setting needs it.
+# import time, and only the sparse algebra needs it.
 from . import caps
 from .exceptions import (
     DimensionMismatch,
@@ -170,32 +175,56 @@ def _jw_support(d: int):
 
 
 @lru_cache(maxsize=8)
-def _jordan_wigner_cached(d: int):
-    import scipy.sparse as sp
+def _jw_entries(d: int) -> tuple:
+    """``(i, u, v, value)`` of every entry of the Jordan-Wigner generators (cached, read-only).
 
+    The entries of ``a_i`` are :func:`_jw_support`'s, in its order, which
+    sorts them by row and column; each value is the sign
+    ``(-1)^(occupied modes j < i)``.
+    """
     rows, cols = _jw_support(d)
     # the modes j < i are the bits above bit d - 1 - i
     parity = np.bitwise_count(cols >> (d - np.arange(d))[:, None]) & 1
-    gens = []
-    for r, c, odd in zip(rows, cols, parity):
-        g = sp.csr_array(((1.0 - 2.0 * odd).astype(complex), (r, c)), shape=(1 << d, 1 << d))
-        _read_only(g.data, g.indices, g.indptr)
-        gens.append(g)
-    return tuple(gens)
+    entries = (np.repeat(np.arange(d), cols.shape[1]), rows.ravel(), cols.ravel(),
+               (1.0 - 2.0 * parity.ravel()).astype(complex))
+    _read_only(*entries)
+    return entries
 
 
-def jordan_wigner(d: int):
-    """The ``d`` fermionic generators as ``2**d`` square CSR matrices (cached, read-only).
+def _csr(d: int, side: int, entries) -> tuple:
+    """The ``d`` complex CSR matrices with entries ``(i, u, v, value)`` (read-only arrays)."""
+    import scipy.sparse as sp
 
-    Built from the support :func:`_jw_support` gives, with the sign
-    ``(-1)^(occupied modes j < i)``; no dense matrix is formed.
-    """
+    i, u, v, val = entries
+    out = []
+    for k in range(d):
+        m = sp.csr_array((val[i == k], (u[i == k], v[i == k])), shape=(side, side))
+        _read_only(m.data, m.indices, m.indptr)
+        out.append(m)
+    return tuple(out)
+
+
+def _check_modes(d: int) -> int:
     if d < 1:
         raise InvalidParameter(f"need d >= 1, got {d}")
     cap = caps.car_dim_cap()
     if d > cap:
         raise DTooLarge(f"fermionic dimension {d} outside [1, {cap}]")
-    return _jordan_wigner_cached(d)
+    return d
+
+
+@lru_cache(maxsize=8)
+def _jordan_wigner_cached(d: int):
+    return _csr(d, 1 << d, _jw_entries(d))
+
+
+def jordan_wigner(d: int):
+    """The ``d`` fermionic generators as ``2**d`` square CSR matrices (cached, read-only).
+
+    Built from the entries :func:`_jw_entries` gives; no dense matrix is
+    formed.
+    """
+    return _jordan_wigner_cached(_check_modes(d))
 
 
 @dataclass(frozen=True)
@@ -335,50 +364,84 @@ class CarElement:
         return out.reshape(side, side)
 
 
-def _as_csr(generators) -> tuple:
-    """Each generator as a complex CSR matrix without repeated entries; a copy unless it is one."""
-    import scipy.sparse as sp
-
-    out = []
-    for g in generators:
-        if not (isinstance(g, sp.csr_array) and g.dtype == complex and g.has_canonical_format):
-            g = sp.csr_array(g, dtype=complex, copy=True)
-            g.sum_duplicates()
-        out.append(g)
-    return tuple(out)
+def _is_sparse(a) -> bool:
+    # no sparse matrix exists before scipy.sparse is loaded, so this never loads it
+    sp = _sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(a)
 
 
-@dataclass(frozen=True)
+def _canonical_entries(generators) -> tuple:
+    """``(d, side, entries)`` of hand-built generators, dense or ``scipy.sparse``.
+
+    ``entries`` is ``(i, u, v, value)`` for every nonzero ``a_i[u, v]``,
+    sorted by generator, row and column, with repeated entries summed.  The
+    arrays are new and read-only, so the caller's matrices stay theirs.
+    """
+    mats = [g.tocoo() if _is_sparse(g) else np.asarray(g, dtype=complex) for g in generators]
+    shapes = [m.shape for m in mats]
+    side = shapes[0][0] if shapes and shapes[0] else 0
+    if side == 0 or any(shape != (side, side) for shape in shapes):
+        raise DimensionMismatch(f"generators must be square of one side, got shapes {shapes}")
+    keys, vals = [], []
+    for k, m in enumerate(mats):
+        if isinstance(m, np.ndarray):
+            u, v = np.nonzero(m)
+            val = m[u, v]
+        else:
+            u, v, val = m.row, m.col, m.data
+        keys.append((k * side + u.astype(np.intp)) * side + v)
+        vals.append(val.astype(complex))
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], np.concatenate(vals)[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, val = key[first], np.add.reduceat(val, first)
+    keep = val != 0
+    i, uv = np.divmod(key[keep], side * side)
+    entries = (i, *np.divmod(uv, side), val[keep])
+    _read_only(*entries)
+    return len(mats), side, entries
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class CarSystem:
     """Generators plus the weights of the product state.
 
-    The generators are stored as complex CSR matrices, whatever form they
-    are given in; they must be square matrices of one side, one per weight.
+    The generators must be square matrices of one side, one per weight,
+    dense or ``scipy.sparse``.  They are kept as read-only entry arrays
+    ``_entries = (i, u, v, value)``, one row per nonzero entry ``a_i[u, v]``,
+    sorted by generator, row and column; :attr:`generators` gives them as
+    complex CSR matrices.  ``nu`` must lie in ``[0, 1]``.  Weights and
+    entries are read-only copies: editing the caller's arrays afterwards
+    changes nothing here.
     """
 
     nu: np.ndarray
-    generators: tuple
+    dim: int
+    _entries: tuple = field(repr=False)
 
-    def __post_init__(self):
-        gens = _as_csr(self.generators)
-        side = gens[0].shape[0] if gens else 0
-        if side == 0 or any(g.shape != (side, side) for g in gens):
-            raise DimensionMismatch(
-                f"generators must be square of one side, got shapes {[g.shape for g in gens]}"
-            )
-        nu = np.asarray(self.nu, dtype=float)
-        if nu.shape != (len(gens),):
-            raise DimensionMismatch(f"{nu.size} weights for {len(gens)} generators")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, nu, generators):
+        d, side, entries = _canonical_entries(generators)
+        self._fill(as_weights(nu), d, side, entries)
+
+    def _fill(self, w: np.ndarray, d: int, side: int, entries) -> None:
+        """Set the fields from weights ``w`` that :func:`nck.norms.as_weights` validated."""
+        if w.shape != (d,):
+            raise DimensionMismatch(f"{w.size} weights for {d} generators")
+        w = w.copy()
+        w.setflags(write=False)
+        object.__setattr__(self, "nu", w)
+        object.__setattr__(self, "dim", side)
+        object.__setattr__(self, "_entries", entries)
 
     @property
     def d(self) -> int:
-        return len(self.generators)
+        return self.nu.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.generators[0].shape[0]
+    @cached_property
+    def generators(self) -> tuple:
+        """The generators as complex CSR matrices (built on first read; read-only arrays)."""
+        return _csr(self.d, self.dim, self._entries)
 
     @cached_property
     def density_diagonal(self) -> np.ndarray:
@@ -387,19 +450,6 @@ class CarSystem:
         r = np.where(bits == 1, self.nu, 1.0 - self.nu).prod(axis=1)
         r.setflags(write=False)
         return r
-
-    @cached_property
-    def _entries(self) -> tuple:
-        """``(i, u, v, value)`` for every stored entry ``a_i[u, v]`` of every generator."""
-        gens = self.generators
-        entries = (
-            np.repeat(np.arange(self.d), [g.nnz for g in gens]),
-            np.concatenate([np.repeat(np.arange(self.dim), np.diff(g.indptr)) for g in gens]),
-            np.concatenate([g.indices for g in gens]),
-            np.concatenate([g.data for g in gens]),
-        )
-        _read_only(*entries)
-        return entries
 
     @cached_property
     def support_values(self) -> np.ndarray:
@@ -442,18 +492,9 @@ class CarSystem:
         ``(v, u)`` scaled by ``r_u + r_v``, ``r = diag(rho)``; it has the
         sparsity of ``a_i*``.  Their arrays are read-only.
         """
-        import scipy.sparse as sp
-
         r = self.density_diagonal
         i, u, v, val = self._entries
-        kern = val.conj() * (r[u] + r[v])
-        kernels = tuple(
-            sp.csr_array((kern[i == k], (v[i == k], u[i == k])), shape=(self.dim, self.dim))
-            for k in range(self.d)
-        )
-        for k in kernels:
-            _read_only(k.data, k.indices, k.indptr)
-        return kernels
+        return _csr(self.d, self.dim, (i, v, u, val.conj() * (r[u] + r[v])))
 
     @cached_property
     def _pair_products(self) -> tuple:
@@ -485,15 +526,16 @@ class CarSystem:
 
 
 def car_system(nu) -> CarSystem:
-    """Build the system for a weight vector ``nu`` in ``[0, 1]^d``."""
+    """The system of the Jordan-Wigner generators for weights ``nu`` in ``[0, 1]^d``."""
     w = as_weights(nu)
-    return CarSystem(nu=w, generators=jordan_wigner(w.shape[0]))
+    d = _check_modes(w.shape[0])
+    sys = CarSystem.__new__(CarSystem)
+    sys._fill(w, d, 1 << d, _jw_entries(d))
+    return sys
 
 
 def _check_size(sys: CarSystem, b) -> np.ndarray:
-    import scipy.sparse as sp
-
-    a = np.asarray(b.toarray() if sp.issparse(b) else b, dtype=complex)
+    a = np.asarray(b.toarray() if _is_sparse(b) else b, dtype=complex)
     if a.shape != (sys.dim, sys.dim):
         raise SizeMismatch(f"expected {sys.dim} x {sys.dim}, got {a.shape}")
     return a

@@ -140,7 +140,7 @@ def car_c2_sequence(d: int):
     matrix_value = None
     if d <= caps.car_dim_cap():
         sys = car_system(np.full(d, 0.5))
-        number = sum((g @ g.conj().T).diagonal().real for g in sys.generators)
+        number = np.bincount(sys._entries[1], np.abs(sys._entries[3]) ** 2, minlength=sys.dim)
         matrix_value = math.sqrt(2.0 / d) * float(np.sqrt(number).sum()) / sys.dim
     return matrix_value, binomial
 

@@ -26,6 +26,7 @@ from nck.car import (
     subspace_to_weights,
 )
 from nck.exceptions import (
+    DegenerateWeight,
     DimensionMismatch,
     DTooLarge,
     IdentityViolation,
@@ -149,6 +150,57 @@ class TestCarSystem:
         sys = CarSystem(nu=np.array([0.3, 0.6]), generators=(gens[0], sparse.coo_array(gens[1])))
         assert all(g.format == "csr" and g.dtype == complex for g in sys.generators)
         assert np.array_equal(sys.generators[1].toarray(), gens[1])
+
+    def test_repeated_sparse_entries_add_up(self):
+        a1, a2 = (g.toarray() for g in jordan_wigner(2))
+        half = sparse.coo_array(a1 / 2)
+        # the same entries twice, so each is stored as two halves
+        doubled = sparse.coo_array((np.concatenate([half.data, half.data]),
+                                    (np.concatenate([half.row, half.row]),
+                                     np.concatenate([half.col, half.col]))), shape=a1.shape)
+        sys = CarSystem(nu=[0.3, 0.6], generators=(doubled, a2))
+        assert np.array_equal(sys.generators[0].toarray(), a1)
+        assert anticommutation_check(sys).passed
+
+    @pytest.mark.parametrize("form", ["csr", "dense"])
+    def test_callers_generators_are_copied(self, form):
+        gens = [g.toarray() for g in jordan_wigner(2)]
+        if form == "csr":
+            # complex canonical CSR, the form the generators are read back in
+            gens = [sparse.csr_array(g) for g in gens]
+        sys = CarSystem(nu=[0.3, 0.6], generators=gens)
+        sys.functional_kernels
+        for g in gens:
+            if form == "csr":
+                g.data[:] *= 2
+            else:
+                g[:] *= 2
+        assert np.array_equal(sys.generators[0].toarray(), jordan_wigner(2)[0].toarray())
+        for i in range(2):
+            for j, gj in enumerate(jordan_wigner(2)):
+                assert coefficient_functional(sys, i, gj) == pytest.approx(float(i == j), abs=1e-13)
+                assert coefficient_functional(sys, i, sys.generators[j]) == pytest.approx(
+                    float(i == j), abs=1e-13)
+        assert anticommutation_check(sys).passed
+
+    @pytest.mark.parametrize("build", [car_system, lambda nu: CarSystem(nu, jordan_wigner(2))],
+                             ids=["car_system", "hand-built"])
+    def test_callers_weights_are_copied(self, build):
+        nu = np.array([0.3, 0.6])
+        sys = build(nu)
+        sys.density_diagonal
+        nu[0] = 0.9
+        assert sys.nu is not nu
+        assert np.array_equal(sys.nu, [0.3, 0.6])
+        with pytest.raises(ValueError, match="read-only"):
+            sys.nu[0] = 0.9
+        assert second_moment_check(sys).passed
+
+    @pytest.mark.parametrize("nu", [[1.5, 0.5], [-0.2, 0.5], [np.nan, 0.5], [np.inf, 0.5]],
+                             ids=["above-one", "negative", "nan", "inf"])
+    def test_hand_built_weights_outside_the_unit_interval_rejected(self, nu):
+        with pytest.raises(DegenerateWeight, match=r"\[0, 1\]"):
+            CarSystem(nu=nu, generators=jordan_wigner(2))
 
     def test_weights_must_match_the_generators(self):
         with pytest.raises(DimensionMismatch, match="3 weights for 2 generators"):

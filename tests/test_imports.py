@@ -1,9 +1,14 @@
-"""scipy stays off the import path of everything but the fermionic setting.
+"""scipy stays off every path but the fermionic sparse algebra.
 
-``import nck`` needs only numpy.  ``scipy.sparse`` is loaded by the first
-function of :mod:`nck.car` that builds or reads a sparse matrix, and
-``scipy.special`` by nothing.  The check runs in a fresh interpreter, since
-the test process itself has loaded scipy long before.
+``import nck`` needs only numpy, and so do the probability-space lifts, the
+norms, the dual solver and the fermionic lift: building a system, embedding
+a tuple, reading coefficients back, the state-weight and fourth-moment
+checks and the ``car-c2`` table.  ``scipy.sparse`` is loaded by the first
+function of :mod:`nck.car` that builds or reads a sparse matrix (the CSR
+generators, the functional kernels and the pairwise products behind the
+other identity checks), and ``scipy.special`` by nothing.  The check runs
+in a fresh interpreter, since the test process itself has loaded scipy long
+before.
 """
 
 import os
@@ -42,6 +47,17 @@ nck.save_tuple_file(path, x, nu=nu)
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["norm", "--file", path]) == 0
     assert main(["lift", "--file", path, "--family", "lacunary"]) == 0
+    assert main(["lift", "--file", path, "--family", "car"]) == 0
+
+system = nck.car_system(nu)
+element = nck.embed_tuple(system, x)
+assert np.allclose(nck.extract_coefficients(system, element), x)
+rep = nck.lift(x, nck.car_system(nu))
+assert rep.converged
+nck.extract_coefficients(system, rep.lifted)
+assert nck.fourth_moment_check(system, x).passed
+assert nck.state_weight_check(system).passed
+assert nck.car_c2_sequence(4)[0] is not None
 
 for name in ("scipy.sparse", "scipy.special"):
     assert name not in sys.modules, f"{name} was loaded"
