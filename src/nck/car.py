@@ -12,17 +12,17 @@ read-only entry arrays ``(i, u, v, value)``, one row per entry
 ``a_i[u, v]``, built by bit arithmetic.  A hand-built system's generators,
 dense or ``scipy.sparse``, are copied into the same form.  Only numpy is
 needed to build a system, embed a tuple, read coefficients off an
-element, run the fermionic lift and the state-weight and fourth-moment
-checks.  scipy is loaded by the code that does sparse algebra: the CSR
-generators (:attr:`CarSystem.generators`, :func:`jordan_wigner`), the
-functional kernels, the pairwise products behind the anticommutation,
-second-moment and orthogonality checks, and :func:`generator_monomial`.
+element, evaluate the state and the coefficient functionals, run the
+fermionic lift and every identity check.  scipy is loaded only to hand a
+caller a CSR matrix: :attr:`CarSystem.generators`, :func:`jordan_wigner`,
+:attr:`CarSystem.functional_kernels` and :func:`generator_monomial`.
 The generators satisfy the anticommutation relations
 ``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
 in floating point.  The identity checks take every pairwise product
-``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j`` from one sparse product of the
-stacked generators and their adjoints with its own adjoint, so they cost
-``O(d^2 2^d)`` rather than ``O(d^2 8^d)``, and ``d = 12`` fits in memory.
+``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j`` from the Gram of the stacked
+generators and their adjoints, formed by joining the entries that share a
+column, so they cost ``O(d^2 2^d)`` rather than ``O(d^2 8^d)``, and
+``d = 12`` fits in memory.
 
 The reference state for weights ``nu`` is ``b -> Tr(rho b)`` with the
 product density ``rho = (x)_i diag(1 - nu_i, nu_i)``, kept as its diagonal;
@@ -56,9 +56,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# ``scipy.sparse`` is imported inside the functions that build or read a
-# sparse matrix, never at module level: it is most of a fresh process's
-# import time, and only the sparse algebra needs it.
+# ``scipy.sparse`` is imported only inside the functions that return a CSR
+# matrix, never at module level: it is most of a fresh process's import
+# time, and no computation here needs it.
 from . import caps
 from .exceptions import (
     DimensionMismatch,
@@ -370,6 +370,41 @@ def _is_sparse(a) -> bool:
     return sp is not None and sp.issparse(a)
 
 
+def _summed(key: np.ndarray, val: np.ndarray) -> tuple:
+    """The distinct keys, ascending, and the sum of ``val`` over each.
+
+    The sort is stable, so equal keys add up in the order given, and keys
+    that arrive sorted cost one pass.  ``key`` must be nonnegative.
+    """
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[first], np.add.reduceat(val, first)
+
+
+def _gram_entries(row: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple:
+    """Entries ``(r1, r2, value)`` of ``M M*``, for ``M`` with entries ``(row, col, val)``.
+
+    ``(M M*)[r1, r2] = sum_c M[r1, c] conj(M[r2, c])``, so every pair of
+    entries ``(e1, e2)`` in one column gives ``(row[e1], row[e2],
+    val[e1] conj(val[e2]))``: the entries are sorted by column, and each
+    ``e1`` is repeated once per entry of its column.  A key ``(r1, r2)``
+    repeats once per column that rows ``r1`` and ``r2`` share; the caller
+    sums the repeats.  The pairs come in the order of ``e1``, each ``e1``'s
+    partners in the order given, so entries given by row yield keys sorted
+    by ``r1`` and, where each row has one entry, by ``(r1, r2)``.
+    """
+    by_col = np.argsort(col, kind="stable")
+    first = np.flatnonzero(np.diff(col[by_col], prepend=-1))
+    size = np.diff(first, append=col.size)
+    # the entries in entry e's column are by_col[start[e]:start[e] + count[e]]
+    start, count = np.empty_like(by_col), np.empty_like(by_col)
+    start[by_col], count[by_col] = np.repeat(first, size), np.repeat(size, size)
+    at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    return (np.repeat(row, count), row[by_col][at],
+            np.repeat(val, count) * val.conj()[by_col][at])
+
+
 def _canonical_entries(generators) -> tuple:
     """``(d, side, entries)`` of hand-built generators, dense or ``scipy.sparse``.
 
@@ -391,11 +426,7 @@ def _canonical_entries(generators) -> tuple:
             u, v, val = m.row, m.col, m.data
         keys.append((k * side + u.astype(np.intp)) * side + v)
         vals.append(val.astype(complex))
-    key = np.concatenate(keys)
-    order = np.argsort(key, kind="stable")
-    key, val = key[order], np.concatenate(vals)[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    key, val = key[first], np.add.reduceat(val, first)
+    key, val = _summed(np.concatenate(keys), np.concatenate(vals))
     keep = val != 0
     i, uv = np.divmod(key[keep], side * side)
     entries = (i, *np.divmod(uv, side), val[keep])
@@ -443,9 +474,24 @@ class CarSystem:
         """The generators as complex CSR matrices (built on first read; read-only arrays)."""
         return _csr(self.d, self.dim, self._entries)
 
+    def _check_side(self) -> None:
+        """Raise :class:`IdentityViolation` unless the side is ``2**d``, where the state lives."""
+        if self.dim != 1 << self.d:
+            raise IdentityViolation(
+                f"{self.d} generators of side {self.dim} do not act on the 2**{self.d}-dimensional "
+                "Jordan-Wigner space",
+                CheckReport("jordan-wigner-support", 0.0, {"side": abs(self.dim - (1 << self.d))}),
+            )
+
     @cached_property
     def density_diagonal(self) -> np.ndarray:
-        """The diagonal ``(x)_i (1 - nu_i, nu_i)`` of the density (real, read-only)."""
+        """The diagonal ``(x)_i (1 - nu_i, nu_i)`` of the density (real, read-only).
+
+        The density lives on the ``2**d``-dimensional Jordan-Wigner space, so
+        generators of another side raise :class:`IdentityViolation`, and with
+        it everything that reads the state.
+        """
+        self._check_side()
         bits = (np.arange(1 << self.d)[:, None] >> (self.d - 1 - np.arange(self.d))) & 1
         r = np.where(bits == 1, self.nu, 1.0 - self.nu).prod(axis=1)
         r.setflags(write=False)
@@ -459,13 +505,8 @@ class CarSystem:
         generator with weight anywhere else (such as ``a_1 + 1e-4 I``) raises
         :class:`IdentityViolation` naming it and its off-support mass.
         """
+        self._check_side()
         d = self.d
-        if self.dim != 1 << d:
-            raise IdentityViolation(
-                f"{d} generators of side {self.dim} do not act on the 2**{d}-dimensional "
-                "Jordan-Wigner space",
-                CheckReport("jordan-wigner-support", 0.0, {"side": abs(self.dim - (1 << d))}),
-            )
         i, u, v, val = self._entries
         bit = 1 << (d - 1 - i)
         on = (v & bit != 0) & (u == v ^ bit)
@@ -498,31 +539,37 @@ class CarSystem:
 
     @cached_property
     def _pair_products(self) -> tuple:
-        """Every ``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j``, from one sparse product.
+        """Every ``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j``, from one sparse Gram.
 
         ``L = vstack(a_1, .., a_d, a_1*, .., a_d*)`` times ``L*`` holds
         ``a_i a_j*`` at block ``(i, j)`` (the ``vstack(a_i)`` part times its
         adjoint), ``a_i* a_j`` at ``(d+i, d+j)`` (the Gram of
         ``hstack(a_i)``) and ``a_i a_j`` at ``(i, d+j)``; the fourth quarter
-        is not read.  Each family is returned as read-only block entries
-        ``(i, j, u, v, value)``.
+        is dropped.  Each family is returned as read-only block entries
+        ``(i, j, u, v, value)``, without the entries that sum to zero.
         """
-        import scipy.sparse as sp
-
         d, q = self.d, self.dim
+        dq = d * q
         i, u, v, val = self._entries
-        rows = np.concatenate([i * q + u, (d + i) * q + v])
-        cols = np.concatenate([v, u])
-        stacked = sp.csr_array((np.concatenate([val, val.conj()]), (rows, cols)),
-                               shape=(2 * d * q, q))
-        gram = (stacked @ stacked.conj().T).tocoo()
-        bi, u = np.divmod(gram.row, q)
-        bj, v = np.divmod(gram.col, q)
-        top, left = bi < d, bj < d
-        families = tuple((bi[at] % d, bj[at] % d, u[at], v[at], gram.data[at])
-                         for at in (top & left, ~top & ~left, top & ~left))
+        r1, r2, prod = _gram_entries(np.concatenate([i * q + u, dq + i * q + v]),
+                                     np.concatenate([v, u]),
+                                     np.concatenate([val, val.conj()]))
+        kept = (r1 < dq) | (r2 >= dq)
+        key, prod = _summed(r1[kept] * (2 * dq) + r2[kept], prod[kept])
+        nonzero = prod != 0
+        r1, r2 = np.divmod(key[nonzero], 2 * dq)
+        prod = prod[nonzero]
+        # r1 ascends: the rows of the a_i* part, all in block (d+i, d+j), come last
+        bottom = np.searchsorted(r1, dq)
+        left = np.flatnonzero(r2[:bottom] < dq)
+        right = np.flatnonzero(r2[:bottom] >= dq)
+        families = []
+        for at, shift in ((left, (0, 0)), (slice(bottom, None), (dq, dq)), (right, (0, dq))):
+            i, u = np.divmod(r1[at] - shift[0], q)
+            j, v = np.divmod(r2[at] - shift[1], q)
+            families.append((i, j, u, v, prod[at]))
         _read_only(*(a for family in families for a in family))
-        return families
+        return tuple(families)
 
 
 def car_system(nu) -> CarSystem:
@@ -548,11 +595,18 @@ def state_eval(sys: CarSystem, b) -> complex:
 
 
 def coefficient_functional(sys: CarSystem, i: int, b) -> complex:
-    """``phi_i(b) = state(a_i* b + b a_i*)``; satisfies ``phi_i(a_j) = delta_ij``."""
+    """``phi_i(b) = state(a_i* b + b a_i*)``; satisfies ``phi_i(a_j) = delta_ij``.
+
+    The kernel ``K_i`` of :attr:`CarSystem.functional_kernels`, read off the
+    entries of ``a_i``: ``phi_i(b) = sum conj(a_i[u, v]) (r_u + r_v) b[u, v]``.
+    """
     a = _check_size(sys, b)
     _check_indices(sys, [i])
-    k = sys.functional_kernels[i].tocoo()
-    return complex(np.sum(k.data * a[k.col, k.row]))
+    r = sys.density_diagonal
+    g, u, v, val = sys._entries
+    at = g == i
+    u, v = u[at], v[at]
+    return complex(np.sum(val[at].conj() * (r[u] + r[v]) * a[u, v]))
 
 
 def _check_indices(sys: CarSystem, indices) -> None:
@@ -666,29 +720,43 @@ def _minus_identity(blocks, center, q: int) -> tuple:
 
 
 def _max_abs(blocks, d: int, q: int) -> float:
-    """Largest ``|entry|`` of the block matrix; repeated entries add up."""
-    import scipy.sparse as sp
+    """Largest ``|entry|`` of the block matrix; repeated entries add up.
 
+    Keyed ``(u, i, j, v)``: a family sorted by ``(i, u, j, v)``, or by
+    ``(j, u, i, v)`` once transposed, is ``d`` ascending runs of the key,
+    which the stable sort merges.
+    """
     i, j, u, v, val = blocks
-    total = sp.csr_array((val, (i * q + u, j * q + v)), shape=(d * q, d * q))
-    return float(np.abs(total.data).max(initial=0.0))
+    _, total = _summed(((u * d + i) * d + j) * q + v, val)
+    return float(np.abs(total).max(initial=0.0))
+
+
+def _block_diagonals(blocks, d: int, q: int) -> np.ndarray:
+    """``D[i, j, u] = B_ij[u, u]``, the diagonals of the blocks, ``(d, d, q)``."""
+    i, j, u, v, val = blocks
+    on = u == v
+    diagonals = np.zeros((d, d, q), dtype=complex)
+    diagonals[i[on], j[on], u[on]] = val[on]
+    return diagonals
 
 
 def _block_states(blocks, r, d: int) -> np.ndarray:
     """``S[i, j] = Tr(rho B_ij) = sum_u r_u B_ij[u, u]``, with ``r = diag(rho)``."""
-    i, j, u, v, val = blocks
-    on = u == v
-    diagonals = np.zeros((d, d, r.size), dtype=complex)
-    diagonals[i[on], j[on], u[on]] = val[on]
-    return (diagonals * r).sum(axis=2)
+    return (_block_diagonals(blocks, d, r.size) * r).sum(axis=2)
 
 
 def anticommutation_check(sys: CarSystem) -> CheckReport:
     """``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0``, all pairs at once."""
     d, q = sys.d, sys.dim
     aa_adj, (ci, cj, cu, cv, c), (pi, pj, pu, pv, p) = sys._pair_products
-    mixed = _minus_identity(_joined(aa_adj, (cj, ci, cu, cv, c)), np.ones(d), q)
-    plain = _joined((pi, pj, pu, pv, p), (pj, pi, pu, pv, p))
+    # {a_i, a_j*} is the adjoint of {a_j, a_i*}, so the blocks i <= j hold
+    # every entry: a_i a_j* with i <= j, plus a_j* a_i read off a_i* a_j, i >= j
+    upper, lower = aa_adj[0] <= aa_adj[1], ci >= cj
+    mixed = _minus_identity(_joined(tuple(a[upper] for a in aa_adj),
+                                    tuple(a[lower] for a in (cj, ci, cu, cv, c))), np.ones(d), q)
+    # a_i a_j + a_j a_i is symmetric in i and j: filed under block
+    # (min(i, j), max(i, j)), the products sum to it, a_i a_i counting twice
+    plain = (np.minimum(pi, pj), np.maximum(pi, pj), pu, pv, np.where(pi == pj, 2 * p, p))
     return checked("anticommutation", IDENTITY_TOL, {
         "anticommutator-mixed": _max_abs(mixed, d, q),
         "anticommutator-plain": _max_abs(plain, d, q),
@@ -736,37 +804,45 @@ def orthogonality_check(sys: CarSystem) -> CheckReport:
     ``g_ij = a_i a_j* - delta_ij (1 - nu_i) I`` are orthogonal for
     ``(c, d) -> state(c d*)`` with the same squared norms.  Both families
     are orthogonal to the identity (their state values vanish).  The two
-    families are the rows of one sparse matrix, a row per monomial, and the
-    diagonal blocks of its Gram are the two forms.
+    families are the rows of one matrix, a row per monomial and a column
+    per matrix entry ``(u, v)``, and the diagonal blocks of its Gram are the
+    two forms.  Off the diagonal (``u != v``) a monomial is its product,
+    sparse, and those columns are joined entry by entry; on the diagonal,
+    where ``-delta_ij c_i I`` lands, the rows are dense, and those columns
+    are one matrix product.
     """
-    import scipy.sparse as sp
-
     d, q, nu = sys.d, sys.dim, sys.nu
     r = sys.density_diagonal
     root = np.sqrt(r)
     aa_adj, adj_a, _ = sys._pair_products
     families = (("creation", adj_a, nu), ("annihilation", aa_adj, 1.0 - nu))
 
-    rows, keys, vals = [], [], []
-    for side, (_, blocks, center) in enumerate(families):
-        i, j, u, v, val = _minus_identity(blocks, center, q)
-        rows.append(side * d * d + i * d + j)
-        keys.append((side * q + u) * q + v)
+    rows, cols, vals = [], [], []
+    for side, (_, (i, j, u, v, val), _) in enumerate(families):
+        apart = u != v
+        rows.append(side * d * d + (i * d + j)[apart])
+        cols.append((side * q + u[apart]) * q + v[apart])
         # f under (c, d) -> state(d* c) weights columns by sqrt(rho); g under
         # (c, d) -> state(c d*) weights rows
-        vals.append(val * root[v if side == 0 else u])
-    # only the entries in use get a column, so no q^2-long axis is formed
-    used, col = np.unique(np.concatenate(keys), return_inverse=True)
-    fam = sp.csr_array((np.concatenate(vals), (np.concatenate(rows), col)),
-                       shape=(2 * d * d, used.size))
-    gram = (fam @ fam.conj().T).toarray()
+        vals.append(val[apart] * root[(v if side == 0 else u)[apart]])
+    r1, r2, prod = _gram_entries(*map(np.concatenate, (rows, cols, vals)))
+    n = 2 * d * d
+    at = r1 * n + r2
+    gram = (np.bincount(at, prod.real, n * n)
+            + 1j * np.bincount(at, prod.imag, n * n)).reshape(n, n)
 
     deviations = {}
     off = ~np.eye(d * d, dtype=bool)
     sq_norms = np.outer(1.0 - nu, nu).ravel()
     for side, (name, blocks, center) in enumerate(families):
         form = gram[side * d * d:(side + 1) * d * d, side * d * d:(side + 1) * d * d]
-        states = _block_states(blocks, r, d)
+        diagonals = _block_diagonals(blocks, d, q)
+        states = (diagonals * r).sum(axis=2)
+        diagonals[range(d), range(d)] -= center[:, None]
+        dense = diagonals.reshape(d * d, q) * root
+        # only rows with a diagonal: the d rows i = j for Jordan-Wigner generators
+        used = np.flatnonzero(dense.any(axis=1))
+        form[np.ix_(used, used)] += dense[used] @ dense[used].conj().T
         deviations[f"centered-mean-{name}"] = np.abs(states - np.diag(center)).max()
         deviations[f"pairwise-orthogonality-{name}"] = np.abs(form[off]).max(initial=0.0)
         deviations[f"squared-norms-{name}"] = np.abs(np.diag(form) - sq_norms).max()

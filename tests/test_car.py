@@ -271,6 +271,31 @@ class TestState:
         a = sys.generators[0]
         assert state_eval(sys, a.conj().T @ a) == nu
 
+    @pytest.mark.parametrize("read", [
+        second_moment_check,
+        state_weight_check,
+        orthogonality_check,
+        lambda sys: state_eval(sys, np.eye(3)),
+        lambda sys: coefficient_functional(sys, 0, np.eye(3)),
+    ], ids=["second-moments", "state-weights", "orthogonality", "state", "coefficient-functional"])
+    def test_the_state_is_not_read_at_the_wrong_side(self, read):
+        # the product state lives on the 2**d-dimensional space only
+        g = np.zeros((3, 3))
+        g[0, 1] = 1.0
+        with pytest.raises(IdentityViolation, match="Jordan-Wigner space") as exc:
+            read(CarSystem(nu=[0.5], generators=[g]))
+        assert exc.value.report.name == "jordan-wigner-support"
+        assert exc.value.report.deviations == {"side": 1}
+
+    def test_anticommutation_needs_no_state(self):
+        g = np.zeros((3, 3))
+        g[0, 1] = 1.0
+        with pytest.raises(IdentityViolation) as exc:
+            anticommutation_check(CarSystem(nu=[0.5], generators=[g]))
+        assert exc.value.report.name == "anticommutation"
+        assert exc.value.report.deviations == {"anticommutator-mixed": 1.0,
+                                               "anticommutator-plain": 0.0}
+
 
 class TestNPointFunction:
     def test_one_point(self):
@@ -688,6 +713,117 @@ class TestAnticommutation:
         assert dev_mixed > 1e-3 and dev_plain > 1e-3
         assert abs(report.deviations["anticommutator-mixed"] - dev_mixed) <= 1e-13 * dev_mixed
         assert abs(report.deviations["anticommutator-plain"] - dev_plain) <= 1e-13 * dev_plain
+
+
+def stress_generators(kind, rng):
+    """Three hand-built 8 x 8 generators that stress the sparse join."""
+    q = 8
+
+    def sparse_random(density):
+        mask = rng.random((q, q)) < density
+        return (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))) * mask
+
+    if kind == "empty-generator":
+        return [np.zeros((q, q)), sparse_random(0.3), sparse_random(0.3)]
+    if kind == "repeated-entries":
+        # unsummed COO entries, and one entry that cancels in the input
+        gens = []
+        for _ in range(3):
+            rows, cols = rng.integers(0, q, 40), rng.integers(0, q, 40)
+            vals = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+            rows, cols = np.append(rows, [q - 1, q - 1]), np.append(cols, [0, 0])
+            vals = np.append(vals, [2.5, -2.5])
+            gens.append(sparse.coo_array((vals, (rows, cols)), shape=(q, q)))
+        return gens
+    if kind == "cancelling-products":
+        # entries +-1 on half the matrix: many products sum to exactly 0
+        return [rng.choice([-1.0, 1.0], (q, q)) * (rng.random((q, q)) < 0.5) for _ in range(3)]
+    if kind == "unequal-columns":
+        # one full column, one full row, one lone entry
+        full_col, full_row, lone = np.zeros((3, q, q), dtype=complex)
+        full_col[:, 5] = rng.standard_normal(q) + 1j
+        full_row[2, :] = rng.standard_normal(q) - 1j
+        lone[3, 5] = 0.7 + 0.2j
+        return [full_col, full_row + np.eye(q), lone]
+    raise ValueError(kind)
+
+
+def deviations_of(check, sys):
+    try:
+        return check(sys).deviations
+    except IdentityViolation as exc:
+        return exc.report.deviations
+
+
+def dense_deviations(gens, nu, r):
+    """Every deviation of the three pair-product checks, from dense per-pair products."""
+    d, q = len(gens), gens[0].shape[0]
+    adj = [g.conj().T for g in gens]
+    out = {"anticommutator-mixed": 0.0, "anticommutator-plain": 0.0}
+    for i in range(d):
+        for j in range(d):
+            mixed = gens[i] @ adj[j] + adj[j] @ gens[i] - (i == j) * np.eye(q)
+            out["anticommutator-mixed"] = max(out["anticommutator-mixed"], np.abs(mixed).max())
+            plain = gens[i] @ gens[j] + gens[j] @ gens[i]
+            out["anticommutator-plain"] = max(out["anticommutator-plain"], np.abs(plain).max())
+    off = ~np.eye(d * d, dtype=bool)
+    sq_norms = np.outer(1.0 - nu, nu).ravel()
+    for side, left, right, center, weight in (
+        ("creation", adj, gens, nu, np.sqrt(r)[None, :]),
+        ("annihilation", gens, adj, 1.0 - nu, np.sqrt(r)[:, None]),
+    ):
+        products = np.stack([left[i] @ right[j] for i in range(d) for j in range(d)])
+        states = np.einsum("a,kaa->k", r, products).reshape(d, d)
+        two_point = "two-point-creation" if side == "creation" else "two-point-annihilation"
+        out[two_point] = np.abs(states - np.diag(center)).max()
+        fam = products - np.diag(center).reshape(-1, 1, 1) * np.eye(q)
+        flat = (fam * weight).reshape(d * d, q * q)
+        gram = flat @ flat.conj().T
+        out[f"centered-mean-{side}"] = np.abs(np.einsum("a,kaa->k", r, fam)).max()
+        out[f"pairwise-orthogonality-{side}"] = np.abs(gram[off]).max()
+        out[f"squared-norms-{side}"] = np.abs(np.diag(gram) - sq_norms).max()
+    return out
+
+
+class TestPairProductJoin:
+    KINDS = ["empty-generator", "repeated-entries", "cancelling-products", "unequal-columns"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_products_match_dense_products(self, kind):
+        rng = np.random.default_rng(len(kind))
+        gens = stress_generators(kind, rng)
+        sys = CarSystem(nu=rng.uniform(0.05, 0.95, 3), generators=gens)
+        dense = [np.asarray(g.toarray() if sparse.issparse(g) else g, dtype=complex) for g in gens]
+        adj = [g.conj().T for g in dense]
+        cancelled = 0
+        # a_i a_j*, a_i* a_j and a_i a_j
+        for family, (left, right) in zip(sys._pair_products, ((dense, adj), (adj, dense), (dense, dense))):
+            reference = np.array([[a @ b for b in right] for a in left])
+            i, j, u, v, val = family
+            got = np.zeros_like(reference)
+            got[i, j, u, v] = val
+            assert np.unique(((i * 3 + j) * 8 + u) * 8 + v).size == val.size
+            assert np.all(val != 0)
+            assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
+            # entries where the supports meet, yet the products sum to 0
+            meet = np.array([[(a != 0) @ (b != 0) for b in right] for a in left])
+            cancelled += np.count_nonzero(meet & (reference == 0))
+        if kind == "cancelling-products":
+            assert cancelled > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_check_deviations_match_dense_products(self, kind):
+        rng = np.random.default_rng(len(kind))
+        gens = stress_generators(kind, rng)
+        sys = CarSystem(nu=rng.uniform(0.05, 0.95, 3), generators=gens)
+        dense = [np.asarray(g.toarray() if sparse.issparse(g) else g, dtype=complex) for g in gens]
+        want = dense_deviations(dense, sys.nu, sys.density_diagonal)
+        got = {}
+        for check in (anticommutation_check, second_moment_check, orthogonality_check):
+            got.update(deviations_of(check, sys))
+        assert got.keys() == want.keys()
+        for tag, dev in want.items():
+            assert abs(got[tag] - dev) <= 1e-13 * dev, tag
 
 
 class TestIndependenceAtHalfWeights:

@@ -1,14 +1,15 @@
-"""scipy stays off every path but the fermionic sparse algebra.
+"""scipy stays off every path but the CSR matrices handed to a caller.
 
 ``import nck`` needs only numpy, and so do the probability-space lifts, the
-norms, the dual solver and the fermionic lift: building a system, embedding
-a tuple, reading coefficients back, the state-weight and fourth-moment
-checks and the ``car-c2`` table.  ``scipy.sparse`` is loaded by the first
-function of :mod:`nck.car` that builds or reads a sparse matrix (the CSR
-generators, the functional kernels and the pairwise products behind the
-other identity checks), and ``scipy.special`` by nothing.  The check runs
-in a fresh interpreter, since the test process itself has loaded scipy long
-before.
+norms, the dual solver, the fermionic lift and the whole CAR identity suite:
+building a system, embedding a tuple, reading coefficients back, the
+coefficient functionals, the anticommutation, second-moment, state-weight,
+orthogonality and fourth-moment checks, ``nck verify --suite all`` and the
+``car-c2`` table.  ``scipy.sparse`` is loaded only by the functions of
+:mod:`nck.car` that return a sparse matrix (the CSR generators, the
+functional kernels) or build from one (:func:`nck.car.generator_monomial`),
+and ``scipy.special`` by nothing.  The check runs in a fresh interpreter,
+since the test process itself has loaded scipy long before.
 """
 
 import os
@@ -57,12 +58,18 @@ assert rep.converged
 nck.extract_coefficients(system, rep.lifted)
 assert nck.fourth_moment_check(system, x).passed
 assert nck.state_weight_check(system).passed
+assert nck.anticommutation_check(system).passed
+assert nck.second_moment_check(system).passed
+assert nck.orthogonality_check(system).passed
+assert abs(nck.coefficient_functional(system, 0, np.eye(system.dim))) < 1e-13
 assert nck.car_c2_sequence(4)[0] is not None
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--suite", "all", "--d", "3"]) == 0
 
-for name in ("scipy.sparse", "scipy.special"):
-    assert name not in sys.modules, f"{name} was loaded"
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert loaded == [], f"the scipy-free paths loaded {loaded}"
 
-assert nck.anticommutation_check(nck.car_system([0.3, 0.6])).passed
+nck.jordan_wigner(2)
 assert "scipy.sparse" in sys.modules
 print("ok")
 """
