@@ -105,7 +105,12 @@ def car_c1_witness() -> CarC1Witness:
     :data:`C1_WITNESS_TOL` away from ``1/sqrt(2)``.
     """
     sys = car_system([0.5])
-    kernel = sys.functional_kernels[0].toarray()
+    # the one kernel of sys.functional_kernels, made dense from the
+    # generator's entries: K[v, u] = conj(a[u, v]) (r_u + r_v)
+    r = sys.density_diagonal
+    _, u, v, val = sys._entries
+    kernel = np.zeros((sys.dim, sys.dim), dtype=complex)
+    kernel[v, u] = val.conj() * (r[u] + r[v])
     functional_norm = trace_norm(kernel)
     res = dual_norm(np.array([[[1.0 + 0.0j]]]), nu=[0.5])
     witness = CarC1Witness(functional_norm=functional_norm, dual_value=res.value)

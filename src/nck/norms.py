@@ -16,18 +16,24 @@ nuclear norms of column stacks once the row-stacked variable is held as its
 adjoint (``||row stack of z||_* = ||column stack of z*||_*``), so the two
 variables share one ``(2, d, n, n)`` state and both proximal maps,
 singular-value soft-thresholding, come from one batched SVD per iteration.
-The coupling ``y + z = x`` is an affine constraint with a closed-form
-projection on the same state.
+The coupling ``y + z = x`` is an affine constraint whose projection on the
+same state is one affine map, ``keep * t + mix * (t_1*, t_0*) + shift``,
+with coefficients formed once per solve.
 
-The loop accelerates the Douglas-Rachford map ``T(s) = s + ds`` with
+The loop runs the over-relaxed Douglas-Rachford map ``T(s) = s + lam ds``,
+where ``ds`` is the plain map's step and ``lam = RELAXATION`` (1.5).  Any
+``lam`` in ``(0, 2)`` keeps the plain map's fixed points and its
+convergence (Eckstein and Bertsekas, Math. Programming 55, 1992); 1.5 takes
+fewer iterations than the plain map.  The loop accelerates ``T`` with
 type-II Anderson acceleration over its last ``AA_MEMORY`` (5) steps, on the
 real view of the state: the next iterate is ``T(s) - sum_j gamma_j dT_j``,
 where ``dT_j`` and ``dg_j`` are differences of consecutive images and
-residuals and ``gamma`` minimizes ``|ds - sum_j gamma_j dg_j|`` through the
-normal equations of their Gram, regularized by ``1e-10`` of its trace.  A
-safeguard keeps the plain map's footing: when the residual at an
-extrapolated point exceeds the residual at the point it came from, the loop
-takes the plain step ``T(s)`` from that point instead and clears the memory.
+relaxed residuals ``lam ds``, and ``gamma`` minimizes
+``|lam ds - sum_j gamma_j dg_j|`` through the normal equations of their
+Gram, regularized by ``1e-10`` of its trace.  A safeguard keeps the relaxed
+map's footing: when the residual at an extrapolated point exceeds the
+residual at the point it came from, the loop takes the step ``T(s)`` from
+that point instead and clears the memory.
 
 Each solve returns the achieving decomposition together with a
 pairing-based duality-gap certificate.  The certificate takes both polar
@@ -77,6 +83,10 @@ CERT_EVERY = 8
 NONCONVERGENCE_GAP = 1e-5
 #: the Anderson-accelerated loop extrapolates over the last AA_MEMORY steps
 AA_MEMORY = 5
+#: over-relaxation of the Douglas-Rachford map: the loop steps to
+#: s + RELAXATION * ds; any value in (0, 2) keeps the fixed points and the
+#: convergence guarantee
+RELAXATION = 1.5
 
 
 def as_matrix_tuple(x) -> np.ndarray:
@@ -105,6 +115,11 @@ def as_weights(nu, d: int | None = None) -> np.ndarray:
     return w
 
 
+def _adjoint(t: np.ndarray) -> np.ndarray:
+    """Adjoint of every matrix in a stack."""
+    return t.conj().swapaxes(-1, -2)
+
+
 # Both Grams broadcast over leading axes: a ``(k, d, n, n)`` stack of tuples
 # gives ``k`` Grams.
 
@@ -128,13 +143,17 @@ def gram_norm(g: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1])
 
 
-def _gram_norm_sqrt(g: np.ndarray) -> float:
-    return float(np.sqrt(max(gram_norm(g), 0.0)))
+def _grams_norm_sqrt(col: np.ndarray, row: np.ndarray) -> float:
+    """Square root of the larger top eigenvalue of two Grams' Hermitian parts.
 
-
-def _adjoint(t: np.ndarray) -> np.ndarray:
-    """Adjoint of every matrix in a stack."""
-    return t.conj().swapaxes(-1, -2)
+    Both go through one stacked ``eigvalsh``; it gives each the eigenvalues
+    :func:`gram_norm` does, bit for bit.
+    """
+    g = np.array((col, row))
+    if g.size == 0:
+        return 0.0
+    top = np.linalg.eigvalsh(0.5 * (g + _adjoint(g)))[:, -1]
+    return float(np.sqrt(max(top.max(), 0.0)))
 
 
 def moment_forms(y: np.ndarray, col_w, row_w, pair_w, sign_w):
@@ -178,32 +197,36 @@ def moment_forms(y: np.ndarray, col_w, row_w, pair_w, sign_w):
 def triple_norm(x) -> float:
     """max of the column-Gram and row-Gram operator-norm square roots."""
     a = as_matrix_tuple(x)
-    return max(_gram_norm_sqrt(_col_gram(a)), _gram_norm_sqrt(_row_gram(a)))
+    return _grams_norm_sqrt(_col_gram(a), _row_gram(a))
 
 
 def weighted_triple_norm(x, nu) -> float:
     """Weighted variant: ``max(||sum (1-nu_i) x_i x_i*||, ||sum nu_i x_i* x_i||)^(1/2)``."""
     a = as_matrix_tuple(x)
     w = as_weights(nu, a.shape[0])
-    return max(
-        _gram_norm_sqrt(_col_gram(a, w)),
-        _gram_norm_sqrt(_row_gram(a, 1.0 - w)),
-    )
+    return _grams_norm_sqrt(_col_gram(a, w), _row_gram(a, 1.0 - w))
 
 
 def _witness_scores(x: np.ndarray, b: np.ndarray, w):
     """Pairings ``|Tr sum_i x_i b_i|`` and primal norms of a stack of witnesses.
 
     ``b`` has shape ``(k, d, n, n)``.  The norm is :func:`triple_norm`, or
-    :func:`weighted_triple_norm` when weights ``w`` are given; all ``2k``
-    Grams go through one stacked ``eigvalsh``.
+    :func:`weighted_triple_norm` when weights ``w`` are given.  The row Gram
+    ``sum (1-w_i) b_i b_i*`` is the column Gram of the adjoints, so all
+    ``2k`` Grams come from one batched product of the column stacks of the
+    ``sqrt(w)``-scaled witnesses and the ``sqrt(1-w)``-scaled adjoints, and
+    go through one stacked ``eigvalsh``.
     """
-    k = b.shape[0]
-    grams = np.concatenate((
-        _col_gram(b, w),
-        _row_gram(b, None if w is None else 1.0 - w),
-    ))
-    top = np.linalg.eigvalsh(grams).max(axis=-1, initial=0.0)
+    k, d, n, _ = b.shape
+    if w is None:
+        stacks = np.concatenate((b, _adjoint(b)))
+    else:
+        stacks = np.concatenate((
+            np.sqrt(w)[:, None, None] * b,
+            _adjoint(np.sqrt(1.0 - w)[:, None, None] * b),
+        ))
+    stacks = stacks.reshape(2 * k, d * n, n)
+    top = np.linalg.eigvalsh(_adjoint(stacks) @ stacks).max(axis=-1, initial=0.0)
     norms = np.sqrt(np.maximum(top[:k], top[k:]))
     pairings = np.abs(np.einsum("iab,kiba->k", x, b))
     return pairings, norms
@@ -227,30 +250,42 @@ def pairing_certificate(x, b, nu=None) -> float:
 
 
 def _affine_projection(xs: np.ndarray, ab: np.ndarray):
-    """In-place projection of a stacked state onto ``alpha t_0 + beta t_1* = xs``.
+    """Projection of a stacked state onto ``alpha t_0 + beta t_1* = xs``.
 
     ``ab`` stacks the slot scales ``alpha`` and ``beta``, each shaped
-    ``(d, 1, 1)``.
+    ``(d, 1, 1)``.  The projection adds ``(alpha r, beta r*)`` with the
+    residual ``r = (xs - alpha t_0 - beta t_1*) / (alpha^2 + beta^2)``;
+    written out, it is the affine map
+
+        t -> keep * t + mix * (t_1*, t_0*) + shift,
+
+    ``keep = (beta^2, alpha^2) / D``, ``mix = -alpha beta / D`` and
+    ``shift = (alpha xs, beta xs*) / D`` with ``D = alpha^2 + beta^2``,
+    whose coefficients are formed once per solve.  It returns a new array.
     """
     a3, b3 = ab
     denom = a3**2 + b3**2
+    keep = ab[::-1] ** 2 / denom
+    mix = -a3 * b3 / denom
+    shift = np.stack((a3 * xs, b3 * _adjoint(xs))) / denom
 
     def project(t):
-        r = (xs - a3 * t[0] - b3 * _adjoint(t[1])) / denom
-        t[0] += a3 * r
-        t[1] += b3 * _adjoint(r)
-        return t
+        out = keep * t
+        out += mix * _adjoint(t[::-1])
+        out += shift
+        return out
 
     return project
 
 
 def _dr_step(s: np.ndarray, step: float, project):
-    """The Douglas-Rachford map at the stacked ``(2, d, n, n)`` state ``s``.
+    """The plain Douglas-Rachford map at the stacked ``(2, d, n, n)`` state ``s``.
 
     Both slots are soft-thresholded by ``step`` in one batched SVD of their
     column stacks.  Returns the thresholded point ``s1``, the splitting's
     scaled dual variable ``g = s1 - s`` and the fixed-point residual ``ds``;
-    the plain step goes to ``s + ds``.
+    the plain map goes to ``s + ds``, and :func:`dual_norm` relaxes it to
+    ``s + RELAXATION * ds``.
     """
     uu, sv, vh = np.linalg.svd(s.reshape(2, -1, s.shape[-1]), full_matrices=False)
     s1 = ((uu * np.maximum(sv - step, 0.0)[:, None, :]) @ vh).reshape(s.shape)
@@ -296,11 +331,13 @@ def dual_norm(x, nu=None) -> DualNormResult:
     ``(u, w*)`` unweighted, ``(u*, w)`` weighted.  An iteration takes one
     batched SVD of the state, and the certificate one more.
 
-    The iteration is the Douglas-Rachford map with Anderson acceleration
-    over the last ``AA_MEMORY`` steps; an extrapolated point whose residual
-    exceeds that of the point it came from is dropped for the plain step
-    from that point, and the memory starts afresh.  ``iterations`` counts
-    evaluations of the map, dropped ones included.
+    The iteration is the Douglas-Rachford map over-relaxed by
+    ``RELAXATION``, with Anderson acceleration over the last ``AA_MEMORY``
+    steps; an extrapolated point whose relaxed residual exceeds that of the
+    point it came from is dropped for the relaxed step from that point, and
+    the memory starts afresh.  ``iterations`` counts evaluations of the map,
+    dropped ones included.  The coupling's projection is one affine map
+    formed once per solve.
     """
     xa = as_matrix_tuple(x)
     d, n, _ = xa.shape
@@ -336,7 +373,7 @@ def dual_norm(x, nu=None) -> DualNormResult:
     project = _affine_projection(xs, ab)
 
     def evaluate(s1, g):
-        f = project(s1.copy())
+        f = project(s1)
         uu, sv, vh = np.linalg.svd(f.reshape(2, d * n, n), full_matrices=False)
         # the polar parts drop singular directions below 1e-8 * s_max: they
         # are numerical debris near a low-rank optimum, and keeping them
@@ -373,6 +410,7 @@ def dual_norm(x, nu=None) -> DualNormResult:
     best_cert = (0.0, None)
     for it in range(1, MAX_ITER + 1):
         s1, g, ds = _dr_step(s, step, project)
+        ds = RELAXATION * ds
         t = s + ds
         tr, dr = t.view(float).ravel(), ds.view(float).ravel()
         res2 = float(dr @ dr)

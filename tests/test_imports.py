@@ -4,11 +4,11 @@
 norms, the dual solver, the fermionic lift and the whole CAR identity suite:
 building a system, embedding a tuple, reading coefficients back, the
 coefficient functionals, the anticommutation, second-moment, state-weight,
-orthogonality and fourth-moment checks, ``nck verify --suite all`` and the
-``car-c2`` table.  ``scipy.sparse`` is loaded only by the functions of
-:mod:`nck.car` that return a sparse matrix (the CSR generators, the
-functional kernels) or build from one (:func:`nck.car.generator_monomial`),
-and ``scipy.special`` by nothing.  The check runs in a fresh interpreter,
+orthogonality and fourth-moment checks, ``nck verify --suite all``, the
+``car-c1`` witness and the ``car-c2`` table.  ``scipy.sparse`` is loaded
+only by the functions of :mod:`nck.car` that return a sparse matrix (the
+CSR generators, the functional kernels) or build from one
+(:func:`nck.car.generator_monomial`), and ``scipy.special`` by nothing.  The check runs in a fresh interpreter,
 since the test process itself has loaded scipy long before.
 """
 
@@ -65,6 +65,7 @@ assert abs(nck.coefficient_functional(system, 0, np.eye(system.dim))) < 1e-13
 assert nck.car_c2_sequence(4)[0] is not None
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify", "--suite", "all", "--d", "3"]) == 0
+    assert main(["constants", "--experiment", "car-c1"]) == 0
 
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert loaded == [], f"the scipy-free paths loaded {loaded}"

@@ -69,6 +69,39 @@ class TestWeightedTripleNorm:
             weighted_triple_norm(random_tuple(3, 2), [0.5, 0.5])
 
 
+def two_call_primal_norm(x, nu=None):
+    """Reference: each Gram's top eigenvalue from its own ``gram_norm`` call."""
+    x = np.asarray(x, dtype=complex)
+    if nu is None:
+        col, row = norms._col_gram(x), norms._row_gram(x)
+    else:
+        w = np.asarray(nu, dtype=float)
+        col, row = norms._col_gram(x, w), norms._row_gram(x, 1.0 - w)
+    return max(
+        float(np.sqrt(max(norms.gram_norm(col), 0.0))),
+        float(np.sqrt(max(norms.gram_norm(row), 0.0))),
+    )
+
+
+class TestPrimalNormInOneCall:
+    """Both Grams' top eigenvalues from one stacked ``eigvalsh`` give, bit for
+    bit, the primal norms of one ``gram_norm`` call per Gram."""
+
+    def test_bit_equal_to_two_calls(self):
+        rng = np.random.default_rng(1818)
+        for k in range(200):
+            d, n = (int(v) for v in rng.integers(0, 5, 2))
+            x = random_tuple(d, n, rng) * 10.0 ** rng.uniform(-4, 4)
+            nu = rng.uniform(0.0, 1.0, d)
+            assert triple_norm(x) == two_call_primal_norm(x), (k, d, n)
+            assert weighted_triple_norm(x, nu) == two_call_primal_norm(x, nu), (k, d, n)
+
+    def test_empty_tuple_is_zero(self):
+        x = np.zeros((2, 0, 0), dtype=complex)
+        assert triple_norm(x) == 0.0
+        assert weighted_triple_norm(x, [0.5, 0.5]) == 0.0
+
+
 def scalar_dual_oracle(x1, x2, grid=401, width=3.0):
     """Grid search over real decompositions for a d=2 scalar tuple."""
     ys = np.linspace(-width, width, grid)
@@ -241,15 +274,16 @@ class TestDualNorm:
     )
     def test_safeguard_falls_back_to_the_plain_step(self, x, nu, monkeypatch):
         # a spy on the map records the state of every iteration and its
-        # residual; when an extrapolated state's residual exceeds that of the
-        # state it came from, the loop moves to the plain step from the
-        # earlier state and, its memory cleared, takes a plain step from there
+        # relaxed residual, the step the loop takes; when an extrapolated
+        # state's residual exceeds that of the state it came from, the loop
+        # moves to the unextrapolated step from the earlier state and, its
+        # memory cleared, takes an unextrapolated step from there
         calls = []
         dr_step = norms._dr_step
 
         def spy(s, step, project):
             out = dr_step(s, step, project)
-            calls.append((s.copy(), out[2]))
+            calls.append((s.copy(), norms.RELAXATION * out[2]))
             return out
 
         monkeypatch.setattr(norms, "_dr_step", spy)
@@ -282,6 +316,38 @@ class TestDualNorm:
         x = first_column_units(3)
         res = dual_norm(x)
         assert res.value == pytest.approx(np.sqrt(3), abs=1e-6)
+
+
+class TestAffineProjection:
+    """``_affine_projection(xs, ab)`` is the projection onto ``alpha t_0 + beta t_1* = xs``."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("d,n", [(d, n) for d in range(1, 5) for n in range(1, 5)])
+    def test_projection(self, d, n, weighted):
+        rng = np.random.default_rng(100 * d + 10 * n + weighted)
+        xs = random_tuple(d, n, rng)
+        if weighted:
+            nu = rng.uniform(0.05, 0.95, d)
+            alpha, beta = np.sqrt(nu), np.sqrt(1.0 - nu)
+        else:
+            alpha = beta = np.ones(d)
+        ab = np.stack((alpha, beta))[:, :, None, None]
+        a3, b3 = ab
+        project = norms._affine_projection(xs, ab)
+        t = np.stack((random_tuple(d, n, rng), random_tuple(d, n, rng)))
+        before = t.copy()
+        p = project(t)
+        tol = 1e-13 * np.abs(xs).max()
+        adj = norms._adjoint
+        assert np.array_equal(t, before)
+        # feasible
+        assert np.abs(a3 * p[0] + b3 * adj(p[1]) - xs).max() <= tol
+        # idempotent
+        assert np.abs(project(p) - p).max() <= tol
+        # the written residual form t + (alpha r, beta r*)
+        r = (xs - a3 * t[0] - b3 * adj(t[1])) / (a3**2 + b3**2)
+        written = np.stack((t[0] + a3 * r, t[1] + b3 * adj(r)))
+        assert np.abs(p - written).max() <= tol
 
 
 def two_variable_dual_norm(x, nu=None, trajectory=None):
@@ -565,6 +631,19 @@ class TestPairingCertificate:
         cert = pairing_certificate(x, b)
         assert cert == pytest.approx(frob2 / opn, rel=1e-12)
         assert cert <= trace_norm(x[0]) + 1e-12
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_denominator_is_the_primal_norm(self, weighted):
+        # the witness Grams, formed as one batched product, give the primal
+        # norm of the witness, weighted or not
+        rng = np.random.default_rng(546 + weighted)
+        for d in range(1, 5):
+            for n in range(1, 5):
+                x, b = random_tuple(d, n, rng), random_tuple(d, n, rng)
+                nu = rng.uniform(0.05, 0.95, d) if weighted else None
+                norm = triple_norm(b) if nu is None else weighted_triple_norm(b, nu)
+                pairing = abs(np.einsum("iab,iba->", x, b))
+                assert pairing_certificate(x, b, nu) == pytest.approx(pairing / norm, rel=1e-12)
 
     def test_zero_witness_rejected(self):
         with pytest.raises(ZeroWitness):
