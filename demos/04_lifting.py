@@ -12,7 +12,9 @@ converges geometrically with
                                   families, sqrt(3) for signs,
 
 with the clip level K/2 read from the family table; each report carries
-it as rep.clip_level and the bound as rep.bound.
+it as rep.clip_level and the bound as rep.bound.  A report also brackets
+the quotient norm (the least norm of an element with read-out x) between
+rep.target_norm and rep.achieved_norm.
 
 Sampled Gaussian spaces have noisy moments: the same iteration detects the
 failure and stops with a diagnosis instead of looping.
@@ -27,7 +29,6 @@ from nck import (
     extract_coefficients,
     gaussian_space,
     lift,
-    quotient_norm_bracket,
     rademacher_space,
 )
 
@@ -57,7 +58,10 @@ for trial in range(4):
     )
 
 print("\n--- the worst case saturates the bound exactly ---")
-lower, upper = quotient_norm_bracket(np.ones((1, 1, 1), dtype=complex), car_system([0.5]))
+# the read-out is a contraction, so the primal norm is a lower end of the
+# quotient norm; the lifted element's norm is an upper end
+rep = lift(np.ones((1, 1, 1), dtype=complex), car_system([0.5]))
+lower, upper = rep.target_norm, rep.achieved_norm
 print(f"scalar 1 at weight 1/2: quotient norm in [{lower:.6f}, {upper:.6f}], "
       f"ratio {upper/lower:.6f}")
 

@@ -18,7 +18,6 @@ from .car import (
     extract_coefficients,
     fourth_moment_check,
     generator_monomial,
-    jordan_wigner,
     npoint_function,
     orthogonality_check,
     second_moment_check,
@@ -58,10 +57,8 @@ from .lifting import (
     corrector_car,
     corrector_commutative,
     lift,
-    quotient_norm_bracket,
 )
 from .linalg import (
-    op_norm,
     psd_ge,
     trace_norm,
     truncate_offdiag,

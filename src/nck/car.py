@@ -14,7 +14,7 @@ dense or ``scipy.sparse``, are copied into the same form.  Only numpy is
 needed to build a system, embed a tuple, read coefficients off an
 element, evaluate the state and the coefficient functionals, run the
 fermionic lift and every identity check.  scipy is loaded only to hand a
-caller a CSR matrix: :attr:`CarSystem.generators`, :func:`jordan_wigner`,
+caller a CSR matrix: :attr:`CarSystem.generators`,
 :attr:`CarSystem.functional_kernels` and :func:`generator_monomial`.
 The generators satisfy the anticommutation relations
 ``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
@@ -30,8 +30,13 @@ its n-point values are determinants of the diagonal two-point function.
 The coefficient functionals ``phi_i(b) = state(a_i* b + b a_i*)`` satisfy
 ``phi_i(a_j) = delta_ij`` and assemble into the map that reads a
 coefficient tuple off an algebra element; that map is the exact analogue of
-conditional expectation on the probability spaces.  The state has the
-complex-Gaussian moment structure reweighted by ``nu_i`` and ``1 - nu_i``,
+conditional expectation on the probability spaces.  Their kernels
+``K_i = rho a_i* + a_i* rho`` have the sparsity of ``a_i*``: the density is
+diagonal, so ``K_i[v, u] = conj(a_i[u, v]) (r_u + r_v)`` with
+``r = diag(rho)``.  :attr:`CarSystem.kernel_values` computes these values
+once, one per generator entry, and the functionals, the read-out, the
+state-weight check and the ``car-c1`` witness all read them.  The state
+has the complex-Gaussian moment structure reweighted by ``nu_i`` and ``1 - nu_i``,
 so the fourth-moment check uses the closed form
 :func:`nck.norms.moment_forms` shared with the probability spaces.
 
@@ -76,7 +81,6 @@ __all__ = [
     "CarSystem",
     "CarElement",
     "subspace_to_weights",
-    "jordan_wigner",
     "car_system",
     "state_eval",
     "coefficient_functional",
@@ -211,20 +215,6 @@ def _check_modes(d: int) -> int:
     if d > cap:
         raise DTooLarge(f"fermionic dimension {d} outside [1, {cap}]")
     return d
-
-
-@lru_cache(maxsize=8)
-def _jordan_wigner_cached(d: int):
-    return _csr(d, 1 << d, _jw_entries(d))
-
-
-def jordan_wigner(d: int):
-    """The ``d`` fermionic generators as ``2**d`` square CSR matrices (cached, read-only).
-
-    Built from the entries :func:`_jw_entries` gives; no dense matrix is
-    formed.
-    """
-    return _jordan_wigner_cached(_check_modes(d))
 
 
 @dataclass(frozen=True)
@@ -497,12 +487,13 @@ class CarSystem:
         r.setflags(write=False)
         return r
 
-    @cached_property
-    def support_values(self) -> np.ndarray:
-        """Each generator's entries on its Jordan-Wigner support, ``(d, 2**(d-1))``.
+    def _on_support(self, values: np.ndarray) -> np.ndarray:
+        """``values``, one per entry of ``_entries``, laid out as ``(d, 2**(d-1))`` (read-only).
 
-        The particle-number blocks hold exactly these entries, so a
-        generator with weight anywhere else (such as ``a_1 + 1e-4 I``) raises
+        Row ``i`` is generator ``i``'s Jordan-Wigner support in
+        :func:`_jw_support`'s order; a support point without an entry gets 0.
+        The particle-number blocks hold exactly the support, so a generator
+        with weight anywhere else (such as ``a_1 + 1e-4 I``) raises
         :class:`IdentityViolation` naming it and its off-support mass.
         """
         self._check_side()
@@ -520,22 +511,45 @@ class CarSystem:
                 CheckReport("jordan-wigner-support", 0.0, {f"off-support-generator-{k}": mass}),
             )
         by_col = np.zeros((d, self.dim), dtype=complex)
-        by_col[i[on], v[on]] = val[on]
-        vals = np.take_along_axis(by_col, _jw_support(d)[1], axis=1)
-        vals.setflags(write=False)
-        return vals
+        by_col[i[on], v[on]] = values[on]
+        out = np.take_along_axis(by_col, _jw_support(d)[1], axis=1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def support_values(self) -> np.ndarray:
+        """Each generator's entries on its Jordan-Wigner support, ``(d, 2**(d-1))``."""
+        return self._on_support(self._entries[3])
+
+    @cached_property
+    def kernel_values(self) -> np.ndarray:
+        """``conj(a_i[u, v]) (r_u + r_v)`` per entry of ``_entries`` (read-only).
+
+        With ``r = diag(rho)``, this is the entry of the functional kernel
+        ``K_i = rho a_i* + a_i* rho`` at ``(v, u)``, so
+        ``phi_i(b) = sum conj(a_i[u, v]) (r_u + r_v) b[u, v]``.  Every
+        reader of the kernels takes the values from here.
+        """
+        r = self.density_diagonal
+        _, u, v, val = self._entries
+        k = val.conj() * (r[u] + r[v])
+        k.setflags(write=False)
+        return k
+
+    @cached_property
+    def support_kernel(self) -> np.ndarray:
+        """:attr:`kernel_values` laid out like :attr:`support_values`, ``(d, 2**(d-1))``."""
+        return self._on_support(self.kernel_values)
 
     @cached_property
     def functional_kernels(self) -> tuple:
         """CSR matrices ``K_i = rho a_i* + a_i* rho`` so that ``phi_i(b) = Tr(K_i b)``.
 
-        The density is diagonal, so ``K_i`` is ``a_i*`` with its entry at
-        ``(v, u)`` scaled by ``r_u + r_v``, ``r = diag(rho)``; it has the
-        sparsity of ``a_i*``.  Their arrays are read-only.
+        ``K_i`` has the sparsity of ``a_i*``, with :attr:`kernel_values` as
+        its entries.  Their arrays are read-only.
         """
-        r = self.density_diagonal
-        i, u, v, val = self._entries
-        return _csr(self.d, self.dim, (i, v, u, val.conj() * (r[u] + r[v])))
+        i, u, v, _ = self._entries
+        return _csr(self.d, self.dim, (i, v, u, self.kernel_values))
 
     @cached_property
     def _pair_products(self) -> tuple:
@@ -597,16 +611,15 @@ def state_eval(sys: CarSystem, b) -> complex:
 def coefficient_functional(sys: CarSystem, i: int, b) -> complex:
     """``phi_i(b) = state(a_i* b + b a_i*)``; satisfies ``phi_i(a_j) = delta_ij``.
 
-    The kernel ``K_i`` of :attr:`CarSystem.functional_kernels`, read off the
-    entries of ``a_i``: ``phi_i(b) = sum conj(a_i[u, v]) (r_u + r_v) b[u, v]``.
+    The kernel ``K_i``, read off :attr:`CarSystem.kernel_values`:
+    ``phi_i(b) = sum conj(a_i[u, v]) (r_u + r_v) b[u, v]``.
     """
     a = _check_size(sys, b)
     _check_indices(sys, [i])
-    r = sys.density_diagonal
-    g, u, v, val = sys._entries
+    kernel = sys.kernel_values
+    g, u, v, _ = sys._entries
     at = g == i
-    u, v = u[at], v[at]
-    return complex(np.sum(val[at].conj() * (r[u] + r[v]) * a[u, v]))
+    return complex(np.sum(kernel[at] * a[u[at], v[at]]))
 
 
 def _check_indices(sys: CarSystem, indices) -> None:
@@ -678,8 +691,8 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
     first sliced into sector blocks.  Only the entries on the generators'
     supports count: ``x_i[p, q] = sum conj(a_i[u, v]) (r_u + r_v) X[(p, u), (q, v)]``
     with ``r = diag(rho)``, the functional kernels restricted to where they
-    are nonzero.  Inverts :func:`embed_tuple` on its range; even monomials
-    map to zero.
+    are nonzero (:attr:`CarSystem.support_kernel`).  Inverts
+    :func:`embed_tuple` on its range; even monomials map to zero.
     """
     if isinstance(x, CarElement):
         if x.d != sys.d:
@@ -694,11 +707,8 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
             )
         n = a.shape[0] // q
         elem = CarElement(sys.d, n, a.ravel()[_block_layout(sys.d, n).dense])
-    rows, cols = _jw_support(sys.d)
-    r = sys.density_diagonal
-    weights = sys.support_values.conj() * (r[rows] + r[cols])
     gathered = elem.blocks[_block_layout(sys.d, elem.n).support]
-    return np.einsum("ie,iepq->ipq", weights, gathered)
+    return np.einsum("ie,iepq->ipq", sys.support_kernel, gathered)
 
 
 # --- identity checks --------------------------------------------------------
@@ -784,12 +794,12 @@ def state_weight_check(sys: CarSystem) -> CheckReport:
     ``state(b a_i*) = (1 - nu_i) phi_i(b)`` for every ``b``, that is
     ``rho a_i* = nu_i K_i`` and ``a_i* rho = (1 - nu_i) K_i`` entrywise.
     All three are ``a_i*`` rescaled, so only the generators' stored entries
-    are read: at ``(v, u)``, ``K_i`` holds ``conj(a_i[u, v]) (r_u + r_v)``.
+    are read: at ``(v, u)``, ``K_i`` holds :attr:`CarSystem.kernel_values`.
     """
     r, nu = sys.density_diagonal, sys.nu
     i, u, v, val = sys._entries
     adj = val.conj()
-    kernel = adj * (r[v] + r[u])
+    kernel = sys.kernel_values
     return checked("state-weights", IDENTITY_TOL, {
         "weight-split-left": np.abs(r[v] * adj - nu[i] * kernel).max(initial=0.0),
         "weight-split-right": np.abs(adj * r[u] - (1.0 - nu[i]) * kernel).max(initial=0.0),

@@ -105,12 +105,10 @@ def car_c1_witness() -> CarC1Witness:
     :data:`C1_WITNESS_TOL` away from ``1/sqrt(2)``.
     """
     sys = car_system([0.5])
-    # the one kernel of sys.functional_kernels, made dense from the
-    # generator's entries: K[v, u] = conj(a[u, v]) (r_u + r_v)
-    r = sys.density_diagonal
-    _, u, v, val = sys._entries
+    # the one kernel of sys.functional_kernels, made dense from its values
+    _, u, v, _ = sys._entries
     kernel = np.zeros((sys.dim, sys.dim), dtype=complex)
-    kernel[v, u] = val.conj() * (r[u] + r[v])
+    kernel[v, u] = sys.kernel_values
     functional_norm = trace_norm(kernel)
     res = dual_norm(np.array([[[1.0 + 0.0j]]]), nu=[0.5])
     witness = CarC1Witness(functional_norm=functional_norm, dual_value=res.value)
@@ -155,7 +153,8 @@ class ConstantReport:
     """Observed ratio range from a seeded random search.
 
     ``family`` is the :data:`nck.spaces.FAMILIES` key searched, the name
-    ``--family`` takes.
+    ``--family`` takes.  A returned report has passed the search's sandwich
+    check; a ratio that fails it raises instead.
     """
 
     family: str
@@ -165,11 +164,6 @@ class ConstantReport:
     trials: int
     seed: int
     ratios: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        c1, c2 = self.theoretical
-        return self.lower_witness >= c1 - SEARCH_TOL and self.upper_witness <= c2 + SEARCH_TOL
 
 
 def _random_tuple(rng: np.random.Generator, ensemble: str, d: int, n: int) -> np.ndarray:
@@ -209,7 +203,9 @@ def random_search_ratio(
     built from); the first-column tuple is always included when it fits.
     Every ratio must respect the proved sandwich: at least the family's
     lower constant minus :data:`SEARCH_TOL` (minus three standard errors for
-    sampled spaces) and at most 1 plus :data:`SEARCH_TOL`.
+    sampled spaces) and at most 1 plus :data:`SEARCH_TOL`; a ratio outside
+    raises :class:`IdentityViolation` with a ``sandwich`` report, so a
+    returned report has passed.
     """
     if min(n, d, trials) < 1:
         raise InvalidParameter(f"need n, d, trials >= 1, got n={n}, d={d}, trials={trials}")

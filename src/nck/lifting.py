@@ -35,6 +35,12 @@ lift constant ``K`` from :data:`nck.spaces.FAMILIES` and clips at
     sign families                  K = sqrt(3)  ->  C = sqrt(3)/2
     fermionic (weighted) setting   K = sqrt(2)  ->  C = sqrt(2)/2
 
+A :class:`LiftReport` brackets the quotient norm ``q(x)``, the least norm
+of an element whose read-out is ``x``: the read-out is a contraction, so
+``target_norm`` (the primal norm of ``x``) is a lower end, and the lifted
+element's ``achieved_norm`` is an upper end, at most ``bound`` times the
+lower one.
+
 Sampled Gaussian spaces carry no exact moment identities, so the one-step
 contraction can fail there; such steps raise :class:`StalledIteration`
 instead of silently looping.
@@ -50,7 +56,6 @@ from .car import CarElement, CarSystem, embed_tuple, extract_coefficients
 from .exceptions import DimensionMismatch, NonPositiveC, StalledIteration
 from .linalg import truncate_offdiag
 from .norms import as_matrix_tuple, triple_norm, weighted_triple_norm
-from .reports import checked
 from .spaces import (
     DiscreteProbabilitySpace,
     RandomElement,
@@ -65,7 +70,6 @@ __all__ = [
     "corrector_commutative",
     "corrector_car",
     "lift",
-    "quotient_norm_bracket",
 ]
 
 #: factor ``delta`` by which each corrector step contracts the residual norm
@@ -138,7 +142,7 @@ def corrector_car(y, sys: CarSystem, clip_level: float):
 
     Same contract as :func:`corrector_commutative` with the weighted primal
     norm; returns ``(Z, z)`` with ``Z`` a :class:`nck.car.CarElement` and
-    ``op_norm(Z) <= clip_level``.  The clip acts on each sector pair in one
+    ``Z.op_norm() <= clip_level``.  The clip acts on each sector pair in one
     batched call, which equals clipping the dense element.
     """
     ya = as_matrix_tuple(y)
@@ -237,20 +241,3 @@ def lift(x, setting) -> LiftReport:
         clip_level=clip_level,
     )
 
-
-def quotient_norm_bracket(x, setting):
-    """Two-sided bracket on the quotient norm of a coefficient tuple.
-
-    The primal norm of ``x`` is a lower bound (no representative beats it);
-    the lifted element's norm is an upper bound.  Returns
-    ``(lower, upper)`` and checks ``lower <= upper <= K * lower`` up to
-    ``10 * TOL`` relative and ``1e-12`` absolute.
-    """
-    report = lift(x, setting)
-    lower = report.target_norm
-    upper = report.achieved_norm
-    checked("quotient-norm-bracket", 1e-12, {
-        "above-upper-bound": max(0.0, upper - report.bound * lower * (1.0 + 10.0 * TOL)),
-        "below-lower-bound": max(0.0, lower * (1.0 - 10.0 * TOL) - upper),
-    })
-    return lower, upper

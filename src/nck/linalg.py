@@ -1,6 +1,6 @@
 """Dense complex-matrix kernel.
 
-Schatten norms, a semidefinite order test and the clipped off-diagonal
+The trace norm, a semidefinite order test and the clipped off-diagonal
 truncation that drives every lifting corrector.  All matrices are plain
 numpy complex arrays; every function here is pure and safe to call from
 multiple threads.
@@ -17,7 +17,6 @@ from .exceptions import NonFinite, NonHermitian, NonPositiveC, NonSquare
 
 __all__ = [
     "truncate_offdiag",
-    "op_norm",
     "trace_norm",
     "psd_ge",
 ]
@@ -48,7 +47,7 @@ def truncate_offdiag(y, c: float) -> np.ndarray:
     Returns ``Z = Y h(Y*Y)`` with ``h(lam) = min(1, c / sqrt(lam))``, from one
     eigendecomposition of the Gram ``Y*Y``.  This is the lower-left block of
     the Hermitian dilation ``[[0, Y*], [Y, 0]]`` with its spectrum ``+-s(Y)``
-    clamped to ``[-c, c]``, and it satisfies ``op_norm(Z) <= c``.
+    clamped to ``[-c, c]``, so every singular value of ``Z`` is at most ``c``.
 
     A leading batch axis is allowed: input of shape ``(m, p, q)`` is
     truncated blockwise and returns shape ``(m, p, q)``.
@@ -66,14 +65,6 @@ def truncate_offdiag(y, c: float) -> np.ndarray:
     return (a @ (u * scale[..., None, :])) @ u.conj().swapaxes(-1, -2)
 
 
-def op_norm(m) -> float:
-    """Largest singular value."""
-    a = _as_complex_matrix(m, "op_norm")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
 def trace_norm(m) -> float:
     """Sum of singular values (Schatten-1 norm)."""
     a = _as_complex_matrix(m, "trace_norm")
@@ -86,15 +77,16 @@ def psd_ge(a, b) -> bool:
     """Whether ``A - B`` is positive semidefinite up to a relative slack.
 
     True iff the smallest eigenvalue of ``A - B`` is at least
-    ``-PSD_TOL * (1 + op_norm(A) + op_norm(B))``.  Both inputs must be Hermitian.
+    ``-PSD_TOL * (1 + ||A|| + ||B||)``, in operator norm.  Both inputs must be
+    Hermitian.
     """
     am = _as_square(a, "psd_ge")
     bm = _as_square(b, "psd_ge")
     if am.shape != bm.shape:
         raise NonSquare(f"psd_ge: shape mismatch {am.shape} vs {bm.shape}")
-    scale = 1.0 + op_norm(am) + op_norm(bm)
+    scale = 1.0 + float(np.linalg.norm(am, 2)) + float(np.linalg.norm(bm, 2))
     for name, m in (("A", am), ("B", bm)):
-        if op_norm(m - m.conj().T) > PSD_TOL * scale:
+        if np.linalg.norm(m - m.conj().T, 2) > PSD_TOL * scale:
             raise NonHermitian(f"psd_ge: argument {name} is not Hermitian")
     diff = 0.5 * (am + am.conj().T) - 0.5 * (bm + bm.conj().T)
     lam_min = float(np.linalg.eigvalsh(diff)[0])

@@ -48,14 +48,15 @@ family alone: one representative atom per orbit with the orbit's summed
 weight, and per atom its ``owner`` (the representative's index) and
 ``phase``, with ``family[:, w] = phase[w] * family[:, rep[owner[w]]]``
 checked to ``PHASE_TOL`` relative when the quotient is built.  An atom
-that fails the check stays its own representative, and a sampled
-Gaussian space keeps every atom.  The quotient is a space of its own.  An
-element with ``Z(w) = phase[w] Z(rep)`` on every orbit has the same sup
+that fails the check stays its own representative.  A sampled Gaussian
+space is not grouped at all: its atoms never merge, so it is its own
+quotient, with ``owner = arange`` and ``phase = 1``.  The quotient is a
+space of its own.  An element with ``Z(w) = phase[w] Z(rep)`` on every orbit has the same sup
 norm on it, and the same conditional expectation, because
 ``conj(phi f) phi Z = conj(f) Z`` when ``|phi| = 1``.  The embedded tuple
 and its clip are such elements, so the lift (:mod:`nck.lifting`) runs on
-the quotient.  So does :func:`l1_s1_norm` on the exact kinds: the trace
-norm of ``phi Y`` is that of ``Y``.
+the quotient.  So does :func:`l1_s1_norm`: the trace norm of ``phi Y`` is
+that of ``Y``.
 """
 
 from __future__ import annotations
@@ -167,11 +168,17 @@ class DiscreteProbabilitySpace:
         per orbit, in atom order, weighted by the orbit's summed weight;
         ``family[:, w] == phase[w] * reps.family[:, owner[w]]`` to
         ``PHASE_TOL`` relative, and ``phase`` is exactly 1 on each
-        representative.
+        representative.  A sampled space is its own quotient: its atoms
+        are not grouped.  ``owner`` and ``phase`` are read-only.
         """
         fam = self.family
         atoms = fam.shape[1]
         cols = np.arange(atoms)
+        if not self.is_exact:
+            phase = np.ones(atoms, dtype=complex)
+            cols.setflags(write=False)
+            phase.setflags(write=False)
+            return self, cols, phase
         size = np.abs(fam).max(axis=0, initial=0.0)
         # the first nonzero value names the atom's phase; on a zero atom
         # that is the appended 1
@@ -194,6 +201,8 @@ class DiscreteProbabilitySpace:
         phase = np.where(merged, phase, 1.0)
         reps = np.flatnonzero(cand == cols)
         owner = np.searchsorted(reps, cand)
+        owner.setflags(write=False)
+        phase.setflags(write=False)
         space = DiscreteProbabilitySpace(
             self.kind, np.bincount(owner, self.weights, reps.size), fam[:, reps], self.seed
         )
@@ -346,11 +355,11 @@ def element_from_tuple(y, space: DiscreteProbabilitySpace) -> RandomElement:
 def l1_s1_norm(x, space: DiscreteProbabilitySpace):
     """Expected trace norm of ``sum_i x_i * family[i]``, as ``(value, stderr)``.
 
-    Exact for the finite kinds, which are summed over their phase quotient:
-    the trace norm of ``phi Y`` is that of ``Y`` when ``|phi| = 1``.  The
-    standard error is zero for exact kinds.
+    Summed over the space's phase quotient: the trace norm of ``phi Y`` is
+    that of ``Y`` when ``|phi| = 1``, and a sampled space is its own
+    quotient.  Exact for the finite kinds, whose standard error is zero.
     """
-    atoms = space._quotient[0] if space.is_exact else space
+    atoms = space._quotient[0]
     tn = np.linalg.svd(element_from_tuple(x, atoms).blocks, compute_uv=False).sum(axis=1)
     value = float(atoms.weights @ tn)
     if space.kind == "gaussian-mc" and space.atoms > 1:

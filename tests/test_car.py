@@ -17,7 +17,6 @@ from nck.car import (
     extract_coefficients,
     fourth_moment_check,
     generator_monomial,
-    jordan_wigner,
     npoint_function,
     orthogonality_check,
     second_moment_check,
@@ -46,6 +45,11 @@ def random_tuple(d, n, rng=RNG):
 
 def random_system(d, rng=RNG):
     return car_system(rng.uniform(0.05, 0.95, d))
+
+
+def jw_generators(d):
+    """The ``d`` Jordan-Wigner generators, as the CSR matrices a system hands out."""
+    return car_system(np.full(d, 0.5)).generators
 
 
 class TestSubspaceToWeights:
@@ -89,16 +93,16 @@ class TestSubspaceToWeights:
 
 class TestJordanWigner:
     def test_d1_generator(self):
-        (a,) = jordan_wigner(1)
+        (a,) = jw_generators(1)
         assert np.array_equal(a.toarray(), np.array([[0, 1], [0, 0]], dtype=complex))
         assert np.array_equal((a @ a.conj().T + a.conj().T @ a).toarray(), np.eye(2))
 
     def test_d2_anticommutator_vanishes(self):
-        a1, a2 = jordan_wigner(2)
+        a1, a2 = jw_generators(2)
         assert np.abs(a1 @ a2 + a2 @ a1).max() == 0.0
 
     def test_d2_occupation_form(self):
-        a1, _ = jordan_wigner(2)
+        a1, _ = jw_generators(2)
         assert np.array_equal((a1 @ a1.conj().T).toarray(), np.diag([1.0, 1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("d", range(1, 9))
@@ -106,7 +110,7 @@ class TestJordanWigner:
         e = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         u = np.diag([1.0, -1.0]).astype(complex)
         one = np.eye(2, dtype=complex)
-        for i, g in enumerate(jordan_wigner(d)):
+        for i, g in enumerate(jw_generators(d)):
             reference = reduce(np.kron, [u] * i + [e] + [one] * (d - 1 - i))
             assert g.format == "csr" and g.nnz == 1 << (d - 1)
             assert np.array_equal(g.toarray(), reference)
@@ -121,15 +125,12 @@ class TestJordanWigner:
 
     def test_cap(self):
         with pytest.raises(DTooLarge):
-            jordan_wigner(caps.car_dim_cap() + 1)
+            car_system(np.full(caps.car_dim_cap() + 1, 0.5))
 
     def test_zero_dimension_is_invalid_parameter(self):
-        # a usage error, not DTooLarge ("exceeds the configured cap")
-        with pytest.raises(InvalidParameter):
-            jordan_wigner(0)
-
-    def test_empty_weights_are_invalid_parameter(self):
-        with pytest.raises(InvalidParameter):
+        # no weights is zero modes: a usage error, not DTooLarge ("exceeds
+        # the configured cap")
+        with pytest.raises(InvalidParameter, match="need d >= 1"):
             car_system([])
 
     def test_env_override_bounded(self, monkeypatch):
@@ -146,13 +147,13 @@ class TestJordanWigner:
 
 class TestCarSystem:
     def test_hand_built_generators_become_csr(self):
-        gens = [g.toarray() for g in jordan_wigner(2)]
+        gens = [g.toarray() for g in jw_generators(2)]
         sys = CarSystem(nu=np.array([0.3, 0.6]), generators=(gens[0], sparse.coo_array(gens[1])))
         assert all(g.format == "csr" and g.dtype == complex for g in sys.generators)
         assert np.array_equal(sys.generators[1].toarray(), gens[1])
 
     def test_repeated_sparse_entries_add_up(self):
-        a1, a2 = (g.toarray() for g in jordan_wigner(2))
+        a1, a2 = (g.toarray() for g in jw_generators(2))
         half = sparse.coo_array(a1 / 2)
         # the same entries twice, so each is stored as two halves
         doubled = sparse.coo_array((np.concatenate([half.data, half.data]),
@@ -164,7 +165,7 @@ class TestCarSystem:
 
     @pytest.mark.parametrize("form", ["csr", "dense"])
     def test_callers_generators_are_copied(self, form):
-        gens = [g.toarray() for g in jordan_wigner(2)]
+        gens = [g.toarray() for g in jw_generators(2)]
         if form == "csr":
             # complex canonical CSR, the form the generators are read back in
             gens = [sparse.csr_array(g) for g in gens]
@@ -175,15 +176,15 @@ class TestCarSystem:
                 g.data[:] *= 2
             else:
                 g[:] *= 2
-        assert np.array_equal(sys.generators[0].toarray(), jordan_wigner(2)[0].toarray())
+        assert np.array_equal(sys.generators[0].toarray(), jw_generators(2)[0].toarray())
         for i in range(2):
-            for j, gj in enumerate(jordan_wigner(2)):
+            for j, gj in enumerate(jw_generators(2)):
                 assert coefficient_functional(sys, i, gj) == pytest.approx(float(i == j), abs=1e-13)
                 assert coefficient_functional(sys, i, sys.generators[j]) == pytest.approx(
                     float(i == j), abs=1e-13)
         assert anticommutation_check(sys).passed
 
-    @pytest.mark.parametrize("build", [car_system, lambda nu: CarSystem(nu, jordan_wigner(2))],
+    @pytest.mark.parametrize("build", [car_system, lambda nu: CarSystem(nu, jw_generators(2))],
                              ids=["car_system", "hand-built"])
     def test_callers_weights_are_copied(self, build):
         nu = np.array([0.3, 0.6])
@@ -200,11 +201,11 @@ class TestCarSystem:
                              ids=["above-one", "negative", "nan", "inf"])
     def test_hand_built_weights_outside_the_unit_interval_rejected(self, nu):
         with pytest.raises(DegenerateWeight, match=r"\[0, 1\]"):
-            CarSystem(nu=nu, generators=jordan_wigner(2))
+            CarSystem(nu=nu, generators=jw_generators(2))
 
     def test_weights_must_match_the_generators(self):
         with pytest.raises(DimensionMismatch, match="3 weights for 2 generators"):
-            CarSystem(nu=np.array([0.3, 0.6, 0.5]), generators=jordan_wigner(2))
+            CarSystem(nu=np.array([0.3, 0.6, 0.5]), generators=jw_generators(2))
 
     @pytest.mark.parametrize(
         "shapes", [[(4, 4), (2, 2)], [(4, 2), (4, 2)], [(3,)], []],
@@ -390,12 +391,35 @@ class TestFunctionalKernels:
         sys = random_system(3)
         cached = [a for k in sys.functional_kernels for a in (k.data, k.indices, k.indptr)]
         cached += [*sys._entries, *(a for family in sys._pair_products for a in family)]
+        cached += [sys.kernel_values, sys.support_kernel]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[:] = 0
         for i in range(3):
             for j, gj in enumerate(sys.generators):
                 assert coefficient_functional(sys, i, gj) == pytest.approx(float(i == j), abs=1e-13)
+
+
+    @pytest.mark.parametrize("build", ["car_system", "perturbed"])
+    def test_every_reader_takes_the_one_kernel(self, build):
+        # phi_i(b) = Tr(K_i b): the CSR kernels, the functional and the
+        # read-out of an n = 1 matrix agree, also on perturbed generators
+        sys = car_system([0.3, 0.6, 0.45])
+        if build == "perturbed":
+            rng = np.random.default_rng(5)
+            sys = CarSystem(sys.nu, [g.toarray() * (1 + 1e-3 * rng.standard_normal(g.shape))
+                                     for g in sys.generators])
+        b = random_tuple(1, sys.dim, np.random.default_rng(6))[0]
+        traces = [np.sum(k.toarray().T * b) for k in sys.functional_kernels]
+        functionals = [coefficient_functional(sys, i, b) for i in range(sys.d)]
+        readout = extract_coefficients(sys, b)[:, 0, 0]
+        assert np.abs(np.array(functionals) - traces).max() <= 1e-14
+        assert np.abs(readout - traces).max() <= 1e-14
+        i, u, v, _ = sys._entries
+        for k in range(sys.d):
+            assert np.array_equal(sys.functional_kernels[k].toarray()[v[i == k], u[i == k]],
+                                  sys.kernel_values[i == k])
+        assert np.array_equal(sys.support_kernel.ravel(), sys.kernel_values)
 
 
 class TestEmbedTuple:

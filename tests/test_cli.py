@@ -410,6 +410,17 @@ class TestConstantsCommand:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert row["family"] == "gaussian" and row["c1"] == 1.0 / np.sqrt(2.0)
 
+    def test_search_passes_whenever_the_search_returns(self, capsys):
+        # the search accepts these ratios with its Monte Carlo slack of three
+        # standard errors; the row reports that verdict, not a second one
+        code = main(
+            ["constants", "--experiment", "search", "--family", "gaussian", "--samples", "20",
+             "--seed", "1", "--trials", "30", "--d", "3", "--n", "2"]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["pass"] is True
+        assert out["rows"][0]["pass"] is True and "error" not in out["rows"][0]
+
     @pytest.mark.parametrize("family", ["rademacher", "steinhauss", "lacunary", "gaussian"])
     def test_search_row_replays_from_its_family(self, family, capsys):
         argv = ["constants", "--experiment", "search", "--d", "1", "--n", "1",

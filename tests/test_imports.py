@@ -70,7 +70,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert loaded == [], f"the scipy-free paths loaded {loaded}"
 
-nck.jordan_wigner(2)
+system.generators
 assert "scipy.sparse" in sys.modules
 print("ok")
 """

@@ -249,6 +249,18 @@ class TestPhaseQuotient:
         reps, owner, phase = _check_phase_relation(space)
         assert reps.atoms == space.atoms and reps.seed == space.seed
         assert np.array_equal(owner, np.arange(space.atoms)) and np.all(phase == 1.0)
+        # sampled atoms never merge, so the space is not grouped at all
+        assert reps is space
+
+    @pytest.mark.parametrize("family", ["rademacher", "steinhauss", "lacunary", "gaussian"])
+    def test_cached_quotient_is_read_only(self, family):
+        space = build(family, 3, samples=500, seed=4)
+        reps, owner, phase = space._quotient
+        for a in (owner, phase, reps.weights, reps.family):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert space._quotient[1] is owner
+        _check_phase_relation(space)
 
     def test_zero_entries_in_the_first_variable(self):
         family = np.array(
