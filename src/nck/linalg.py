@@ -52,8 +52,8 @@ def truncate_offdiag(y, c: float) -> np.ndarray:
     A leading batch axis is allowed: input of shape ``(m, p, q)`` is
     truncated blockwise and returns shape ``(m, p, q)``.
     """
-    if not c > 0:
-        raise NonPositiveC(f"clip level must be > 0, got {c}")
+    if not 0 < c < np.inf:
+        raise NonPositiveC(f"clip level must be finite and > 0, got {c}")
     a = np.asarray(y, dtype=complex)
     if a.ndim not in (2, 3):
         raise NonSquare(f"truncate_offdiag: expected 2-d or 3-d input, got shape {a.shape}")
@@ -89,5 +89,6 @@ def psd_ge(a, b) -> bool:
         if np.linalg.norm(m - m.conj().T, 2) > PSD_TOL * scale:
             raise NonHermitian(f"psd_ge: argument {name} is not Hermitian")
     diff = 0.5 * (am + am.conj().T) - 0.5 * (bm + bm.conj().T)
-    lam_min = float(np.linalg.eigvalsh(diff)[0])
-    return lam_min >= -PSD_TOL * scale
+    lam = np.linalg.eigvalsh(diff)
+    # the empty matrix is semidefinite
+    return lam.size == 0 or float(lam[0]) >= -PSD_TOL * scale

@@ -118,6 +118,9 @@ PHASE_TOL = 1e-14
 #: grid, relative to the family's largest value, on which the quotient's
 #: grouping keys are rounded; grouping only proposes, ``PHASE_TOL`` decides
 _KEY_STEP = 2.0**-30
+#: atoms per chunk of :func:`moment_identity_check`'s sums: its Gram
+#: temporaries take a few chunks' worth of blocks, not the whole space's
+_MOMENT_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -242,8 +245,8 @@ def rademacher_space(d: int) -> DiscreteProbabilitySpace:
     if d > cap:
         raise DTooLarge(f"rademacher dimension {d} outside [1, {cap}]")
     # variable i is bit d-1-i of the atom index, a set bit being -1
-    bits = (np.arange(1 << d) >> (d - 1 - np.arange(d))[:, None]) & 1
-    family = (1 - 2 * bits).astype(complex)
+    bits = np.indices((2,) * d, dtype=np.int8).reshape(d, -1)
+    family = np.array([1.0, -1.0], dtype=complex)[bits]
     weights = np.full(2**d, 2.0**-d)
     return DiscreteProbabilitySpace("rademacher", weights, family)
 
@@ -256,9 +259,8 @@ def steinhauss_space(d: int) -> DiscreteProbabilitySpace:
         raise SpaceTooLarge(
             f"{order}**{d} atoms exceed the {caps.STEINHAUSS_ATOM_CAP} budget"
         )
-    exponents = np.indices((order,) * d).reshape(d, -1)
     roots = np.exp(2j * np.pi * np.arange(order) / order)
-    family = roots[exponents]
+    family = roots[np.indices((order,) * d, dtype=np.int8).reshape(d, -1)]
     weights = np.full(order**d, float(order) ** -d)
     return DiscreteProbabilitySpace("steinhauss", weights, family)
 
@@ -276,8 +278,11 @@ def lacunary_space(d: int) -> DiscreteProbabilitySpace:
     n_grid = 2 ** (d + 3)
     if n_grid * d > caps.LACUNARY_VALUE_CAP:
         raise SpaceTooLarge(f"{n_grid} grid points at d={d} exceed the budget")
-    phases = np.outer(2 ** np.arange(1, d + 1), np.arange(n_grid)) % n_grid
-    family = np.exp(2j * np.pi * phases / n_grid)
+    # the phase 2^j m mod N as (m mod N/2^j) 2^j, so no product leaves
+    # int32; the grid, a quarter of the family's bytes, is not kept
+    j = np.arange(1, d + 1, dtype=np.int32)[:, None]
+    roots = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
+    family = roots[(np.arange(n_grid, dtype=np.int32) % (n_grid >> j)) << j]
     weights = np.full(n_grid, 1.0 / n_grid)
     return DiscreteProbabilitySpace("lacunary", weights, family)
 
@@ -410,6 +415,11 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
     ``||col2|| + ||row2||`` for circularly symmetric families, factor
     ``3 * triple_norm(y)**2`` for signs).
 
+    The weighted sums of the Grams ``Y*Y`` and ``YY*`` and of their squares
+    are accumulated over chunks of ``_MOMENT_CHUNK`` atoms, so beside the
+    embedded element the check holds a few chunks' worth of blocks, never a
+    whole-space Gram stack.
+
     Deviations are normalized by ``1 + norm(target)``.  Raises
     :class:`IdentityViolation` when the worst deviation exceeds the
     tolerance: :data:`MOMENT_TOL` for exact kinds, ``50/sqrt(atoms)`` for
@@ -417,16 +427,20 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
     """
     kind = family_kind(space.kind)
     ya = as_matrix_tuple(y)
-    elem = element_from_tuple(ya, space)
-    blocks = elem.blocks
+    blocks = element_from_tuple(ya, space).blocks
     w = space.weights
 
-    g_col = np.einsum("mba,mbc->mac", blocks.conj(), blocks)
-    g_row = np.einsum("mab,mcb->mac", blocks, blocks.conj())
-    m2_col = np.einsum("m,mac->ac", w, g_col)
-    m2_row = np.einsum("m,mac->ac", w, g_row)
-    m4_col = np.einsum("m,mab,mbc->ac", w, g_col, g_col)
-    m4_row = np.einsum("m,mab,mbc->ac", w, g_row, g_row)
+    # (col2, row2, col4, row4): sum_m w_m G_m and sum_m w_m G_m^2 for the
+    # column Gram Y*Y and the row Gram YY*, accumulated chunk by chunk
+    sums = np.zeros((4,) + blocks.shape[1:], dtype=complex)
+    for start in range(0, space.atoms, _MOMENT_CHUNK):
+        b = blocks[start:start + _MOMENT_CHUNK]
+        wb = w[start:start + _MOMENT_CHUNK]
+        bc = b.conj()
+        grams = np.einsum("mba,mbc->mac", bc, b), np.einsum("mab,mcb->mac", b, bc)
+        for i, g in enumerate(grams):
+            sums[i] += np.einsum("m,mac->ac", wb, g)
+            sums[i + 2] += np.einsum("m,mab,mbc->ac", wb, g, g)
 
     d = ya.shape[0]
     ones = np.ones(d)
@@ -439,5 +453,5 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
 
     tol = MOMENT_TOL if space.is_exact else 50.0 / np.sqrt(space.atoms)
     return moment_report(
-        f"moments[{space.kind}]", tol, (m2_col, m2_row, m4_col, m4_row), closed, factor
+        f"moments[{space.kind}]", tol, tuple(sums), closed, factor
     )

@@ -33,9 +33,10 @@ class TestClip:
     def test_remainder_quadratic_bound_hypothesis(self, t, c):
         assert abs(clip_remainder(t, c)) <= t * t / (4.0 * c) + 1e-9
 
-    def test_nonpositive_level_rejected(self):
+    @pytest.mark.parametrize("c", [-1.0, 0.0, np.nan, np.inf])
+    def test_nonpositive_level_rejected(self, c):
         with pytest.raises(NonPositiveC):
-            truncate_offdiag(np.eye(2), -1.0)
+            truncate_offdiag(3 * np.eye(2), c)
 
 
 def dilation(y):
@@ -138,6 +139,9 @@ class TestNorms:
     def test_psd_ge(self):
         assert psd_ge(2 * np.eye(3), np.eye(3))
         assert not psd_ge(np.eye(3), 2 * np.eye(3))
+
+    def test_psd_ge_empty_is_semidefinite(self):
+        assert psd_ge(np.zeros((0, 0)), np.zeros((0, 0))) is True
 
     def test_psd_ge_rejects_non_square(self):
         with pytest.raises(NonSquare):

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nck import spaces
 from nck.exceptions import (
     DimensionMismatch,
     DTooLarge,
@@ -14,6 +16,7 @@ from nck.exceptions import (
     SpaceTooLarge,
 )
 from nck.norms import triple_norm
+from nck.reports import moment_report
 from nck.spaces import (
     FAMILIES,
     STEINHAUSS_ORDER,
@@ -179,6 +182,54 @@ class TestFamilyTable:
     def test_build_rejects_a_family_without_a_space(self, name):
         with pytest.raises(InvalidParameter):
             build(name, 2)
+
+
+def _grid_family(kind, d):
+    """The family from an int64 ``d x atoms`` index grid: the reference for the builders."""
+    if kind == "rademacher":
+        bits = (np.arange(1 << d) >> (d - 1 - np.arange(d))[:, None]) & 1
+        return (1 - 2 * bits).astype(complex)
+    if kind == "steinhauss":
+        order = STEINHAUSS_ORDER
+        exponents = np.indices((order,) * d).reshape(d, -1)
+        return np.exp(2j * np.pi * np.arange(order) / order)[exponents]
+    n_grid = 2 ** (d + 3)
+    phases = np.outer(2 ** np.arange(1, d + 1), np.arange(n_grid)) % n_grid
+    return np.exp(2j * np.pi * phases / n_grid)
+
+
+class TestBuilders:
+    @pytest.mark.parametrize(
+        "kind,d",
+        [("rademacher", d) for d in (1, 2, 5, 11)]
+        + [("steinhauss", d) for d in (1, 2, 4, 6)]
+        + [("lacunary", d) for d in (1, 2, 5, 9)],
+    )
+    def test_family_and_weights_match_the_index_grid_formulas(self, kind, d):
+        space = build(kind, d)
+        family = _grid_family(kind, d)
+        weights = np.full(family.shape[1], 1.0 / family.shape[1])
+        for got, expected in ((space.family, family), (space.weights, weights)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_gaussian_family_and_weights_match_the_sampler(self):
+        space = gaussian_space(3, 50, seed=4)
+        z = np.random.default_rng(4).standard_normal((2, 3, 50))
+        assert space.family.tobytes() == ((z[0] + 1j * z[1]) / np.sqrt(2.0)).tobytes()
+        assert space.weights.tobytes() == np.full(50, 1.0 / 50).tobytes()
+
+    def test_steinhauss_build_holds_two_families_and_small_arrays(self):
+        # the family, its read-only copy, the weights and an int8 grid; an
+        # int64 grid beside them alone is half a family
+        steinhauss_space(6)
+        tracemalloc.start()
+        try:
+            space = steinhauss_space(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * space.family.nbytes
 
 
 class TestDiscreteProbabilitySpace:
@@ -484,6 +535,20 @@ class TestMomentIdentityCheck:
         assert report.passed
         assert report.tolerance == 50.0 / np.sqrt(20_000)
 
+    def test_memory_is_the_element_plus_a_few_chunks(self):
+        sp, y = steinhauss_space(6), random_tuple(6, 2)
+        blocks = element_from_tuple(y, sp).blocks
+        chunk_bytes = spaces._MOMENT_CHUNK * blocks[0].nbytes
+        moment_identity_check(y, sp)
+        tracemalloc.start()
+        try:
+            moment_identity_check(y, sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole-space Gram stacks and conjugates would take four times blocks
+        assert peak <= blocks.nbytes + 8 * chunk_bytes
+
     def test_violation_raises(self):
         # a biased measure no longer satisfies the sign-family moments
         sp = rademacher_space(2)
@@ -494,3 +559,80 @@ class TestMomentIdentityCheck:
         )
         with pytest.raises(IdentityViolation):
             moment_identity_check(np.ones((2, 1, 1), dtype=complex), bad_space)
+
+
+def _cycled(space, atoms):
+    """``atoms`` equal-weight atoms running through ``space``'s atoms in turn."""
+    cols = np.arange(atoms) % space.atoms
+    return DiscreteProbabilitySpace(space.kind, np.full(atoms, 1.0 / atoms), space.family[:, cols])
+
+
+def _whole_space_sums(y, space):
+    """The four weighted moment sums, each one einsum over every atom."""
+    blocks = element_from_tuple(y, space).blocks
+    w = space.weights
+    g_col = np.einsum("mba,mbc->mac", blocks.conj(), blocks)
+    g_row = np.einsum("mab,mcb->mac", blocks, blocks.conj())
+    return (
+        np.einsum("m,mac->ac", w, g_col),
+        np.einsum("m,mac->ac", w, g_row),
+        np.einsum("m,mab,mbc->ac", w, g_col, g_col),
+        np.einsum("m,mab,mbc->ac", w, g_row, g_row),
+    )
+
+
+def _report_or_violation(call):
+    try:
+        return call()
+    except IdentityViolation as exc:
+        return exc.report
+
+
+CHUNK = spaces._MOMENT_CHUNK
+
+
+class TestMomentChunks:
+    """Chunked moment sums against whole-space einsums, across chunk boundaries.
+
+    Per kind: fewer atoms than a chunk, exactly one chunk, and a count that
+    is no multiple of it.  A cycled space whose length is no multiple of its
+    base space's fails the identities, so failed verdicts are compared too.
+    """
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            rademacher_space(4),
+            rademacher_space(10),
+            _cycled(rademacher_space(4), 2 * CHUNK + 37),
+            steinhauss_space(4),
+            _cycled(steinhauss_space(2), CHUNK),
+            steinhauss_space(5),
+            lacunary_space(6),
+            lacunary_space(7),
+            _cycled(lacunary_space(3), 2 * CHUNK + 37),
+            gaussian_space(3, CHUNK // 2, seed=5),
+            gaussian_space(3, CHUNK, seed=5),
+            gaussian_space(3, 2 * CHUNK + 37, seed=5),
+        ],
+        ids=lambda sp: f"{sp.kind}-{sp.atoms}",
+    )
+    def test_sums_and_verdict_match_the_whole_space_sums(self, space, monkeypatch):
+        y = random_tuple(space.d, 3, np.random.default_rng(space.atoms))
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return moment_report(*args)
+
+        monkeypatch.setattr(spaces, "moment_report", recording)
+        report = _report_or_violation(lambda: moment_identity_check(y, space))
+        (name, tol, measured, closed, factor), = calls
+        reference = _whole_space_sums(y, space)
+        for got, expected in zip(measured, reference, strict=True):
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        expected = _report_or_violation(lambda: moment_report(name, tol, reference, closed, factor))
+        assert report.passed == expected.passed
+        assert report.deviations.keys() == expected.deviations.keys()
+        for tag, dev in expected.deviations.items():
+            assert abs(report.deviations[tag] - dev) <= 1e-13
