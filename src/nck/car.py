@@ -464,6 +464,18 @@ class CarSystem:
         """The generators as complex CSR matrices (built on first read; read-only arrays)."""
         return _csr(self.d, self.dim, self._entries)
 
+    @cached_property
+    def is_jordan_wigner(self) -> bool:
+        """Whether the generators are exactly the Jordan-Wigner ones (compared by value, cached).
+
+        True for every :func:`car_system` system and for a hand-built system
+        whose entries equal :func:`_jw_entries`; a sign-flipped or perturbed
+        generator makes it False.
+        """
+        return self.dim == 1 << self.d and all(
+            np.array_equal(a, b) for a, b in zip(self._entries, _jw_entries(self.d))
+        )
+
     def _check_side(self) -> None:
         """Raise :class:`IdentityViolation` unless the side is ``2**d``, where the state lives."""
         if self.dim != 1 << self.d:
@@ -888,7 +900,7 @@ def fourth_moment_check(sys: CarSystem, y) -> CheckReport:
         rows = m.reshape(n, s, n * s)
         m2 = np.einsum("a,paqa->pq", r[sectors[k]], rows.reshape(n, s, n, s))
         rows *= np.sqrt(r[sectors[k]])[:, None]
-        w = rows.reshape(n, -1)
+        w = rows.reshape(n, s * n * s)
         return m2, w @ w.conj().T
 
     measured = np.zeros((4, n, n), dtype=complex)

@@ -15,9 +15,16 @@ of particle-number sector blocks (see :mod:`nck.car`), so the clip, the
 read-out and the accumulated element are all taken block by block, one
 batched clip per pair of sectors; the dense matrix is formed once, for
 :attr:`LiftReport.lifted`, and the achieved norm is the largest block
-norm.  Over a probability space the lift runs on the space's phase
-quotient (see :mod:`nck.spaces`): one representative atom per orbit of a
-unimodular scalar, weighted by the orbit.  The clip commutes with a
+norm.  Scalar coefficients (``n = 1``) over the Jordan-Wigner generators
+need no eigendecomposition: the CAR relations give ``Y^2 = 0`` and
+``Y*Y + YY* = |y|^2 I``, so every nonzero singular value of ``Y`` is
+``|y|`` and the clip is the rescaling ``(C / max(|y|, C)) Y``.  Whether a
+system qualifies is read off its generators
+(:attr:`nck.car.CarSystem.is_jordan_wigner`); any other system, or
+``n >= 2``, takes the batched clip.  Over a probability space the lift
+runs on the space's phase quotient (see :mod:`nck.spaces`): one
+representative atom per orbit of a unimodular scalar, weighted by the
+orbit.  The clip commutes with a
 unimodular scalar, and the read-out against the representatives' values
 with orbit weights is exact, so every step is the full space's step cut
 by the orbit size (2 for signs and lacunary, 5 for Steinhaus); the
@@ -53,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .car import CarElement, CarSystem, embed_tuple, extract_coefficients
-from .exceptions import DimensionMismatch, NonPositiveC, StalledIteration
-from .linalg import truncate_offdiag
+from .exceptions import DimensionMismatch, StalledIteration
+from .linalg import check_clip_level, truncate_offdiag
 from .norms import as_matrix_tuple, triple_norm, weighted_triple_norm
 from .spaces import (
     DiscreteProbabilitySpace,
@@ -123,8 +130,7 @@ def corrector_commutative(y, space: DiscreteProbabilitySpace, clip_level: float)
     singular value at most ``clip_level``, so the clip leaves it as it is;
     only the other atoms go through :func:`truncate_offdiag`, in one call.
     """
-    if not clip_level > 0:
-        raise NonPositiveC(f"clip level must be > 0, got {clip_level}")
+    check_clip_level(clip_level)
     ya = as_matrix_tuple(y)
     blocks = element_from_tuple(ya, space).blocks
     flat = blocks.view(float).reshape(blocks.shape[0], -1)
@@ -144,10 +150,23 @@ def corrector_car(y, sys: CarSystem, clip_level: float):
     norm; returns ``(Z, z)`` with ``Z`` a :class:`nck.car.CarElement` and
     ``Z.op_norm() <= clip_level``.  The clip acts on each sector pair in one
     batched call, which equals clipping the dense element.
+
+    Scalar coefficients (``n = 1``) over the Jordan-Wigner generators
+    (:attr:`nck.car.CarSystem.is_jordan_wigner`) need no eigendecomposition:
+    the CAR relations give ``Y^2 = 0`` and ``Y*Y + YY* = |y|^2 I`` for
+    ``Y = sum y_i a_i``, so ``Y*Y`` is ``|y|^2`` times a projection, every
+    nonzero singular value of ``Y`` is ``|y| = |y|_2``, and the clip is the
+    rescaling ``Z = (c / max(|y|, c)) Y``.  Any other system or ``n`` takes
+    the batched clip.
     """
+    check_clip_level(clip_level)
     ya = as_matrix_tuple(y)
     big = embed_tuple(sys, ya)
-    clipped = big.map_pairs(lambda pair: truncate_offdiag(pair, clip_level))
+    if ya.shape[1] == 1 and sys.is_jordan_wigner:
+        scale = clip_level / max(float(np.linalg.norm(ya)), clip_level)
+        clipped = CarElement(sys.d, 1, scale * big.blocks)
+    else:
+        clipped = big.map_pairs(lambda pair: truncate_offdiag(pair, clip_level))
     return clipped, extract_coefficients(sys, clipped)
 
 

@@ -41,6 +41,12 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def check_clip_level(c) -> None:
+    """Raise :class:`NonPositiveC` unless the clip level ``c`` is finite and positive."""
+    if not 0 < c < np.inf:
+        raise NonPositiveC(f"clip level must be finite and > 0, got {c}")
+
+
 def truncate_offdiag(y, c: float) -> np.ndarray:
     """Clip the singular values of a (possibly rectangular) block at ``c``.
 
@@ -52,8 +58,7 @@ def truncate_offdiag(y, c: float) -> np.ndarray:
     A leading batch axis is allowed: input of shape ``(m, p, q)`` is
     truncated blockwise and returns shape ``(m, p, q)``.
     """
-    if not 0 < c < np.inf:
-        raise NonPositiveC(f"clip level must be finite and > 0, got {c}")
+    check_clip_level(c)
     a = np.asarray(y, dtype=complex)
     if a.ndim not in (2, 3):
         raise NonSquare(f"truncate_offdiag: expected 2-d or 3-d input, got shape {a.shape}")

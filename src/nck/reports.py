@@ -59,7 +59,8 @@ def psd_violation(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Positive amount by which ``lhs <= rhs`` fails, scale normalized."""
     diff = rhs - lhs
     diff = 0.5 * (diff + diff.conj().T)
-    lam_min = float(np.linalg.eigvalsh(diff)[0])
+    # the empty matrix has no eigenvalue and violates nothing
+    lam_min = float(np.linalg.eigvalsh(diff).min(initial=0.0))
     scale = 1.0 + float(np.abs(lhs).max(initial=0.0)) + float(np.abs(rhs).max(initial=0.0))
     return max(0.0, -lam_min) / scale
 

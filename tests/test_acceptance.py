@@ -111,35 +111,36 @@ def test_criterion_2_car_lifting_sqrt2():
 
 
 def test_car_lifting_sqrt2_at_d10():
-    # criterion 2's checks at the fermionic cap, side 1024, one sector pair
-    # clipped at a time
-    rng = np.random.default_rng(1010)
-    t0 = time.monotonic()
-    d = 10
-    sys = car_system(rng.uniform(0.02, 0.98, d))
-    x = random_tuple(rng, d, 1)
-    rep = lift(x, sys)
-    rec = extract_coefficients(sys, rep.lifted)
-    worst_rec = float(np.abs(rec - x).max() / np.abs(x).max())
-    hist = rep.residual_history
-    decay_ok = all(hist[k] <= 0.5**k * hist[0] * (1.0 + 1e-9) for k in range(len(hist)))
-    dense_norm = float(np.linalg.norm(rep.lifted, 2))
-    elapsed = time.monotonic() - t0
-    passed = (
-        rep.converged
-        and rep.ratio <= SQRT2 * (1.0 + 1e-6)
-        and dense_norm <= SQRT2 * rep.target_norm * (1.0 + 1e-6)
-        and abs(dense_norm - rep.achieved_norm) <= 1e-12 * dense_norm
-        and worst_rec <= 1e-8
-        and decay_ok
-    )
-    report(
-        "fermionic lifting at d = 10",
-        passed,
-        f"ratio {rep.ratio:.9f} (bound {SQRT2:.9f}), dense norm {dense_norm:.12f} vs "
-        f"achieved {rep.achieved_norm:.12f}, reconstruction {worst_rec:.2e} (tol 1e-8), "
-        f"halving {decay_ok}, {rep.iterations} steps, {elapsed:.1f}s",
-    )
+    # criterion 2's checks at the fermionic cap, side 1024, where scalar
+    # coefficients are clipped by a rescaling, and at d = 8, n = 2, side 512,
+    # where every sector pair goes through the eigendecomposition clip
+    for d, n, seed in ((10, 1, 1010), (8, 2, 808)):
+        rng = np.random.default_rng(seed)
+        t0 = time.monotonic()
+        sys = car_system(rng.uniform(0.02, 0.98, d))
+        x = random_tuple(rng, d, n)
+        rep = lift(x, sys)
+        rec = extract_coefficients(sys, rep.lifted)
+        worst_rec = float(np.abs(rec - x).max() / np.abs(x).max())
+        hist = rep.residual_history
+        decay_ok = all(hist[k] <= 0.5**k * hist[0] * (1.0 + 1e-9) for k in range(len(hist)))
+        dense_norm = float(np.linalg.norm(rep.lifted, 2))
+        elapsed = time.monotonic() - t0
+        passed = (
+            rep.converged
+            and rep.ratio <= SQRT2 * (1.0 + 1e-6)
+            and dense_norm <= SQRT2 * rep.target_norm * (1.0 + 1e-6)
+            and abs(dense_norm - rep.achieved_norm) <= 1e-12 * dense_norm
+            and worst_rec <= 1e-8
+            and decay_ok
+        )
+        report(
+            f"fermionic lifting at d = {d}, n = {n}",
+            passed,
+            f"ratio {rep.ratio:.9f} (bound {SQRT2:.9f}), dense norm {dense_norm:.12f} vs "
+            f"achieved {rep.achieved_norm:.12f}, reconstruction {worst_rec:.2e} (tol 1e-8), "
+            f"halving {decay_ok}, {rep.iterations} steps, {elapsed:.1f}s",
+        )
 
 
 def test_criterion_3_rademacher_lifting_sqrt3():

@@ -654,6 +654,11 @@ class TestFourthMoment:
         report = fourth_moment_check(random_system(d), random_tuple(d, n))
         assert report.passed and report.max_deviation <= 1e-11
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_empty_tuple_passes_with_zero_deviations(self, d):
+        report = fourth_moment_check(random_system(d), np.zeros((d, 0, 0)))
+        assert report.passed and report.max_deviation == 0.0
+
     @pytest.mark.parametrize("d,n", [(1, 1), (2, 3), (4, 2), (5, 3), (6, 1), (6, 3)])
     def test_sector_products_match_dense_products(self, d, n):
         # generators with random values on the Jordan-Wigner support: the

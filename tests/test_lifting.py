@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nck.car import CarSystem, car_system, embed_tuple, extract_coefficients
+from nck.car import CarElement, CarSystem, car_system, embed_tuple, extract_coefficients
 from nck import lifting
 from nck.exceptions import IdentityViolation, NonFinite, NonPositiveC, StalledIteration
 from nck.lifting import (
@@ -174,6 +174,18 @@ class TestCorrectorCommutative:
         assert sup_norm(part) == pytest.approx(sup_norm(full), rel=1e-14)
 
 
+def spy_on_the_clip(monkeypatch):
+    """Record the input of every ``truncate_offdiag`` call the correctors make."""
+    calls = []
+
+    def spy(blocks, c):
+        calls.append(np.array(blocks))
+        return truncate_offdiag(blocks, c)
+
+    monkeypatch.setattr("nck.lifting.truncate_offdiag", spy)
+    return calls
+
+
 def _frobenius_sq(blocks):
     return (np.abs(blocks) ** 2).sum(axis=(1, 2))
 
@@ -186,17 +198,6 @@ class TestClipOnlyAtomsOverTheLevel:
     """``corrector_commutative`` clips only the atoms whose Frobenius norm exceeds the level."""
 
     C = SQRT3 / 2
-
-    @staticmethod
-    def spy_on_the_clip(monkeypatch):
-        calls = []
-
-        def spy(blocks, c):
-            calls.append(np.array(blocks))
-            return truncate_offdiag(blocks, c)
-
-        monkeypatch.setattr("nck.lifting.truncate_offdiag", spy)
-        return calls
 
     def mixed_tuple(self, space):
         # scaled so that the atoms' Frobenius norms straddle the level
@@ -224,7 +225,7 @@ class TestClipOnlyAtomsOverTheLevel:
         same_embed = element_from_tuple_blocks(y, space)
         under = _frobenius_sq(same_embed) <= self.C**2
         assert under.any() and not under.all()
-        calls = self.spy_on_the_clip(monkeypatch)
+        calls = spy_on_the_clip(monkeypatch)
         clipped, z = corrector_commutative(y, space, self.C)
         assert len(calls) == 1 and np.array_equal(calls[0], same_embed[~under])
         assert np.array_equal(clipped.blocks[under], same_embed[under])
@@ -239,7 +240,7 @@ class TestClipOnlyAtomsOverTheLevel:
         # the largest atom just under the level, the others far above its square
         y *= 0.999 * self.C / np.sqrt(sq.max())
         assert (sq / sq.max() * (0.999 * self.C) ** 2 > self.C**4).any()
-        calls = self.spy_on_the_clip(monkeypatch)
+        calls = spy_on_the_clip(monkeypatch)
         clipped, z = corrector_commutative(y, space, self.C)
         assert calls == []
         assert np.array_equal(clipped.blocks, element_from_tuple_blocks(y, space))
@@ -259,7 +260,7 @@ class TestClipOnlyAtomsOverTheLevel:
         with pytest.raises(NonFinite):
             corrector_commutative(y, space, self.C)
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
     def test_level_not_positive(self, c):
         with pytest.raises(NonPositiveC):
             corrector_commutative(np.zeros((2, 1, 1)), rademacher_space(2), c)
@@ -302,10 +303,16 @@ class TestCorrectorCar:
         dense = truncate_offdiag(embed_tuple(sys, y).toarray(), 1 / SQRT2)
         assert np.abs(clipped.toarray() - dense).max() <= 1e-13
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_level_not_positive(self, c, n):
+        with pytest.raises(NonPositiveC):
+            corrector_car(np.zeros((3, n, n)), car_system([0.2, 0.5, 0.7]), c)
+
     @pytest.mark.parametrize("d", [1, 4, 10, 12])
     def test_scalar_clip_is_a_rescaling(self, d, monkeypatch):
-        # at n = 1, Y*Y + YY* = |y|^2 I and Y^2 = 0, so every nonzero singular
-        # value of every block is |y|: the clip is min(1, c / |y|) Y
+        # at n = 1 the corrector rescales; the general clip, one
+        # eigendecomposition per block, must give the same element
         monkeypatch.setenv("NCK_MAX_DIM", "12")
         rng = np.random.default_rng(d)
         sys = car_system(rng.uniform(0.05, 0.95, d))
@@ -313,8 +320,48 @@ class TestCorrectorCar:
         y = random_tuple(d, 1, rng)
         y *= 3.0 * c / np.linalg.norm(y)
         clipped, _z = corrector_car(y, sys, c)
-        expected = min(1.0, c / np.linalg.norm(y)) * embed_tuple(sys, y).blocks
+        expected = embed_tuple(sys, y).map_pairs(lambda p: truncate_offdiag(p, c)).blocks
         assert np.abs(clipped.blocks - expected).max() <= 1e-13
+
+    @staticmethod
+    def hand_built(d, change):
+        """A hand-built system over the Jordan-Wigner generators, ``change`` applied to them."""
+        nu = np.random.default_rng(d).uniform(0.05, 0.95, d)
+        return CarSystem(nu, change([g.toarray() for g in car_system(nu).generators]))
+
+    def test_hand_built_jordan_wigner_is_rescaled(self, monkeypatch):
+        d = 4
+        sys = self.hand_built(d, lambda gens: gens)
+        assert sys.is_jordan_wigner
+        with pytest.raises(AttributeError):
+            sys.is_jordan_wigner = False
+        y = random_tuple(d, 1, np.random.default_rng(2))
+        clean = corrector_car(y, car_system(sys.nu), 1 / SQRT2)
+        calls = spy_on_the_clip(monkeypatch)
+        clipped, z = corrector_car(y, sys, 1 / SQRT2)
+        assert calls == []
+        assert np.array_equal(clipped.blocks, clean[0].blocks) and np.array_equal(z, clean[1])
+        # n = 2 keeps the clip
+        corrector_car(random_tuple(d, 2), sys, 1 / SQRT2)
+        assert len(calls) == (d + 1) // 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda g: g[:2] + [-g[2]] + g[3:], lambda g: [g[0], (1.0 + 1e-9) * g[1]] + g[2:]],
+        ids=["sign-flipped", "perturbed"],
+    )
+    def test_other_generators_are_clipped(self, change, monkeypatch):
+        d = 5
+        sys = self.hand_built(d, change)
+        assert not sys.is_jordan_wigner
+        y = random_tuple(d, 1, np.random.default_rng(3))
+        y *= 3.0 / np.linalg.norm(y)
+        calls = spy_on_the_clip(monkeypatch)
+        clipped, z = corrector_car(y, sys, 1 / SQRT2)
+        assert len(calls) == (d + 1) // 2
+        expected = embed_tuple(sys, y).map_pairs(lambda p: truncate_offdiag(p, 1 / SQRT2))
+        assert np.abs(clipped.blocks - expected.blocks).max() <= 1e-14
+        assert np.abs(z - extract_coefficients(sys, expected)).max() <= 1e-14
 
     def test_step_psd_bounds(self):
         # each corrector step obeys the quadratic residual domination
@@ -329,6 +376,27 @@ class TestCorrectorCar:
         assert psd_ge(gram @ gram / (16 * c * c), r.conj().T @ r)
         gram_r = big @ big.conj().T
         assert psd_ge(gram_r @ gram_r / (16 * c * c), r @ r.conj().T)
+
+
+def general_clip_lift(x, sys):
+    """The fermionic lift with every step clipped pair by pair through ``truncate_offdiag``.
+
+    Returns ``(iterations, history, lifted, achieved)``, ``lifted`` dense.
+    """
+    clip_level = family_row("car")[0] / 2.0
+    target = weighted_triple_norm(x, sys.nu)
+    w, norm_w, history = x.copy(), target, [target]
+    accum = CarElement.zeros(sys.d, x.shape[1])
+    iterations = 0
+    while norm_w > TOL * target and iterations < MAX_STEPS:
+        iterations += 1
+        embedded = embed_tuple(sys, w / norm_w)
+        clipped = embedded.map_pairs(lambda p: truncate_offdiag(p, clip_level))
+        accum.blocks[...] += norm_w * clipped.blocks
+        w = w - norm_w * extract_coefficients(sys, clipped)
+        norm_w = weighted_triple_norm(w, sys.nu)
+        history.append(norm_w)
+    return iterations, np.array(history), accum.toarray(), accum.op_norm()
 
 
 class TestLift:
@@ -374,6 +442,20 @@ class TestLift:
         rep = lift(random_tuple(d, n), sys)
         dense = np.linalg.norm(rep.lifted, 2)
         assert abs(rep.achieved_norm - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+    def test_car_scalar_lift_matches_the_general_clip(self, d):
+        # n = 1 rescales where the reference clips by eigendecomposition
+        for seed, scale in ((0, 1.0), (1, 1.0), (2, 1e-6)):
+            rng = np.random.default_rng(seed)
+            sys = car_system(rng.uniform(0.02, 0.98, d))
+            x = scale * random_tuple(d, 1, rng)
+            rep = lift(x, sys)
+            iterations, history, lifted, achieved = general_clip_lift(x, sys)
+            assert rep.iterations == iterations and rep.converged
+            assert np.all(np.abs(rep.residual_history - history) <= 1e-12 * history)
+            assert np.abs(rep.lifted - lifted).max() <= 1e-12 * np.abs(lifted).max()
+            assert abs(rep.achieved_norm - achieved) <= 1e-12 * achieved
 
     def test_car_sign_flipped_generator(self):
         clean = car_system(RNG.uniform(0.05, 0.95, 3))

@@ -535,6 +535,12 @@ class TestMomentIdentityCheck:
         assert report.passed
         assert report.tolerance == 50.0 / np.sqrt(20_000)
 
+    @pytest.mark.parametrize("family", ["rademacher", "steinhauss", "lacunary", "gaussian"])
+    def test_empty_tuple_passes_with_zero_deviations(self, family):
+        # n = 0: every moment is an empty matrix, and so is every violation
+        report = moment_identity_check(np.zeros((2, 0, 0)), build(family, 2, samples=100, seed=1))
+        assert report.passed and report.max_deviation == 0.0
+
     def test_memory_is_the_element_plus_a_few_chunks(self):
         sp, y = steinhauss_space(6), random_tuple(6, 2)
         blocks = element_from_tuple(y, sp).blocks
