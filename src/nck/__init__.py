@@ -45,6 +45,7 @@ from .exceptions import (
     NonHermitian,
     NonPositiveC,
     NonSquare,
+    NormOverflow,
     NotOrthonormal,
     ParseError,
     SizeMismatch,

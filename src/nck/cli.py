@@ -43,6 +43,7 @@ from .exceptions import (
     IdentityViolation,
     InvalidParameter,
     NckError,
+    NormOverflow,
     ParseError,
     SizeMismatch,
     SpaceTooLarge,
@@ -63,6 +64,7 @@ USAGE_ERRORS = (
     SizeMismatch,
     ZeroWitness,
     InvalidParameter,
+    NormOverflow,
 )
 
 BOUND_SLACK = 1e-6

@@ -13,6 +13,10 @@ class NonFinite(NckError, ValueError):
     """Input contains NaN or Inf entries."""
 
 
+class NormOverflow(NonFinite):
+    """A finite input whose norm overflows to Inf, so no bound can be checked against it."""
+
+
 class NonHermitian(NckError, ValueError):
     """A Hermitian matrix was required."""
 

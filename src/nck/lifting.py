@@ -16,9 +16,13 @@ read-out and the accumulated element are all taken block by block, one
 batched clip per pair of sectors; the dense matrix is formed once, for
 :attr:`LiftReport.lifted`, and the achieved norm is the largest block
 norm.  Scalar coefficients (``n = 1``) over the Jordan-Wigner generators
-need no eigendecomposition: the CAR relations give ``Y^2 = 0`` and
-``Y*Y + YY* = |y|^2 I``, so every nonzero singular value of ``Y`` is
-``|y|`` and the clip is the rescaling ``(C / max(|y|, C)) Y``.  Whether a
+need neither: the CAR relations give ``Y^2 = 0`` and
+``Y*Y + YY* = |y|^2 I``, so ``Y*Y`` is ``|y|^2`` times a projection, every
+nonzero singular value of ``Y = Y(y)`` is ``|y|_2``, and the clip is the
+rescaled element ``Y((C / max(|y|_2, C)) y)``.  That lift stays in
+coefficient space: each step rescales the residual tuple and adds it to
+the accumulated tuple ``a``, and the end embeds ``a`` once for
+:attr:`LiftReport.lifted`, whose norm is ``|a|_2`` exactly.  Whether a
 system qualifies is read off its generators
 (:attr:`nck.car.CarSystem.is_jordan_wigner`); any other system, or
 ``n >= 2``, takes the batched clip.  Over a probability space the lift
@@ -33,8 +37,11 @@ once at the end.  Only the atoms whose Frobenius norm exceeds ``C`` go to
 the clip: a smaller atom has every singular value at most ``C``, and the
 clip leaves it unchanged.  For a normalized input the corrected residual has
 primal norm at most ``delta = 1/2``, so the accumulated element converges
-with norm at most ``C / (1 - delta)``.  Every number here is fixed by the
-paper: ``delta`` is :data:`CONTRACTION`, and the lift reads its setting's
+with norm at most ``C / (1 - delta)``.  The input is validated once, by the
+primal norm of ``x`` (a tuple whose norm overflows raises
+:class:`NormOverflow`); the residual norms of the steps are taken from the
+Grams directly, bit for bit the same numbers.  Every number here is fixed
+by the paper: ``delta`` is :data:`CONTRACTION`, and the lift reads its setting's
 lift constant ``K`` from :data:`nck.spaces.FAMILIES` and clips at
 ``C = K / 2``, so the bound ``C / (1 - delta)`` is ``K`` exactly:
 
@@ -60,9 +67,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .car import CarElement, CarSystem, embed_tuple, extract_coefficients
-from .exceptions import DimensionMismatch, StalledIteration
+from .exceptions import DimensionMismatch, NormOverflow, StalledIteration
 from .linalg import check_clip_level, truncate_offdiag
-from .norms import as_matrix_tuple, triple_norm, weighted_triple_norm
+from .norms import (
+    _col_gram,
+    _grams_norm_sqrt,
+    _row_gram,
+    as_matrix_tuple,
+    triple_norm,
+    weighted_triple_norm,
+)
 from .spaces import (
     DiscreteProbabilitySpace,
     RandomElement,
@@ -143,6 +157,11 @@ def corrector_commutative(y, space: DiscreteProbabilitySpace, clip_level: float)
     return clipped, conditional_expectation(clipped)
 
 
+def _scalar_clip(y: np.ndarray, clip_level: float) -> np.ndarray:
+    """The tuple ``(c / max(|y|_2, c)) y`` of the clipped scalar Jordan-Wigner element."""
+    return (clip_level / max(float(np.linalg.norm(y)), clip_level)) * y
+
+
 def corrector_car(y, sys: CarSystem, clip_level: float):
     """One truncation step in the fermionic algebra.
 
@@ -152,56 +171,80 @@ def corrector_car(y, sys: CarSystem, clip_level: float):
     batched call, which equals clipping the dense element.
 
     Scalar coefficients (``n = 1``) over the Jordan-Wigner generators
-    (:attr:`nck.car.CarSystem.is_jordan_wigner`) need no eigendecomposition:
-    the CAR relations give ``Y^2 = 0`` and ``Y*Y + YY* = |y|^2 I`` for
-    ``Y = sum y_i a_i``, so ``Y*Y`` is ``|y|^2`` times a projection, every
-    nonzero singular value of ``Y`` is ``|y| = |y|_2``, and the clip is the
-    rescaling ``Z = (c / max(|y|, c)) Y``.  Any other system or ``n`` takes
-    the batched clip.
+    (:attr:`nck.car.CarSystem.is_jordan_wigner`) need no eigendecomposition
+    and no read-out: the CAR relations give ``Y^2 = 0`` and
+    ``Y*Y + YY* = |y|^2 I`` for ``Y = sum y_i a_i``, so ``Y*Y`` is
+    ``|y|^2`` times a projection, every nonzero singular value of ``Y`` is
+    ``|y| = |y|_2``, and the clip is ``Z = Y(z)`` with
+    ``z = (c / max(|y|, c)) y``.  Any other system or ``n`` takes the
+    batched clip.
     """
     check_clip_level(clip_level)
     ya = as_matrix_tuple(y)
-    big = embed_tuple(sys, ya)
     if ya.shape[1] == 1 and sys.is_jordan_wigner:
-        scale = clip_level / max(float(np.linalg.norm(ya)), clip_level)
-        clipped = CarElement(sys.d, 1, scale * big.blocks)
-    else:
-        clipped = big.map_pairs(lambda pair: truncate_offdiag(pair, clip_level))
+        z = _scalar_clip(ya, clip_level)
+        return embed_tuple(sys, z), z
+    clipped = embed_tuple(sys, ya).map_pairs(lambda pair: truncate_offdiag(pair, clip_level))
     return clipped, extract_coefficients(sys, clipped)
 
 
-def _setting_ops(setting):
-    """``(primal, corrector, zero, finish, clip_level)`` of a lifting setting.
+def _setting_ops(setting, n: int):
+    """``(primal, residual, step, zero, finish, clip_level)`` of a lifting setting.
 
-    ``zero(n)`` is the empty element, which the lift accumulates through its
-    ``blocks`` array; ``finish`` turns it into ``(lifted, achieved_norm)``.
+    ``primal`` is the public norm that validates the input tuple;
+    ``residual`` is the same norm of a step's residual, taken from the Grams
+    without validating again.  ``step(t)`` is ``(piece, z)``: the array the
+    lift accumulates, starting from ``zero``, and the corrected tuple ``z``.
+    ``finish`` turns the accumulated array into ``(lifted, achieved_norm)``.
     A probability space is lifted on its phase quotient, and ``finish``
-    expands the accumulated representatives to every atom.  ``clip_level``
-    is half the setting's lift constant ``K``.
+    expands the accumulated representatives to every atom.  A scalar
+    (``n = 1``) Jordan-Wigner lift accumulates the tuple itself and embeds
+    it once.  ``clip_level`` is half the setting's lift constant ``K``.
     """
     if isinstance(setting, DiscreteProbabilitySpace):
         reps, owner, phase = setting._quotient
-        return (
-            lambda t: triple_norm(t),
-            lambda t, c: corrector_commutative(t, reps, c),
-            lambda n: RandomElement(reps, np.zeros((reps.atoms, n, n), dtype=complex)),
-            lambda e: (
-                RandomElement(setting, phase[:, None, None] * e.blocks[owner]),
-                sup_norm(e),
-            ),
-            family_row(setting.kind)[0] / 2.0,
+        clip_level = family_row(setting.kind)[0] / 2.0
+        primal, col_w, row_w = triple_norm, None, None
+        zero = np.zeros((reps.atoms, n, n), dtype=complex)
+
+        def step(t):
+            clipped, z = corrector_commutative(t, reps, clip_level)
+            return clipped.blocks, z
+
+        def finish(acc):
+            return (
+                RandomElement(setting, phase[:, None, None] * acc[owner]),
+                sup_norm(RandomElement(reps, acc)),
+            )
+    elif isinstance(setting, CarSystem):
+        clip_level = family_row("car")[0] / 2.0
+        col_w, row_w = setting.nu, 1.0 - setting.nu
+        primal = lambda x: weighted_triple_norm(x, col_w)
+        if n == 1 and setting.is_jordan_wigner:
+            zero = np.zeros((setting.d, 1, 1), dtype=complex)
+
+            def step(t):
+                z = _scalar_clip(t, clip_level)
+                return z, z
+
+            def finish(acc):
+                return embed_tuple(setting, acc).toarray(), float(np.linalg.norm(acc))
+        else:
+            zero = CarElement.zeros(setting.d, n).blocks
+
+            def step(t):
+                clipped, z = corrector_car(t, setting, clip_level)
+                return clipped.blocks, z
+
+            def finish(acc):
+                accumulated = CarElement(setting.d, n, acc)
+                return accumulated.toarray(), accumulated.op_norm()
+    else:
+        raise DimensionMismatch(
+            f"setting must be a DiscreteProbabilitySpace or CarSystem, got {type(setting)!r}"
         )
-    if isinstance(setting, CarSystem):
-        return (
-            lambda t: weighted_triple_norm(t, setting.nu),
-            lambda t, c: corrector_car(t, setting, c),
-            lambda n: CarElement.zeros(setting.d, n),
-            lambda e: (e.toarray(), e.op_norm()),
-            family_row("car")[0] / 2.0,
-        )
-    raise DimensionMismatch(
-        f"setting must be a DiscreteProbabilitySpace or CarSystem, got {type(setting)!r}"
-    )
+    residual = lambda w: _grams_norm_sqrt(_col_gram(w, col_w), _row_gram(w, row_w))
+    return primal, residual, step, zero, finish, clip_level
 
 
 def lift(x, setting) -> LiftReport:
@@ -213,16 +256,19 @@ def lift(x, setting) -> LiftReport:
     by :data:`CONTRACTION`.  Stops when the residual falls below
     ``TOL * norm(x)``, or after :data:`MAX_STEPS` steps.
 
-    Raises :class:`StalledIteration` when a step fails to contract by
-    ``CONTRACTION + STALL_SLACK`` (corrector precondition violated, e.g.
-    noisy sampled moments).
+    Raises :class:`NormOverflow` when the primal norm of the finite tuple
+    ``x`` is not finite, and :class:`StalledIteration` when a step fails to
+    contract by ``CONTRACTION + STALL_SLACK`` (corrector precondition
+    violated, e.g. noisy sampled moments).
     """
-    primal, corrector, zero, finish, clip_level = _setting_ops(setting)
-
     xa = as_matrix_tuple(x)
-    target = primal(xa)
+    primal, residual, step, accum, finish, clip_level = _setting_ops(setting, xa.shape[1])
+    # a finite tuple's Grams can overflow; the target is checked right here
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = primal(xa)
+    if not np.isfinite(target):
+        raise NormOverflow(f"the primal norm of the tuple overflows (computed as {target})")
     history = [target]
-    accum = zero(xa.shape[1])
 
     w = xa.copy()
     norm_w = target
@@ -233,10 +279,10 @@ def lift(x, setting) -> LiftReport:
             converged = True
             break
         iterations = k + 1
-        clipped, z = corrector(w / norm_w, clip_level)
-        accum.blocks[...] += norm_w * clipped.blocks
+        piece, z = step(w / norm_w)
+        accum += norm_w * piece
         w = w - norm_w * z
-        norm_next = primal(w)
+        norm_next = residual(w)
         if norm_next > (CONTRACTION + STALL_SLACK) * norm_w:
             raise StalledIteration(
                 f"residual contracted only to {norm_next / norm_w:.4f} of the "
@@ -259,4 +305,3 @@ def lift(x, setting) -> LiftReport:
         converged=converged,
         clip_level=clip_level,
     )
-

@@ -6,7 +6,7 @@ import pytest
 
 import nck.cli as cli
 from nck.cli import main
-from nck.exceptions import ParseError
+from nck.exceptions import NonFinite, ParseError
 from nck.spaces import FAMILIES
 from nck.tupleio import load_tuple_file, render_report, save_tuple_file
 
@@ -167,6 +167,26 @@ class TestLiftCommand:
         path = tmp_path / "plain.json"
         save_tuple_file(path, np.ones((2, 1, 1), dtype=complex))
         assert main(["lift", "--file", str(path), "--family", "car"]) == 2
+
+    @pytest.mark.parametrize("family", ["car", "rademacher"])
+    def test_overflowing_norm_exit_2(self, tmp_path, family, capsys):
+        # finite entries whose primal norm overflows: no bound can be checked
+        path = tmp_path / "huge.json"
+        save_tuple_file(path, np.full((3, 1, 1), 1e160 + 0j), nu=[0.3, 0.5, 0.7])
+        assert main(["lift", "--file", str(path), "--family", family]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nck: error:") and "overflows" in captured.err
+
+    def test_non_finite_from_the_program_exit_1(self, random_car_file, monkeypatch, capsys):
+        # only an input whose norm overflows is a usage error; a NaN the
+        # program itself produces is a failed check
+        def failing_lift(x, setting):
+            raise NonFinite("matrix has NaN or Inf entries")
+
+        monkeypatch.setattr(cli, "lift", failing_lift)
+        assert main(["lift", "--file", random_car_file, "--family", "car"]) == 1
+        assert capsys.readouterr().err.startswith("nck: check failed:")
 
     def test_gaussian_tiny_sample_stalls(self, tmp_path, capsys):
         path = tmp_path / "g.json"

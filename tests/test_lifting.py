@@ -5,7 +5,14 @@ import pytest
 
 from nck.car import CarElement, CarSystem, car_system, embed_tuple, extract_coefficients
 from nck import lifting
-from nck.exceptions import IdentityViolation, NonFinite, NonPositiveC, StalledIteration
+from nck.exceptions import (
+    DimensionMismatch,
+    IdentityViolation,
+    NonFinite,
+    NonPositiveC,
+    NormOverflow,
+    StalledIteration,
+)
 from nck.lifting import (
     CONTRACTION,
     MAX_STEPS,
@@ -310,15 +317,17 @@ class TestCorrectorCar:
             corrector_car(np.zeros((3, n, n)), car_system([0.2, 0.5, 0.7]), c)
 
     @pytest.mark.parametrize("d", [1, 4, 10, 12])
-    def test_scalar_clip_is_a_rescaling(self, d, monkeypatch):
+    @pytest.mark.parametrize("over", [3.0, 0.5])
+    def test_scalar_clip_is_a_rescaling(self, d, over, monkeypatch):
         # at n = 1 the corrector rescales; the general clip, one
-        # eigendecomposition per block, must give the same element
+        # eigendecomposition per block, must give the same element, and
+        # leave an element under the level as it is
         monkeypatch.setenv("NCK_MAX_DIM", "12")
         rng = np.random.default_rng(d)
         sys = car_system(rng.uniform(0.05, 0.95, d))
         c = family_row("car")[0] / 2.0
         y = random_tuple(d, 1, rng)
-        y *= 3.0 * c / np.linalg.norm(y)
+        y *= over * c / np.linalg.norm(y)
         clipped, _z = corrector_car(y, sys, c)
         expected = embed_tuple(sys, y).map_pairs(lambda p: truncate_offdiag(p, c)).blocks
         assert np.abs(clipped.blocks - expected).max() <= 1e-13
@@ -514,6 +523,74 @@ class TestLift:
         assert rep.converged
         # no exact guarantee here, but the ratio should sit near sqrt(2)
         assert rep.ratio <= SQRT2 * 1.1
+
+
+
+# a d = 3 setting and the matrix size of its tuples
+ENTRY_CASES = pytest.mark.parametrize(
+    "setting,n",
+    [(car_system([0.3, 0.5, 0.7]), 1), (car_system([0.3, 0.5, 0.7]), 2), (rademacher_space(3), 2)],
+    ids=["car-n1", "car-n2", "rademacher"],
+)
+
+
+class TestLiftInputChecks:
+    """The lift validates its input once, at its entry, before the first step."""
+
+    @ENTRY_CASES
+    def test_overflowing_primal_norm_raises(self, setting, n, monkeypatch):
+        # every entry is finite, but the Grams overflow
+        calls = spy_on_the_clip(monkeypatch)
+        for x in (np.full((3, n, n), 1e160 + 0j), np.full((3, n, n), 1e200 * (1 + 1j))):
+            with pytest.raises(NormOverflow, match="overflows") as exc:
+                lift(x, setting)
+            assert isinstance(exc.value, NonFinite)
+        assert calls == []
+
+    @ENTRY_CASES
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_mismatched_d_raises_before_the_first_clip(self, setting, n, d, monkeypatch):
+        calls = spy_on_the_clip(monkeypatch)
+        with pytest.raises(DimensionMismatch):
+            lift(random_tuple(d, n, np.random.default_rng(d)), setting)
+        assert calls == []
+
+
+class TestScalarCarLiftClosedForm:
+    """At ``n = 1`` over the Jordan-Wigner generators the lift has a closed form.
+
+    Every step rescales the residual by ``rho = 1 - c * target / |x|_2``
+    (``|x|_2`` is never under the target and at most ``sqrt(2)`` times it,
+    so ``rho`` lies in ``[1 - c, 1/2]``): the residual norms are
+    ``rho^k target``, the accumulated tuple is ``(1 - rho^K) x`` and the
+    lifted element's norm is its Euclidean norm.
+    """
+
+    @pytest.mark.parametrize("d", list(range(1, 11)) + [12])
+    def test_history_norm_and_readout(self, d, monkeypatch):
+        monkeypatch.setenv("NCK_MAX_DIM", "12")
+        rng = np.random.default_rng(2300 + d)
+        sys = car_system(rng.uniform(0.02, 0.98, d))
+        x = random_tuple(d, 1, rng)
+        rep = lift(x, sys)
+        norm_x = np.linalg.norm(x)
+        rho = 1.0 - rep.clip_level * rep.target_norm / norm_x
+        assert 1.0 - rep.clip_level - 1e-15 <= rho <= 0.5 + 1e-15
+        steps = int(np.ceil(np.log(TOL) / np.log(rho)))
+        assert rho**steps <= TOL < rho ** (steps - 1)
+        if min(abs(np.log(rho**k / TOL)) for k in (steps - 1, steps)) > 1e-9:
+            assert rep.iterations == steps
+        else:  # the stopping test sits within rounding of its boundary
+            assert abs(rep.iterations - steps) <= 1
+        k = rep.iterations
+        assert rep.converged
+        expected = rep.target_norm * rho ** np.arange(k + 1)
+        assert np.all(np.abs(rep.residual_history - expected) <= 1e-12 * expected)
+        achieved = norm_x * (1.0 - rho**k)
+        assert abs(rep.achieved_norm - achieved) <= 1e-12 * achieved
+        # the read-out is the accumulated tuple, x up to the last residual
+        readout = extract_coefficients(sys, rep.lifted)
+        assert np.abs(readout - (1.0 - rho**k) * x).max() <= 1e-12 * np.abs(x).max()
 
 
 # the benchmark's sign-lift shapes: each (family, d) twice, with n two apart
