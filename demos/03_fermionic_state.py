@@ -1,8 +1,8 @@
 """The fermionic side: anticommuting generators and a weighted product state.
 
 The d generators are explicit 2^d x 2^d matrices, the Jordan-Wigner tensor
-products of 2 x 2 blocks, read as sparse CSR matrices: each is a signed
-partial permutation with 2^(d-1) entries of +-1.  The anticommutation
+products of 2 x 2 blocks, each read densely with CarSystem.generator: each is
+a signed partial permutation with 2^(d-1) entries of +-1.  The anticommutation
 relations hold with zero floating-point error because every entry is 0 or
 +-1.  A weight vector nu in [0,1]^d fixes the product
 density rho = (x) diag(1-nu_i, nu_i) whose n-point values are determinants
@@ -20,8 +20,6 @@ from nck import (
     extract_coefficients,
     embed_tuple,
     fourth_moment_check,
-    generator_monomial,
-    npoint_function,
     orthogonality_check,
     second_moment_check,
     state_eval,
@@ -54,16 +52,17 @@ rep = fourth_moment_check(sys, y)
 print(f"{rep.name:18s}: worst deviation {rep.max_deviation:.2e}")
 
 print("\n--- n-point values are determinants ---")
-val_det = npoint_function(sys, [1, 0], [0, 1])
-val_trace = state_eval(sys, generator_monomial(sys, [1, 0], [0, 1]))
-print(f"a_2* a_1* a_1 a_2: determinant {val_det.real:.8f}, trace {val_trace.real:.8f}, "
-      f"nu_1 nu_2 = {(sys.nu[0]*sys.nu[1]):.8f}")
+a1, a2 = sys.generator(0), sys.generator(1)
+val_trace = state_eval(sys, a2.conj().T @ a1.conj().T @ a1 @ a2)
+print(f"a_2* a_1* a_1 a_2: trace {val_trace.real:.8f}, "
+      f"determinant nu_1 nu_2 = {(sys.nu[0]*sys.nu[1]):.8f}")
 
 print("\n--- the coefficient functionals read tuples off algebra elements ---")
 big = embed_tuple(sys, y)
 rec = extract_coefficients(sys, big)
 print(f"embed then extract: max error {np.abs(rec - y).max():.2e}")
-for j, g in enumerate(sys.generators):
+for j in range(sys.d):
+    g = sys.generator(j)
     vals = [abs(coefficient_functional(sys, i, g) - (i == j)) for i in range(sys.d)]
     assert max(vals) < 1e-13
 print("phi_i(a_j) = delta_ij verified on all generators")

@@ -17,8 +17,6 @@ from .car import (
     embed_tuple,
     extract_coefficients,
     fourth_moment_check,
-    generator_monomial,
-    npoint_function,
     orthogonality_check,
     second_moment_check,
     state_eval,

@@ -9,13 +9,12 @@ with ``e = [[0, 1], [0, 0]]`` and ``u = diag(1, -1)``.  Each ``a_i`` is a
 signed partial permutation with ``2**(d-1)`` entries of +-1, and that is
 how it is kept: a :class:`CarSystem` holds its generators as one set of
 read-only entry arrays ``(i, u, v, value)``, one row per entry
-``a_i[u, v]``, built by bit arithmetic.  A hand-built system's generators,
-dense or ``scipy.sparse``, are copied into the same form.  Only numpy is
-needed to build a system, embed a tuple, read coefficients off an
-element, evaluate the state and the coefficient functionals, run the
-fermionic lift and every identity check.  scipy is loaded only to hand a
-caller a CSR matrix: :attr:`CarSystem.generators`,
-:attr:`CarSystem.functional_kernels` and :func:`generator_monomial`.
+``a_i[u, v]``, built by bit arithmetic.  A hand-built system's dense
+generators are copied into the same form, and
+:meth:`CarSystem.generator` gives one back as a new dense matrix.
+Building a system, embedding a tuple, reading coefficients off an
+element, evaluating the state and the coefficient functionals, the
+fermionic lift and every identity check need only numpy.
 The generators satisfy the anticommutation relations
 ``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
 in floating point.  The identity checks take every pairwise product
@@ -55,15 +54,11 @@ smaller side as columns, ready for one batched clip.  The dense
 
 from __future__ import annotations
 
-import sys as _sys  # ``sys`` names a CarSystem throughout this module
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-# ``scipy.sparse`` is imported only inside the functions that return a CSR
-# matrix, never at module level: it is most of a fresh process's import
-# time, and no computation here needs it.
 from . import caps
 from .exceptions import (
     DimensionMismatch,
@@ -84,8 +79,6 @@ __all__ = [
     "car_system",
     "state_eval",
     "coefficient_functional",
-    "npoint_function",
-    "generator_monomial",
     "embed_tuple",
     "extract_coefficients",
     "anticommutation_check",
@@ -193,19 +186,6 @@ def _jw_entries(d: int) -> tuple:
                (1.0 - 2.0 * parity.ravel()).astype(complex))
     _read_only(*entries)
     return entries
-
-
-def _csr(d: int, side: int, entries) -> tuple:
-    """The ``d`` complex CSR matrices with entries ``(i, u, v, value)`` (read-only arrays)."""
-    import scipy.sparse as sp
-
-    i, u, v, val = entries
-    out = []
-    for k in range(d):
-        m = sp.csr_array((val[i == k], (u[i == k], v[i == k])), shape=(side, side))
-        _read_only(m.data, m.indices, m.indptr)
-        out.append(m)
-    return tuple(out)
 
 
 def _check_modes(d: int) -> int:
@@ -354,12 +334,6 @@ class CarElement:
         return out.reshape(side, side)
 
 
-def _is_sparse(a) -> bool:
-    # no sparse matrix exists before scipy.sparse is loaded, so this never loads it
-    sp = _sys.modules.get("scipy.sparse")
-    return sp is not None and sp.issparse(a)
-
-
 def _summed(key: np.ndarray, val: np.ndarray) -> tuple:
     """The distinct keys, ascending, and the sum of ``val`` over each.
 
@@ -396,43 +370,36 @@ def _gram_entries(row: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple:
 
 
 def _canonical_entries(generators) -> tuple:
-    """``(d, side, entries)`` of hand-built generators, dense or ``scipy.sparse``.
+    """``(d, side, entries)`` of hand-built dense generators.
 
     ``entries`` is ``(i, u, v, value)`` for every nonzero ``a_i[u, v]``,
-    sorted by generator, row and column, with repeated entries summed.  The
-    arrays are new and read-only, so the caller's matrices stay theirs.
+    sorted by generator, row and column.  The arrays are new and read-only,
+    so the caller's matrices stay theirs.
     """
-    mats = [g.tocoo() if _is_sparse(g) else np.asarray(g, dtype=complex) for g in generators]
-    shapes = [m.shape for m in mats]
+    generators = list(generators)
+    shapes = [np.shape(g) for g in generators]
     side = shapes[0][0] if shapes and shapes[0] else 0
     if side == 0 or any(shape != (side, side) for shape in shapes):
         raise DimensionMismatch(f"generators must be square of one side, got shapes {shapes}")
-    keys, vals = [], []
-    for k, m in enumerate(mats):
-        if isinstance(m, np.ndarray):
-            u, v = np.nonzero(m)
-            val = m[u, v]
-        else:
-            u, v, val = m.row, m.col, m.data
-        keys.append((k * side + u.astype(np.intp)) * side + v)
-        vals.append(val.astype(complex))
-    key, val = _summed(np.concatenate(keys), np.concatenate(vals))
-    keep = val != 0
-    i, uv = np.divmod(key[keep], side * side)
-    entries = (i, *np.divmod(uv, side), val[keep])
+    parts = []
+    for k, g in enumerate(generators):
+        m = np.asarray(g, dtype=complex)
+        u, v = np.nonzero(m)
+        parts.append((np.full(u.size, k, dtype=np.intp), u, v, m[u, v]))
+    entries = tuple(np.concatenate(t) for t in zip(*parts))
     _read_only(*entries)
-    return len(mats), side, entries
+    return len(generators), side, entries
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class CarSystem:
     """Generators plus the weights of the product state.
 
-    The generators must be square matrices of one side, one per weight,
-    dense or ``scipy.sparse``.  They are kept as read-only entry arrays
+    The generators must be dense square matrices of one side, one per
+    weight.  They are kept as read-only entry arrays
     ``_entries = (i, u, v, value)``, one row per nonzero entry ``a_i[u, v]``,
-    sorted by generator, row and column; :attr:`generators` gives them as
-    complex CSR matrices.  ``nu`` must lie in ``[0, 1]``.  Weights and
+    sorted by generator, row and column; :meth:`generator` gives one back
+    densely.  ``nu`` must lie in ``[0, 1]``.  Weights and
     entries are read-only copies: editing the caller's arrays afterwards
     changes nothing here.
     """
@@ -459,10 +426,14 @@ class CarSystem:
     def d(self) -> int:
         return self.nu.shape[0]
 
-    @cached_property
-    def generators(self) -> tuple:
-        """The generators as complex CSR matrices (built on first read; read-only arrays)."""
-        return _csr(self.d, self.dim, self._entries)
+    def generator(self, i: int) -> np.ndarray:
+        """``a_i`` as a new dense ``dim x dim`` complex matrix (built on each call, not cached)."""
+        _check_indices(self, [i])
+        g, u, v, val = self._entries
+        at = g == i
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[u[at], v[at]] = val[at]
+        return out
 
     @cached_property
     def is_jordan_wigner(self) -> bool:
@@ -554,16 +525,6 @@ class CarSystem:
         return self._on_support(self.kernel_values)
 
     @cached_property
-    def functional_kernels(self) -> tuple:
-        """CSR matrices ``K_i = rho a_i* + a_i* rho`` so that ``phi_i(b) = Tr(K_i b)``.
-
-        ``K_i`` has the sparsity of ``a_i*``, with :attr:`kernel_values` as
-        its entries.  Their arrays are read-only.
-        """
-        i, u, v, _ = self._entries
-        return _csr(self.d, self.dim, (i, v, u, self.kernel_values))
-
-    @cached_property
     def _pair_products(self) -> tuple:
         """Every ``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j``, from one sparse Gram.
 
@@ -608,7 +569,7 @@ def car_system(nu) -> CarSystem:
 
 
 def _check_size(sys: CarSystem, b) -> np.ndarray:
-    a = np.asarray(b.toarray() if _is_sparse(b) else b, dtype=complex)
+    a = np.asarray(b, dtype=complex)
     if a.shape != (sys.dim, sys.dim):
         raise SizeMismatch(f"expected {sys.dim} x {sys.dim}, got {a.shape}")
     return a
@@ -638,45 +599,6 @@ def _check_indices(sys: CarSystem, indices) -> None:
     for i in indices:
         if not 0 <= i < sys.d:
             raise DimensionMismatch(f"index {i} outside range(0, {sys.d})")
-
-
-def npoint_function(sys: CarSystem, create, annihilate) -> complex:
-    """Determinant form of the state on a normal-ordered monomial.
-
-    ``create`` lists the starred generators left to right, ``annihilate``
-    the unstarred ones, i.e. the monomial is
-    ``a*_{create[0]} ... a*_{create[-1]} a_{annihilate[0]} ... a_{annihilate[-1]}``.
-    Zero when the two lists differ in length; otherwise the determinant of
-    the diagonal two-point matrix.
-    """
-    create = list(create)
-    annihilate = list(annihilate)
-    _check_indices(sys, create + annihilate)
-    if len(create) != len(annihilate):
-        return 0.0 + 0.0j
-    if not create:
-        return 1.0 + 0.0j
-    f = list(reversed(create))
-    g = annihilate
-    m = np.zeros((len(g), len(f)), dtype=complex)
-    for a, gi in enumerate(g):
-        for b, fj in enumerate(f):
-            if gi == fj:
-                m[a, b] = sys.nu[gi]
-    return complex(np.linalg.det(m))
-
-
-def generator_monomial(sys: CarSystem, create, annihilate) -> np.ndarray:
-    """Dense matrix of ``a*_{create[0]} ... a_{annihilate[-1]}`` (for cross-checks)."""
-    import scipy.sparse as sp
-
-    _check_indices(sys, list(create) + list(annihilate))
-    out = sp.identity(sys.dim, dtype=complex, format="csr")
-    for i in create:
-        out = out @ sys.generators[i].conj().T
-    for i in annihilate:
-        out = out @ sys.generators[i]
-    return out.toarray()
 
 
 def embed_tuple(sys: CarSystem, y) -> CarElement:

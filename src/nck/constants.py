@@ -105,7 +105,7 @@ def car_c1_witness() -> CarC1Witness:
     :data:`C1_WITNESS_TOL` away from ``1/sqrt(2)``.
     """
     sys = car_system([0.5])
-    # the one kernel of sys.functional_kernels, made dense from its values
+    # the one kernel K_1 = rho a_1* + a_1* rho, made dense from kernel_values
     _, u, v, _ = sys._entries
     kernel = np.zeros((sys.dim, sys.dim), dtype=complex)
     kernel[v, u] = sys.kernel_values

@@ -56,6 +56,7 @@ from .exceptions import (
     DegenerateWeight,
     DimensionMismatch,
     NonFinite,
+    NormOverflow,
     ZeroWitness,
 )
 
@@ -194,17 +195,35 @@ def moment_forms(y: np.ndarray, col_w, row_w, pair_w, sign_w):
     return col2, row2, col4, row4
 
 
+def _primal_norm(a: np.ndarray, col_w=None, row_w=None) -> float:
+    """The primal norm of a finite tuple, from its two (weighted) Grams.
+
+    A finite tuple's Grams can overflow; such a norm raises
+    :class:`NormOverflow` instead of coming back as ``inf`` or ``nan``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _grams_norm_sqrt(_col_gram(a, col_w), _row_gram(a, row_w))
+    if not np.isfinite(norm):
+        raise NormOverflow(f"the primal norm of the tuple overflows (computed as {norm})")
+    return norm
+
+
 def triple_norm(x) -> float:
-    """max of the column-Gram and row-Gram operator-norm square roots."""
-    a = as_matrix_tuple(x)
-    return _grams_norm_sqrt(_col_gram(a), _row_gram(a))
+    """max of the column-Gram and row-Gram operator-norm square roots.
+
+    Raises :class:`NormOverflow` when the norm of the finite tuple overflows.
+    """
+    return _primal_norm(as_matrix_tuple(x))
 
 
 def weighted_triple_norm(x, nu) -> float:
-    """Weighted variant: ``max(||sum (1-nu_i) x_i x_i*||, ||sum nu_i x_i* x_i||)^(1/2)``."""
+    """Weighted variant: ``max(||sum (1-nu_i) x_i x_i*||, ||sum nu_i x_i* x_i||)^(1/2)``.
+
+    Raises :class:`NormOverflow` when the norm of the finite tuple overflows.
+    """
     a = as_matrix_tuple(x)
     w = as_weights(nu, a.shape[0])
-    return _grams_norm_sqrt(_col_gram(a, w), _row_gram(a, 1.0 - w))
+    return _primal_norm(a, w, 1.0 - w)
 
 
 def _witness_scores(x: np.ndarray, b: np.ndarray, w):
@@ -337,7 +356,8 @@ def dual_norm(x, nu=None) -> DualNormResult:
     point it came from is dropped for the relaxed step from that point, and
     the memory starts afresh.  ``iterations`` counts evaluations of the map,
     dropped ones included.  The coupling's projection is one affine map
-    formed once per solve.
+    formed once per solve.  The step is :func:`triple_norm` of ``x``, so a
+    finite tuple whose primal norm overflows raises :class:`NormOverflow`.
     """
     xa = as_matrix_tuple(x)
     d, n, _ = xa.shape

@@ -69,9 +69,15 @@ def test_the_deleted_configuration_is_gone():
         assert not hasattr(nck.lifting, name)
     assert "tuple_to_payload" not in nck.tupleio.__all__
     # second paths to one result: the lift's report, the search's own check,
-    # car_system(nu).generators and numpy's operator norm remain
+    # CarSystem.generator and numpy's operator norm remain; the CSR views and
+    # the sparse input are gone, and the n-point cross-check lives in the
+    # tests
     for module, name in [("lifting", "quotient_norm_bracket"), ("car", "jordan_wigner"),
-                         ("car", "_jordan_wigner_cached"), ("linalg", "op_norm")]:
+                         ("car", "_jordan_wigner_cached"), ("linalg", "op_norm"),
+                         ("car", "npoint_function"), ("car", "generator_monomial"),
+                         ("car", "_csr"), ("car", "_is_sparse")]:
         assert not hasattr(nck, name)
         assert not hasattr(getattr(nck, module), name)
     assert not hasattr(nck.ConstantReport, "passed")
+    for name in ("generators", "functional_kernels"):
+        assert not hasattr(nck.CarSystem, name)

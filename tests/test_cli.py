@@ -116,6 +116,26 @@ class TestNormCommand:
         assert main(["norm", "--file", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nu,flags", [(None, []), ([0.3, 0.5, 0.7], []),
+                                          ([0.3, 0.5, 0.7], ["--weighted"])],
+                             ids=["plain", "nu", "weighted"])
+    def test_overflowing_norm_exit_2(self, tmp_path, nu, flags, capsys):
+        # finite entries whose primal norm overflows: no norm is printed
+        path = tmp_path / "huge.json"
+        save_tuple_file(path, np.full((3, 1, 1), 1e160 + 0j), nu=nu)
+        assert main(["norm", "--file", str(path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nck: error:") and "overflows" in captured.err
+
+    def test_non_finite_from_the_program_exit_1(self, scalar_file, monkeypatch, capsys):
+        def failing_dual(x, nu=None):
+            raise NonFinite("matrix has NaN or Inf entries")
+
+        monkeypatch.setattr(cli, "dual_norm", failing_dual)
+        assert main(["norm", "--file", scalar_file]) == 1
+        assert capsys.readouterr().err.startswith("nck: check failed:")
+
     def test_internal_linalg_error_is_not_a_usage_error(self, scalar_file, monkeypatch):
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -262,7 +282,7 @@ class TestVerifyCommand:
 
         def corrupt(nu):
             sys = clean_system(nu)
-            gens = list(sys.generators)
+            gens = [sys.generator(i) for i in range(sys.d)]
             gens[0] = gens[0] + 1e-4 * np.eye(sys.dim)
             return type(sys)(nu=sys.nu, generators=tuple(gens))
 

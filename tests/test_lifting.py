@@ -50,6 +50,10 @@ def normalized(x, norm):
     return x / norm(x)
 
 
+def dense_generators(sys):
+    return [sys.generator(i) for i in range(sys.d)]
+
+
 def family_setting(family, d=2):
     if family == "car":
         return car_system(np.linspace(0.2, 0.7, d))
@@ -336,7 +340,7 @@ class TestCorrectorCar:
     def hand_built(d, change):
         """A hand-built system over the Jordan-Wigner generators, ``change`` applied to them."""
         nu = np.random.default_rng(d).uniform(0.05, 0.95, d)
-        return CarSystem(nu, change([g.toarray() for g in car_system(nu).generators]))
+        return CarSystem(nu, change(dense_generators(car_system(nu))))
 
     def test_hand_built_jordan_wigner_is_rescaled(self, monkeypatch):
         d = 4
@@ -376,7 +380,7 @@ class TestCorrectorCar:
         # each corrector step obeys the quadratic residual domination
         sys = car_system(RNG.uniform(0.1, 0.9, 3))
         y = random_tuple(3, 2)
-        dense = np.stack([g.toarray() for g in sys.generators])
+        dense = np.stack(dense_generators(sys))
         big = np.einsum("iab,icd->acbd", y, dense).reshape(2 * sys.dim, 2 * sys.dim)
         c = 1 / SQRT2
         clipped, _z = corrector_car(y, sys, c)
@@ -468,21 +472,23 @@ class TestLift:
 
     def test_car_sign_flipped_generator(self):
         clean = car_system(RNG.uniform(0.05, 0.95, 3))
-        gens = list(clean.generators)
+        gens = dense_generators(clean)
         gens[2] = -gens[2]
         sys = CarSystem(nu=clean.nu, generators=tuple(gens))
         x = random_tuple(3, 2)
         rep = lift(x, sys)
         assert rep.converged and rep.ratio <= SQRT2 * (1.0 + 1e-6)
-        # read out through the dense kernels of the flipped generators
+        # read out through the dense kernels K_i = rho a_i* + a_i* rho of the
+        # flipped generators
         q = sys.dim
-        kernels = np.stack([k.toarray() for k in sys.functional_kernels])
+        rho = np.diag(sys.density_diagonal)
+        kernels = np.stack([rho @ g.conj().T + g.conj().T @ rho for g in gens])
         rec = np.einsum("iab,pbqa->ipq", kernels, rep.lifted.reshape(2, q, 2, q))
         assert np.abs(rec - x).max() <= 1e-8 * (1.0 + np.abs(x).max())
 
     def test_car_off_support_generator_is_an_identity_violation(self):
         clean = car_system([0.3, 0.6])
-        gens = list(clean.generators)
+        gens = dense_generators(clean)
         gens[1] = gens[1] + 1e-4 * np.eye(clean.dim)
         sys = CarSystem(nu=clean.nu, generators=tuple(gens))
         with pytest.raises(IdentityViolation, match="generator 1"):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nck import norms
-from nck.exceptions import DegenerateWeight, DimensionMismatch, ZeroWitness
+from nck.exceptions import DegenerateWeight, DimensionMismatch, NonFinite, NormOverflow, ZeroWitness
 from nck.linalg import trace_norm
 from nck.norms import (
     dual_norm,
@@ -100,6 +100,37 @@ class TestPrimalNormInOneCall:
         x = np.zeros((2, 0, 0), dtype=complex)
         assert triple_norm(x) == 0.0
         assert weighted_triple_norm(x, [0.5, 0.5]) == 0.0
+
+
+class TestNormOverflow:
+    """A finite tuple whose Grams overflow has no finite norm; each norm that
+    reads it raises, and no numpy warning escapes (tier-1 turns one into an
+    error)."""
+
+    HUGE = pytest.mark.parametrize(
+        "x", [np.full((3, 1, 1), 1e160 + 0j), np.full((3, 2, 2), 1e200 * (1 + 1j))],
+        ids=["real", "complex"],
+    )
+
+    @HUGE
+    def test_primal_norms_raise(self, x):
+        with pytest.raises(NormOverflow, match="overflows") as exc:
+            triple_norm(x)
+        assert isinstance(exc.value, NonFinite)
+        with pytest.raises(NormOverflow, match="overflows"):
+            weighted_triple_norm(x, [0.3, 0.5, 0.7])
+
+    @HUGE
+    @pytest.mark.parametrize("nu", [None, [0.3, 0.5, 0.7]], ids=["unweighted", "weighted"])
+    def test_dual_norm_raises(self, x, nu):
+        with pytest.raises(NormOverflow, match="overflows"):
+            dual_norm(x, nu=nu)
+
+    def test_large_finite_norms_are_returned(self):
+        x = np.full((3, 1, 1), 1e150 + 0j)
+        assert triple_norm(x) == pytest.approx(np.sqrt(3) * 1e150, rel=1e-15)
+        assert weighted_triple_norm(x, [0.3, 0.5, 0.7]) == pytest.approx(
+            np.sqrt(1.5) * 1e150, rel=1e-15)
 
 
 def scalar_dual_oracle(x1, x2, grid=401, width=3.0):
