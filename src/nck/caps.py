@@ -3,6 +3,10 @@
 ``NCK_MAX_DIM`` in the environment raises (or lowers) the dimension caps;
 the fermionic cap is hard-bounded at 12 because those matrices have side
 ``2**d``.  A value that is not an integer raises :class:`InvalidParameter`.
+The space budgets are fixed: ``STEINHAUSS_ATOM_CAP`` atoms for the
+Steinhaus space, and ``VALUE_CAP`` values, atoms times variables, for the
+lacunary grid and the sampled Gaussian space
+(:func:`nck.spaces.check_value_budget`).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ CAR_DIM_DEFAULT = 10
 CAR_DIM_HARD_MAX = 12
 RADEMACHER_DIM_DEFAULT = 16
 STEINHAUSS_ATOM_CAP = 2**20
-LACUNARY_VALUE_CAP = 2**24  # grid points times variable count
+VALUE_CAP = 2**24  # atoms times variable count
 
 
 def _env_override() -> int | None:

@@ -621,9 +621,9 @@ def embed_tuple(sys: CarSystem, y) -> CarElement:
 def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
     """Apply the coefficient functionals blockwise: ``x_i = (Id (x) phi_i)(X)``.
 
-    ``x`` is a :class:`CarElement` or a dense ``n 2**d`` square, which is
-    first sliced into sector blocks.  Only the entries on the generators'
-    supports count: ``x_i[p, q] = sum conj(a_i[u, v]) (r_u + r_v) X[(p, u), (q, v)]``
+    ``x`` is a :class:`CarElement` or a dense ``n 2**d`` square.  Only the
+    entries on the generators' supports count, and only they are read:
+    ``x_i[p, q] = sum conj(a_i[u, v]) (r_u + r_v) X[(p, u), (q, v)]``
     with ``r = diag(rho)``, the functional kernels restricted to where they
     are nonzero (:attr:`CarSystem.support_kernel`).  Inverts
     :func:`embed_tuple` on its range; even monomials map to zero.
@@ -631,18 +631,19 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
     if isinstance(x, CarElement):
         if x.d != sys.d:
             raise SizeMismatch(f"element d={x.d} vs system d={sys.d}")
-        elem = x
-    else:
-        a = np.asarray(x, dtype=complex)
-        q = sys.dim
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % q != 0:
-            raise SizeMismatch(
-                f"expected a square matrix with side divisible by {q}, got {a.shape}"
-            )
-        n = a.shape[0] // q
-        elem = CarElement(sys.d, n, a.ravel()[_block_layout(sys.d, n).dense])
-    gathered = elem.blocks[_block_layout(sys.d, elem.n).support]
-    return np.einsum("ie,iepq->ipq", sys.support_kernel, gathered)
+        gathered = x.blocks[_block_layout(sys.d, x.n).support]
+        return np.einsum("ie,iepq->ipq", sys.support_kernel, gathered)
+    a = np.asarray(x, dtype=complex)
+    q = sys.dim
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % q != 0:
+        raise SizeMismatch(
+            f"expected a square matrix with side divisible by {q}, got {a.shape}"
+        )
+    # the kernel first: it raises unless the side is the 2**d the support indexes
+    kernel = sys.support_kernel
+    rows, cols = _jw_support(sys.d)
+    n = a.shape[0] // q
+    return np.einsum("ie,iepq->ipq", kernel, a.reshape(n, q, n, q)[:, rows, :, cols])
 
 
 # --- identity checks --------------------------------------------------------

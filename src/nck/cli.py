@@ -15,11 +15,11 @@ assertion failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
 
-from . import caps
 from .car import (
     anticommutation_check,
     car_system,
@@ -52,7 +52,7 @@ from .exceptions import (
 )
 from .lifting import lift
 from .norms import as_weights, dual_norm, triple_norm, weighted_triple_norm
-from .spaces import FAMILIES, build, gamma_ratio, moment_identity_check
+from .spaces import FAMILIES, build, check_value_budget, gamma_ratio, moment_identity_check
 from .tupleio import load_tuple_file, render_report
 
 USAGE_ERRORS = (
@@ -70,15 +70,6 @@ USAGE_ERRORS = (
 BOUND_SLACK = 1e-6
 #: Monte Carlo sample count when ``--samples`` is not given
 DEFAULT_SAMPLES = 100_000
-#: the optional flags of ``nck constants`` that each experiment reads (search
-#: reads them all); a flag given to an experiment that does not read it is a
-#: usage error
-CONSTANTS_FLAGS = {
-    "gauss-c2": ("d", "samples"),
-    "car-c2": ("d",),
-    "car-c1": (),
-    "search": ("family", "d", "n", "trials", "samples"),
-}
 
 
 def _parse_nu(raw: str | None):
@@ -94,24 +85,34 @@ def _parse_nu(raw: str | None):
     return as_weights(nu)
 
 
-def _or_default(value, default):
-    return default if value is None else value
-
-
-def _reject_unread(args, unread, where: str) -> None:
-    """A :class:`ParseError` naming the first flag in ``unread`` that was given."""
-    for flag in unread:
-        if getattr(args, flag) is not None:
-            raise ParseError(f"--{flag} is not read by {where}")
+def _read_flags(args, read: dict, declared, where: str) -> None:
+    """Fill in the defaults of ``read``, ``{flag: default}``; other ``declared`` flags are usage errors."""
+    for flags in declared:
+        for flag in flags:
+            if flag not in read and getattr(args, flag) is not None:
+                raise ParseError(f"--{flag} is not read by {where}")
+    for flag, default in read.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
 
 
 def _emit(report, args) -> None:
     text = render_report(report, args.format)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {args.out}: {exc.strerror}")
+
+
+def _emit_rows(rows: list, report: dict, args) -> int:
+    """Emit ``rows`` (CSV) or ``report`` with its verdict (JSON); 0 when every row passed."""
+    passed = all(row["pass"] for row in rows)
+    _emit(rows if args.format == "csv" else {**report, "pass": passed}, args)
+    return 0 if passed else 1
 
 
 def _cmd_norm(args) -> int:
@@ -119,12 +120,9 @@ def _cmd_norm(args) -> int:
     report = {"seed": args.seed, "triple": triple_norm(x)}
     if nu is not None:
         report["weighted_triple"] = weighted_triple_norm(x, nu)
-    if args.weighted:
-        if nu is None:
-            raise ParseError(f"{args.file}: --weighted requires a 'nu' field")
-        res = dual_norm(x, nu=nu)
-    else:
-        res = dual_norm(x)
+    if args.weighted and nu is None:
+        raise ParseError(f"{args.file}: --weighted requires a 'nu' field")
+    res = dual_norm(x, nu=nu if args.weighted else None)
     report.update(
         dual=res.value,
         gap=res.gap,
@@ -135,29 +133,27 @@ def _cmd_norm(args) -> int:
     return 0 if res.converged else 1
 
 
-def _lift_setting(family: str, x, nu, args):
-    if family != "car":
-        return build(family, x.shape[0], samples=args.samples, seed=args.seed)
-    if nu is None:
-        raise ParseError(f"{args.file}: lifting family 'car' requires a 'nu' field")
-    return car_system(nu)
+#: per lift family: the optional flags it reads, with their defaults (others read none)
+LIFT_FLAGS = {"gaussian": {"samples": DEFAULT_SAMPLES}}
 
 
 def _cmd_lift(args) -> int:
-    if args.family != "gaussian":
-        # only the sampled space reads a sample count
-        _reject_unread(args, ("samples",), f"--family {args.family}")
-    args.samples = _or_default(args.samples, DEFAULT_SAMPLES)
+    read = LIFT_FLAGS.get(args.family, {})
+    _read_flags(args, read, LIFT_FLAGS.values(), f"--family {args.family}")
     x, nu, _meta = load_tuple_file(args.file)
-    setting = _lift_setting(args.family, x, nu, args)
+    if args.family != "car":
+        setting = build(args.family, x.shape[0], samples=args.samples, seed=args.seed)
+    elif nu is None:
+        raise ParseError(f"{args.file}: lifting family 'car' requires a 'nu' field")
+    else:
+        setting = car_system(nu)
     bound = FAMILIES[args.family][0]
     report = {
         "seed": args.seed,
         "family": args.family,
         "bound": bound,
     }
-    if args.family == "gaussian":
-        report["samples"] = args.samples
+    report.update((flag, getattr(args, flag)) for flag in read)
     try:
         out = lift(x, setting)
     except StalledIteration as exc:
@@ -178,62 +174,62 @@ def _cmd_lift(args) -> int:
     return 0 if passed else 1
 
 
-def _report_rows(check_report, suite: str):
-    return [
-        {
-            "suite": suite,
-            "identity": f"{check_report.name}/{tag}",
-            "deviation": float(dev),
-            "tolerance": check_report.tolerance,
-            "pass": bool(dev <= check_report.tolerance),
-        }
-        for tag, dev in sorted(check_report.deviations.items())
-    ]
+def _car_identity_checks(system, rng, d):
+    car = system()
+    y = rng.standard_normal((d, 2, 2)) + 1j * rng.standard_normal((d, 2, 2))
+    for check in (anticommutation_check, second_moment_check, state_weight_check):
+        yield "car-identities", check, car
+    yield "car-identities", fourth_moment_check, car, y
 
 
-def _collect(fn, suite: str, rows: list) -> bool:
-    try:
-        rep = fn()
-    except IdentityViolation as exc:
-        rep = exc.report
-    rows.extend(_report_rows(rep, suite))
-    return rep.passed
+def _orthogonality_checks(system, rng, d):
+    yield "orthogonality", orthogonality_check, system()
 
 
-def run_verify_suite(suite: str, d: int, nu=None, seed: int = 0):
-    """Run the exact identity suites; returns ``(rows, all_passed)``."""
+def _moment_checks(system, rng, d):
+    dk = min(d, 6)
+    for _k, kind, exact in FAMILIES.values():
+        if kind is not None and exact:
+            space = build(kind, dk)
+            y = rng.standard_normal((dk, 2, 2)) + 1j * rng.standard_normal((dk, 2, 2))
+            yield f"moments-{kind}", moment_identity_check, y, space
+
+
+#: the checks of each suite of ``nck verify``, in the order they run; each
+#: yields ``(label, check, *inputs)``, drawing the inputs from ``rng`` in turn,
+#: and ``system()`` is the run's one fermionic system
+VERIFY = {
+    "car-identities": (_car_identity_checks,),
+    "moments": (_moment_checks,),
+    "orthogonality": (_orthogonality_checks,),
+}
+VERIFY["all"] = VERIFY["car-identities"] + VERIFY["orthogonality"] + VERIFY["moments"]
+
+
+def run_verify_suite(suite: str, d: int, nu=None, seed: int = 0) -> list:
+    """The rows of the exact identity suites; ``nu``, when given, has ``d`` weights."""
     rng = np.random.default_rng(seed)
     if nu is None:
         nu = rng.uniform(0.05, 0.95, d)
-    else:
-        d = len(nu)
-    rows: list = []
-    ok = True
-
-    if suite in ("car-identities", "orthogonality", "all"):
-        sys_car = car_system(nu)
-
-    if suite in ("car-identities", "all"):
-        y = rng.standard_normal((d, 2, 2)) + 1j * rng.standard_normal((d, 2, 2))
-        ok &= _collect(lambda: anticommutation_check(sys_car), "car-identities", rows)
-        ok &= _collect(lambda: second_moment_check(sys_car), "car-identities", rows)
-        ok &= _collect(lambda: state_weight_check(sys_car), "car-identities", rows)
-        ok &= _collect(lambda: fourth_moment_check(sys_car, y), "car-identities", rows)
-    if suite in ("orthogonality", "all"):
-        ok &= _collect(lambda: orthogonality_check(sys_car), "orthogonality", rows)
-    if suite in ("moments", "all"):
-        for _k, kind, exact in FAMILIES.values():
-            if kind is None or not exact:
-                continue
-            dk = min(d, 6)
-            space = build(kind, dk)
-            y = rng.standard_normal((dk, 2, 2)) + 1j * rng.standard_normal((dk, 2, 2))
-            ok &= _collect(
-                lambda s=space, yy=y: moment_identity_check(yy, s),
-                f"moments-{kind}",
-                rows,
-            )
-    return rows, bool(ok)
+    system = functools.cache(lambda: car_system(nu))
+    rows = []
+    for checks in VERIFY[suite]:
+        for label, check, *inputs in checks(system, rng, d):
+            try:
+                report = check(*inputs)
+            except IdentityViolation as exc:
+                report = exc.report
+            rows += [
+                {
+                    "suite": label,
+                    "identity": f"{report.name}/{tag}",
+                    "deviation": float(dev),
+                    "tolerance": report.tolerance,
+                    "pass": bool(dev <= report.tolerance),
+                }
+                for tag, dev in sorted(report.deviations.items())
+            ]
+    return rows
 
 
 def _cmd_verify(args) -> int:
@@ -241,143 +237,123 @@ def _cmd_verify(args) -> int:
     if nu is None and args.d < 1:
         raise ParseError(f"--d must be >= 1, got {args.d}")
     d = args.d if nu is None else len(nu)
-    if args.suite in ("car-identities", "orthogonality", "all") and d > caps.car_dim_cap():
-        raise DTooLarge(f"d={d} exceeds the fermionic cap {caps.car_dim_cap()}")
-    rows, ok = run_verify_suite(args.suite, d, nu, args.seed)
-    if args.format == "csv":
-        _emit(rows, args)
-    else:
-        _emit(
-            {
-                "seed": args.seed,
-                "suite": args.suite,
-                "d": d,
-                "nu": None if nu is None else [float(v) for v in nu],
-                "identities": rows,
-                "pass": ok,
-            },
-            args,
+    rows = run_verify_suite(args.suite, d, nu, args.seed)
+    report = {
+        "seed": args.seed,
+        "suite": args.suite,
+        "d": d,
+        "nu": None if nu is None else [float(v) for v in nu],
+        "identities": rows,
+    }
+    return _emit_rows(rows, report, args)
+
+
+def _gauss_c2_rows(args):
+    # checked before any row, like car-c2's limit: every row draws a space
+    check_value_budget(args.samples, "samples", args.d)
+    for d in range(1, args.d + 1):
+        value, stderr = c2_witness_gaussian(d, samples=args.samples, seed=args.seed)
+        target = gamma_ratio(d) / np.sqrt(d)
+        yield {
+            "experiment": "gauss-c2",
+            "d": d,
+            "value": value,
+            "stderr": stderr,
+            "target": float(target),
+            "pass": bool(abs(value - target) <= 3.0 * stderr + 1e-12),
+        }
+    # the bound decreases strictly toward the proved lower constant 1 / K
+    target = 1.0 / FAMILIES["gaussian"][0]
+    prev = np.inf
+    for m in (1, 10, 100, 1000, 10_000, 100_000):
+        value = gaussian_c1_bound_sequence(m)
+        yield {
+            "experiment": "gauss-c1-bound",
+            "m": m,
+            "value": value,
+            "target": target,
+            "pass": bool(target < value < prev),
+        }
+        prev = value
+
+
+def _car_c2_rows(args):
+    # checked before any row: the rows below the limit build CAR systems
+    if args.d > CAR_C2_MAX_D:
+        raise DTooLarge(f"need 1 <= d <= {CAR_C2_MAX_D}, got {args.d}")
+    prev = 0.0
+    for d in range(1, args.d + 1):
+        matrix_value, binomial_value = car_c2_sequence(d)
+        agree = matrix_value is None or abs(matrix_value - binomial_value) <= 1e-10
+        yield {
+            "experiment": "car-c2",
+            "d": d,
+            "matrix": matrix_value,
+            "binomial": binomial_value,
+            "target": 1.0,
+            "pass": bool(agree and binomial_value > prev),
+        }
+        prev = binomial_value
+
+
+def _car_c1_rows(args):
+    try:
+        witness = car_c1_witness()
+    except IdentityViolation:
+        witness = None
+    yield {
+        "experiment": "car-c1",
+        "functional_norm": None if witness is None else witness.functional_norm,
+        "dual": None if witness is None else witness.dual_value,
+        "ratio": None if witness is None else witness.ratio,
+        "target": float(1.0 / np.sqrt(2.0)),
+        "pass": witness is not None,
+    }
+
+
+def _search_rows(args):
+    try:
+        rep = random_search_ratio(
+            args.family, n=args.n, d=args.d, trials=args.trials, seed=args.seed, samples=args.samples
         )
-    return 0 if ok else 1
+    except IdentityViolation as exc:
+        yield {"experiment": "search", "family": args.family, "error": str(exc), "pass": False}
+        return
+    yield {
+        "experiment": "search",
+        "family": rep.family,
+        "trials": rep.trials,
+        "min_ratio": rep.lower_witness,
+        "max_ratio": rep.upper_witness,
+        "c1": rep.theoretical[0],
+        "c2": rep.theoretical[1],
+        "pass": True,
+    }
+
+
+#: per experiment of ``nck constants``: its rows and the optional flags it
+#: reads, with their defaults; a flag that only other experiments read is a
+#: usage error
+CONSTANTS = {
+    "gauss-c2": (_gauss_c2_rows, {"d": 16, "samples": DEFAULT_SAMPLES}),
+    "car-c2": (_car_c2_rows, {"d": 10}),
+    "car-c1": (_car_c1_rows, {}),
+    "search": (
+        _search_rows,
+        {"family": "rademacher", "d": 3, "n": 2, "trials": 50, "samples": DEFAULT_SAMPLES},
+    ),
+}
 
 
 def _cmd_constants(args) -> int:
-    read = CONSTANTS_FLAGS[args.experiment]
-    unread = [f for f in CONSTANTS_FLAGS["search"] if f not in read]
-    _reject_unread(args, unread, f"--experiment {args.experiment}")
-    samples = _or_default(args.samples, DEFAULT_SAMPLES)
+    rows_of, read = CONSTANTS[args.experiment]
+    declared = (flags for _rows_of, flags in CONSTANTS.values())
+    _read_flags(args, read, declared, f"--experiment {args.experiment}")
     if args.d is not None and args.d < 1:
         raise ParseError(f"--d must be >= 1, got {args.d}")
-    rows = []
-    ok = True
-    if args.experiment == "gauss-c2":
-        d_max = 16 if args.d is None else args.d
-        for d in range(1, d_max + 1):
-            value, stderr = c2_witness_gaussian(d, samples=samples, seed=args.seed)
-            target = gamma_ratio(d) / np.sqrt(d)
-            row_ok = abs(value - target) <= 3.0 * stderr + 1e-12
-            ok &= row_ok
-            rows.append(
-                {
-                    "experiment": "gauss-c2",
-                    "d": d,
-                    "value": value,
-                    "stderr": stderr,
-                    "target": float(target),
-                    "pass": bool(row_ok),
-                }
-            )
-        # the bound decreases strictly toward the proved lower constant 1 / K
-        target = 1.0 / FAMILIES["gaussian"][0]
-        prev = np.inf
-        for m in (1, 10, 100, 1000, 10_000, 100_000):
-            value = gaussian_c1_bound_sequence(m)
-            row_ok = target < value < prev
-            ok &= row_ok
-            rows.append(
-                {
-                    "experiment": "gauss-c1-bound",
-                    "m": m,
-                    "value": value,
-                    "target": target,
-                    "pass": bool(row_ok),
-                }
-            )
-            prev = value
-    elif args.experiment == "car-c2":
-        d_max = 10 if args.d is None else args.d
-        # checked before any row: the rows below the limit build CAR systems
-        if d_max > CAR_C2_MAX_D:
-            raise DTooLarge(f"need 1 <= d <= {CAR_C2_MAX_D}, got {d_max}")
-        prev = 0.0
-        for d in range(1, d_max + 1):
-            matrix_value, binomial_value = car_c2_sequence(d)
-            agree = matrix_value is None or abs(matrix_value - binomial_value) <= 1e-10
-            increasing = binomial_value > prev
-            ok &= bool(agree and increasing)
-            rows.append(
-                {
-                    "experiment": "car-c2",
-                    "d": d,
-                    "matrix": matrix_value,
-                    "binomial": binomial_value,
-                    "target": 1.0,
-                    "pass": bool(agree and increasing),
-                }
-            )
-            prev = binomial_value
-    elif args.experiment == "car-c1":
-        try:
-            witness = car_c1_witness()
-            row_ok = True
-        except IdentityViolation:
-            witness = None
-            row_ok = False
-        ok &= row_ok
-        rows.append(
-            {
-                "experiment": "car-c1",
-                "functional_norm": None if witness is None else witness.functional_norm,
-                "dual": None if witness is None else witness.dual_value,
-                "ratio": None if witness is None else witness.ratio,
-                "target": float(1.0 / np.sqrt(2.0)),
-                "pass": row_ok,
-            }
-        )
-    elif args.experiment == "search":
-        family = args.family or "rademacher"
-        try:
-            rep = random_search_ratio(
-                family,
-                n=_or_default(args.n, 2),
-                d=_or_default(args.d, 3),
-                trials=_or_default(args.trials, 50),
-                seed=args.seed,
-                samples=samples,
-            )
-            row = {
-                "experiment": "search",
-                "family": rep.family,
-                "trials": rep.trials,
-                "min_ratio": rep.lower_witness,
-                "max_ratio": rep.upper_witness,
-                "c1": rep.theoretical[0],
-                "c2": rep.theoretical[1],
-                "pass": True,
-            }
-        except IdentityViolation as exc:
-            row = {
-                "experiment": "search",
-                "family": family,
-                "error": str(exc),
-                "pass": False,
-            }
-            ok = False
-        rows.append(row)
-
-    report = {"seed": args.seed, "experiment": args.experiment, "rows": rows, "pass": bool(ok)}
-    _emit(rows if args.format == "csv" else report, args)
-    return 0 if ok else 1
+    rows = list(rows_of(args))
+    report = {"seed": args.seed, "experiment": args.experiment, "rows": rows}
+    return _emit_rows(rows, report, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,22 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift.set_defaults(fn=_cmd_lift)
 
     p_verify = sub.add_parser("verify", help="exact identity suites")
-    p_verify.add_argument(
-        "--suite",
-        default="all",
-        choices=("car-identities", "moments", "orthogonality", "all"),
-    )
+    p_verify.add_argument("--suite", default="all", choices=tuple(VERIFY))
     p_verify.add_argument("--d", type=int, default=3)
     p_verify.add_argument("--nu", default=None, help="comma-separated weights in [0, 1]")
     common(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_const = sub.add_parser("constants", help="best-constant tables")
-    p_const.add_argument(
-        "--experiment",
-        required=True,
-        choices=tuple(CONSTANTS_FLAGS),
-    )
+    p_const.add_argument("--experiment", required=True, choices=tuple(CONSTANTS))
     p_const.add_argument("--d", type=int, default=None, help="largest d (not for car-c1)")
     p_const.add_argument("--n", type=int, default=None, help="matrix size for search (default 2)")
     p_const.add_argument("--trials", type=int, default=None, help="search trial count (default 50)")

@@ -17,7 +17,7 @@ Three families of evidence:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,7 +163,7 @@ class ConstantReport:
     theoretical: tuple
     trials: int
     seed: int
-    ratios: list = field(default_factory=list)
+    ratios: list
 
 
 def _random_tuple(rng: np.random.Generator, ensemble: str, d: int, n: int) -> np.ndarray:

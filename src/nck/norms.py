@@ -329,7 +329,7 @@ class DualNormResult:
     gap: float
     iterations: int
     converged: bool
-    certificate: np.ndarray | None = None
+    certificate: np.ndarray | None
 
 
 def dual_norm(x, nu=None) -> DualNormResult:

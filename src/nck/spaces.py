@@ -84,6 +84,7 @@ __all__ = [
     "family_row",
     "family_kind",
     "build",
+    "check_value_budget",
     "element_from_tuple",
     "l1_s1_norm",
     "gamma_ratio",
@@ -133,7 +134,6 @@ class DiscreteProbabilitySpace:
     kind: str
     weights: np.ndarray   # (atoms,)
     family: np.ndarray    # (d, atoms)
-    seed: int | None = None
 
     def __post_init__(self):
         # read-only copies: the caller's arrays stay theirs and writable
@@ -207,7 +207,7 @@ class DiscreteProbabilitySpace:
         owner.setflags(write=False)
         phase.setflags(write=False)
         space = DiscreteProbabilitySpace(
-            self.kind, np.bincount(owner, self.weights, reps.size), fam[:, reps], self.seed
+            self.kind, np.bincount(owner, self.weights, reps.size), fam[:, reps]
         )
         return space, owner, phase
 
@@ -236,6 +236,15 @@ class RandomElement:
 def _require_positive(name: str, value: int):
     if value < 1:
         raise InvalidParameter(f"need {name} >= 1, got {value}")
+
+
+def check_value_budget(atoms: int, what: str, d: int) -> None:
+    """Raise :class:`SpaceTooLarge` when ``atoms`` times ``d`` values exceed ``caps.VALUE_CAP``.
+
+    ``what`` names the atoms in the message, such as ``"grid points"``.
+    """
+    if atoms * d > caps.VALUE_CAP:
+        raise SpaceTooLarge(f"{atoms} {what} at d={d} exceed the budget")
 
 
 def rademacher_space(d: int) -> DiscreteProbabilitySpace:
@@ -276,8 +285,7 @@ def lacunary_space(d: int) -> DiscreteProbabilitySpace:
     """
     _require_positive("d", d)
     n_grid = 2 ** (d + 3)
-    if n_grid * d > caps.LACUNARY_VALUE_CAP:
-        raise SpaceTooLarge(f"{n_grid} grid points at d={d} exceed the budget")
+    check_value_budget(n_grid, "grid points", d)
     # the phase 2^j m mod N as (m mod N/2^j) 2^j, so no product leaves
     # int32; the grid, a quarter of the family's bytes, is not kept
     j = np.arange(1, d + 1, dtype=np.int32)[:, None]
@@ -291,15 +299,18 @@ def gaussian_space(d: int, samples: int, seed: int = 0) -> DiscreteProbabilitySp
     """Sampled standard complex Gaussians as equal-weight atoms.
 
     Reproducible: equal seeds give bit-identical spaces.  Estimates are
-    Monte Carlo quality; use at least a few thousand samples.
+    Monte Carlo quality; use at least a few thousand samples.  More than
+    ``caps.VALUE_CAP`` values (``samples * d``) raise :class:`SpaceTooLarge`
+    before anything is drawn.
     """
     _require_positive("d", d)
     _require_positive("samples", samples)
+    check_value_budget(samples, "samples", d)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((2, d, samples))
     family = (z[0] + 1j * z[1]) / np.sqrt(2.0)
     weights = np.full(samples, 1.0 / samples)
-    return DiscreteProbabilitySpace("gaussian-mc", weights, family, seed=seed)
+    return DiscreteProbabilitySpace("gaussian-mc", weights, family)
 
 
 def family_name(name: str) -> str:

@@ -3,9 +3,10 @@
 A tuple file is UTF-8 JSON with fields
 
     version   "1"
-    d, n      counts
+    d, n      counts, JSON integers >= 1
     matrices  nested lists, shape d x n x n x 2, complex entries as [re, im]
-    nu        optional list of d weights in [0, 1]
+              pairs of JSON numbers (``true`` and ``false`` are not numbers)
+    nu        optional list of d weights, JSON numbers in [0, 1]
     metadata  optional free-form object
 
 Complex entries are stored as two-element [re, im] arrays so that the
@@ -31,14 +32,22 @@ def _fail(path: str, message: str):
     raise ParseError(f"{path}: {message}")
 
 
+def _is_number(v) -> bool:
+    """Whether ``v`` is a JSON number; JSON's ``true`` and ``false`` are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_complex(entry, where: str, path: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(v, (int, float)) for v in entry)
+        or not all(_is_number(v) for v in entry)
     ):
         _fail(path, f"{where} must be a [re, im] pair, got {entry!r}")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError:
+        _fail(path, f"{where} must be finite, got {entry!r}")
 
 
 def load_tuple_file(path: str):
@@ -59,13 +68,11 @@ def load_tuple_file(path: str):
         _fail(path, "top level must be an object")
     if str(doc.get("version")) != "1":
         _fail(path, f"unsupported version {doc.get('version')!r}")
-    try:
-        d = int(doc["d"])
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        _fail(path, "fields 'd' and 'n' must be positive integers")
-    if d < 1 or n < 1:
-        _fail(path, f"d={d}, n={n} must be positive")
+    for field in ("d", "n"):
+        value = doc.get(field)
+        if type(value) is not int or value < 1:
+            _fail(path, f"field {field!r} must be an integer >= 1, got {value!r}")
+    d, n = doc["d"], doc["n"]
 
     matrices = doc.get("matrices")
     if not isinstance(matrices, list) or len(matrices) != d:
@@ -87,12 +94,11 @@ def load_tuple_file(path: str):
         raw = doc["nu"]
         if not isinstance(raw, list) or len(raw) != d:
             _fail(path, f"'nu' must list {d} weights")
-        try:
-            nu = np.array([float(v) for v in raw])
-        except (TypeError, ValueError):
+        if not all(_is_number(v) for v in raw):
             _fail(path, "'nu' entries must be numbers")
-        if not (nu.min() >= 0.0 and nu.max() <= 1.0):
+        if not all(0.0 <= v <= 1.0 for v in raw):
             _fail(path, f"'nu' entries must lie in [0, 1], got {raw}")
+        nu = np.array(raw, dtype=float)
 
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):

@@ -31,10 +31,7 @@ ALLOWED = {
     ("random_search_ratio", "samples"),
     # the report format, which the CLI sets
     ("render_report", "fmt"),
-    # fields of result and record types
-    ("ConstantReport", "ratios"),
-    ("DiscreteProbabilitySpace", "seed"),
-    ("DualNormResult", "certificate"),
+    # exceptions are unpickled from their args alone
     ("StalledIteration", "step"),
 }
 

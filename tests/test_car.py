@@ -6,6 +6,7 @@ import pytest
 
 from nck import caps
 from nck.car import (
+    CarElement,
     CarSystem,
     _block_layout,
     SubspaceModel,
@@ -522,10 +523,14 @@ class TestEmbedTuple:
 
     def test_generators_of_the_wrong_side_are_an_identity_violation(self):
         gens = tuple(random_tuple(3, 4))
+        system = CarSystem(nu=np.full(3, 0.5), generators=gens)
         with pytest.raises(IdentityViolation, match="Jordan-Wigner space") as exc:
-            embed_tuple(CarSystem(nu=np.full(3, 0.5), generators=gens), random_tuple(3, 1))
+            embed_tuple(system, random_tuple(3, 1))
         assert exc.value.report.deviations == {"side": 4.0}
         assert exc.value.max_deviation == 4.0
+        # a dense read-out checks the side before it indexes the support
+        with pytest.raises(IdentityViolation, match="Jordan-Wigner space"):
+            extract_coefficients(system, np.eye(4))
 
     @pytest.mark.parametrize("d,n", [(1, 2), (4, 1), (5, 2), (7, 1)])
     def test_norm_is_the_largest_block_norm(self, d, n):
@@ -583,6 +588,19 @@ class TestExtractCoefficients:
         x = RNG.standard_normal((side, side)) + 1j * RNG.standard_normal((side, side))
         reference = np.einsum("iab,pbqa->ipq", dense_kernels(sys), x.reshape(n, sys.dim, n, sys.dim))
         assert np.abs(extract_coefficients(sys, x) - reference).max() <= 1e-14
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (4, 3), (7, 2), (10, 1)])
+    def test_dense_input_reads_only_the_support(self, d, n):
+        # bit for bit the read-out of the sector blocks, without the dense index
+        _block_layout.cache_clear()
+        layout = _block_layout(d, n)
+        sys = random_system(d)
+        side = n * sys.dim
+        x = RNG.standard_normal((side, side)) + 1j * RNG.standard_normal((side, side))
+        readout = extract_coefficients(sys, x)
+        assert "dense" not in vars(layout)
+        elem = CarElement(d, n, x.ravel()[layout.dense])
+        assert np.array_equal(readout, extract_coefficients(sys, elem))
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):

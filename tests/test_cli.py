@@ -13,10 +13,21 @@ from nck.tupleio import load_tuple_file, render_report, save_tuple_file
 RNG = np.random.default_rng(33)
 
 
-def family_choices(command):
+def subcommand_actions(command):
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return list(next(a for a in sub.choices[command]._actions if a.dest == "family").choices)
+    return sub.choices[command]._actions
+
+
+def family_choices(command):
+    return list(next(a for a in subcommand_actions(command) if a.dest == "family").choices)
+
+
+#: the flags every subcommand takes, and ``--help``
+COMMON_FLAGS = {"help", "seed", "out", "format"}
+#: the optional flags each experiment of ``nck constants`` declares
+CONSTANTS_FLAGS = {experiment: set(flags) for experiment, (_rows, flags) in cli.CONSTANTS.items()}
+ALL_CONSTANTS_FLAGS = set().union(*CONSTANTS_FLAGS.values())
 
 
 @pytest.fixture
@@ -67,6 +78,26 @@ class TestTupleFile:
         doc = {"version": "1", "d": 1, "n": 1, "matrices": [[[[1.0, 0.0]]]], "nu": [1.5]}
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="nu"):
+            load_tuple_file(str(path))
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"d": 2.7}, "field 'd'"),
+            ({"d": "1"}, "field 'd'"),
+            ({"d": 0}, "field 'd'"),
+            ({"n": True}, "field 'n'"),
+            ({"matrices": [[[[True, False]]]]}, r"matrices\[0\]\[0\]\[0\] must be a \[re, im\] pair"),
+            ({"matrices": [[[[10**400, 0]]]]}, r"matrices\[0\]\[0\]\[0\] must be finite"),
+            ({"nu": [True]}, "'nu' entries must be numbers"),
+        ],
+        ids=["fraction-d", "string-d", "zero-d", "bool-n", "bool-entry", "huge-entry", "bool-nu"],
+    )
+    def test_only_json_numbers(self, tmp_path, change, field):
+        path = tmp_path / "t.json"
+        doc = {"version": "1", "d": 1, "n": 1, "matrices": [[[[1.0, 0.0]]]]}
+        path.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ParseError, match=field):
             load_tuple_file(str(path))
 
     def test_missing_file(self):
@@ -177,6 +208,10 @@ class TestLiftCommand:
         assert captured.out == ""
         assert f"--samples is not read by --family {family}" in captured.err
 
+    def test_every_optional_flag_is_declared(self):
+        optional = {a.dest for a in subcommand_actions("lift") if a.option_strings and not a.required}
+        assert optional - COMMON_FLAGS == set().union(*cli.LIFT_FLAGS.values())
+
     def test_gaussian_default_samples(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         save_tuple_file(path, np.zeros((1, 1, 1), dtype=complex))
@@ -266,8 +301,21 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
-    def test_dimension_cap_exit_2(self):
-        assert main(["verify", "--suite", "car-identities", "--d", "11"]) == 2
+    @pytest.mark.parametrize("suite", ["car-identities", "orthogonality", "all"])
+    def test_dimension_cap_exit_2(self, suite, monkeypatch, capsys):
+        monkeypatch.delenv("NCK_MAX_DIM", raising=False)
+        assert main(["verify", "--suite", suite, "--d", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "fermionic dimension 11 outside [1, 10]" in captured.err
+
+    @pytest.mark.parametrize("suite,systems", [("car-identities", 1), ("orthogonality", 1),
+                                               ("all", 1), ("moments", 0)])
+    def test_one_fermionic_system_per_run(self, suite, systems, monkeypatch, capsys):
+        built = []
+        clean_system = cli.car_system
+        monkeypatch.setattr(cli, "car_system", lambda nu: built.append(nu) or clean_system(nu))
+        assert main(["verify", "--suite", suite, "--d", "2"]) == 0
+        assert len(built) == systems
 
     def test_nonpositive_d_exit_2(self):
         assert main(["verify", "--suite", "moments", "--d", "-1"]) == 2
@@ -365,9 +413,8 @@ class TestConstantsCommand:
         "experiment,flag",
         [
             (experiment, flag)
-            for experiment, read in cli.CONSTANTS_FLAGS.items()
-            for flag in cli.CONSTANTS_FLAGS["search"]
-            if flag not in read
+            for experiment, read in CONSTANTS_FLAGS.items()
+            for flag in sorted(ALL_CONSTANTS_FLAGS - read)
         ],
     )
     def test_unread_flag_exit_2(self, experiment, flag, capsys):
@@ -379,13 +426,46 @@ class TestConstantsCommand:
         assert f"--{flag} is not read by --experiment {experiment}" in captured.err
 
     def test_unread_flags_are_the_ones_named(self):
-        unread = {e: set(cli.CONSTANTS_FLAGS["search"]) - set(r) for e, r in cli.CONSTANTS_FLAGS.items()}
+        unread = {e: ALL_CONSTANTS_FLAGS - read for e, read in CONSTANTS_FLAGS.items()}
         assert unread == {
             "gauss-c2": {"family", "n", "trials"},
             "car-c2": {"family", "n", "trials", "samples"},
             "car-c1": {"family", "d", "n", "trials", "samples"},
             "search": set(),
         }
+
+    def test_every_optional_flag_is_declared(self):
+        # a flag no experiment declares would be neither read nor rejected
+        optional = {a.dest for a in subcommand_actions("constants") if a.option_strings and not a.required}
+        assert optional - COMMON_FLAGS == ALL_CONSTANTS_FLAGS
+
+    def test_flags_of_other_choices_are_rejected(self):
+        # "other" means declared by another choice of the same table, not
+        # missing from the widest choice
+        tables = [{"d": 3, "samples": 10}, {"m": 1}, {}]
+        args = argparse.Namespace(d=None, samples=None, m=2)
+        for read in (tables[0], tables[2]):
+            with pytest.raises(ParseError, match="--m is not read by here"):
+                cli._read_flags(args, read, tables, "here")
+        args.m = None
+        cli._read_flags(args, tables[0], tables, "here")
+        assert (args.d, args.samples, args.m) == (3, 10, None)
+
+    def test_gauss_c2_checks_the_budget_before_any_row(self, monkeypatch, capsys):
+        # d = 1 fits 2**20 + 1 samples, d = 16 does not
+        calls = []
+        monkeypatch.setattr(cli, "c2_witness_gaussian", lambda *a, **k: calls.append(a))
+        assert main(["constants", "--experiment", "gauss-c2", "--samples", str(2**20 + 1)]) == 2
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert "1048577 samples at d=16 exceed the budget" in captured.err
+
+    def test_defaults_come_from_the_table(self, capsys):
+        assert main(["constants", "--experiment", "car-c2"]) == 0
+        assert [r["d"] for r in json.loads(capsys.readouterr().out)["rows"]] == list(range(1, 11))
+        assert main(["constants", "--experiment", "search"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert (row["family"], row["trials"]) == ("rademacher", 50)
 
     def test_default_samples_is_applied_where_read(self, capsys):
         argv = ["constants", "--experiment", "gauss-c2", "--d", "1", "--seed", "2"]
@@ -470,6 +550,39 @@ class TestConstantsCommand:
         assert row["family"] in family_choices("constants")
         assert main(argv + ["--family", row["family"]]) == 0
         assert json.loads(capsys.readouterr().out)["rows"][0] == row
+
+
+@pytest.mark.parametrize("command", ["norm", "lift", "verify", "constants"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exit_2(command, target, scalar_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
+    argv = {
+        "norm": ["norm", "--file", scalar_file],
+        "lift": ["lift", "--file", scalar_file, "--family", "car"],
+        "verify": ["verify", "--suite", "orthogonality", "--d", "1"],
+        "constants": ["constants", "--experiment", "car-c1"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nck: error:") and str(out) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--family", "gaussian"],
+        ["constants", "--experiment", "search", "--family", "gaussian"],
+        ["constants", "--experiment", "gauss-c2"],
+    ],
+    ids=["lift", "search", "gauss-c2"],
+)
+def test_sampled_space_over_budget_exit_2(argv, scalar_file, capsys):
+    file = ["--file", scalar_file] if argv[0] == "lift" else []
+    assert main(argv + file + ["--samples", "10000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nck: error:") and "exceed the budget" in captured.err
 
 
 class TestDeterminism:

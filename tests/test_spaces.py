@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nck import spaces
+from nck import caps, spaces
 from nck.exceptions import (
     DimensionMismatch,
     DTooLarge,
@@ -298,7 +298,7 @@ class TestPhaseQuotient:
     def test_gaussian_keeps_every_atom(self, d):
         space = gaussian_space(d, 500, seed=4)
         reps, owner, phase = _check_phase_relation(space)
-        assert reps.atoms == space.atoms and reps.seed == space.seed
+        assert reps.atoms == space.atoms
         assert np.array_equal(owner, np.arange(space.atoms)) and np.all(phase == 1.0)
         # sampled atoms never merge, so the space is not grouped at all
         assert reps is space
@@ -351,6 +351,17 @@ class TestGaussian:
         se = lengths.std(ddof=1) / np.sqrt(sp.atoms)
         assert gamma_ratio(d) == pytest.approx(1.9386, abs=5e-4)
         assert abs(lengths.mean() - gamma_ratio(d)) <= 3.0 * se
+
+    def test_value_budget(self, monkeypatch):
+        # samples times variables, checked before anything is drawn
+        with pytest.raises(SpaceTooLarge, match="10000000000000 samples at d=2 exceed the budget"):
+            gaussian_space(2, 10**13)
+        monkeypatch.setattr(caps, "VALUE_CAP", 60)
+        assert gaussian_space(3, 20).atoms == 20
+        with pytest.raises(SpaceTooLarge, match="21 samples at d=3"):
+            gaussian_space(3, 21)
+        with pytest.raises(SpaceTooLarge, match="32 grid points at d=2"):
+            lacunary_space(2)
 
     def test_reproducible(self):
         a = gaussian_space(3, 1000, seed=42)
