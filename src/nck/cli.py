@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -94,6 +95,20 @@ def _read_flags(args, read: dict, declared, where: str) -> None:
     for flag, default in read.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
+
+
+def _check_out(path: str) -> None:
+    """Raise :class:`ParseError` unless ``--out`` can be written, without creating it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(parent):
+        reason = "No such file or directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise ParseError(f"cannot write --out {path}: {reason}")
 
 
 def _emit(report, args) -> None:
@@ -178,12 +193,12 @@ def _car_identity_checks(system, rng, d):
     car = system()
     y = rng.standard_normal((d, 2, 2)) + 1j * rng.standard_normal((d, 2, 2))
     for check in (anticommutation_check, second_moment_check, state_weight_check):
-        yield "car-identities", check, car
-    yield "car-identities", fourth_moment_check, car, y
+        yield "car-identities", d, check, car
+    yield "car-identities", d, fourth_moment_check, car, y
 
 
 def _orthogonality_checks(system, rng, d):
-    yield "orthogonality", orthogonality_check, system()
+    yield "orthogonality", d, orthogonality_check, system()
 
 
 def _moment_checks(system, rng, d):
@@ -192,12 +207,13 @@ def _moment_checks(system, rng, d):
         if kind is not None and exact:
             space = build(kind, dk)
             y = rng.standard_normal((dk, 2, 2)) + 1j * rng.standard_normal((dk, 2, 2))
-            yield f"moments-{kind}", moment_identity_check, y, space
+            yield f"moments-{kind}", dk, moment_identity_check, y, space
 
 
 #: the checks of each suite of ``nck verify``, in the order they run; each
-#: yields ``(label, check, *inputs)``, drawing the inputs from ``rng`` in turn,
-#: and ``system()`` is the run's one fermionic system
+#: yields ``(label, d, check, *inputs)``, ``d`` the dimension the check runs
+#: at, drawing the inputs from ``rng`` in turn, and ``system()`` is the run's
+#: one fermionic system
 VERIFY = {
     "car-identities": (_car_identity_checks,),
     "moments": (_moment_checks,),
@@ -207,14 +223,18 @@ VERIFY["all"] = VERIFY["car-identities"] + VERIFY["orthogonality"] + VERIFY["mom
 
 
 def run_verify_suite(suite: str, d: int, nu=None, seed: int = 0) -> list:
-    """The rows of the exact identity suites; ``nu``, when given, has ``d`` weights."""
+    """The rows of the exact identity suites; ``nu``, when given, has ``d`` weights.
+
+    Each row carries the ``d`` its check ran at: the moment suite runs at
+    ``min(d, 6)``.
+    """
     rng = np.random.default_rng(seed)
     if nu is None:
         nu = rng.uniform(0.05, 0.95, d)
     system = functools.cache(lambda: car_system(nu))
     rows = []
     for checks in VERIFY[suite]:
-        for label, check, *inputs in checks(system, rng, d):
+        for label, run_d, check, *inputs in checks(system, rng, d):
             try:
                 report = check(*inputs)
             except IdentityViolation as exc:
@@ -222,6 +242,7 @@ def run_verify_suite(suite: str, d: int, nu=None, seed: int = 0) -> list:
             rows += [
                 {
                     "suite": label,
+                    "d": run_d,
                     "identity": f"{report.name}/{tag}",
                     "deviation": float(dev),
                     "tolerance": report.tolerance,
@@ -408,6 +429,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except USAGE_ERRORS as exc:
         print(f"nck: error: {exc}", file=sys.stderr)

@@ -16,16 +16,16 @@ read-out and the accumulated element are all taken block by block, one
 batched clip per pair of sectors; the dense matrix is formed once, for
 :attr:`LiftReport.lifted`, and the achieved norm is the largest block
 norm.  Scalar coefficients (``n = 1``) over the Jordan-Wigner generators
-need neither: the CAR relations give ``Y^2 = 0`` and
-``Y*Y + YY* = |y|^2 I``, so ``Y*Y`` is ``|y|^2`` times a projection, every
-nonzero singular value of ``Y = Y(y)`` is ``|y|_2``, and the clip is the
-rescaled element ``Y((C / max(|y|_2, C)) y)``.  That lift stays in
-coefficient space: each step rescales the residual tuple and adds it to
-the accumulated tuple ``a``, and the end embeds ``a`` once for
-:attr:`LiftReport.lifted`, whose norm is ``|a|_2`` exactly.  Whether a
-system qualifies is read off its generators
-(:attr:`nck.car.CarSystem.is_jordan_wigner`); any other system, or
-``n >= 2``, takes the batched clip.  Over a probability space the lift
+(:attr:`nck.car.CarSystem.is_jordan_wigner`) need no step at all.  The CAR
+relations make every nonzero singular value of ``Y(y)`` equal ``|y|_2``,
+so the clip is the rescaling ``y -> (C / max(|y|_2, C)) y``.  Each
+normalized residual is then ``x / t`` with ``t`` the primal norm of ``x``,
+so every step rescales the residual by one ``q = 1 - C / max(|x|_2 / t, C)``,
+which lies in ``[1 - C, 1/2]`` as ``t <= |x|_2 <= sqrt(2) t``.  The lift is
+one geometric series: residual norms ``q^k t``, and after ``K`` steps
+(19 to 34) the element ``Y((1 - q^K) x)``, embedded once, of norm
+``(1 - q^K) |x|_2``.  Any other system, or ``n >= 2``, takes the batched
+clip step by step.  Over a probability space the lift
 runs on the space's phase quotient (see :mod:`nck.spaces`): one
 representative atom per orbit of a unimodular scalar, weighted by the
 orbit.  The clip commutes with a
@@ -197,9 +197,8 @@ def _setting_ops(setting, n: int):
     lift accumulates, starting from ``zero``, and the corrected tuple ``z``.
     ``finish`` turns the accumulated array into ``(lifted, achieved_norm)``.
     A probability space is lifted on its phase quotient, and ``finish``
-    expands the accumulated representatives to every atom.  A scalar
-    (``n = 1``) Jordan-Wigner lift accumulates the tuple itself and embeds
-    it once.  ``clip_level`` is half the setting's lift constant ``K``.
+    expands the accumulated representatives to every atom.  ``clip_level``
+    is half the setting's lift constant ``K``.
     """
     if isinstance(setting, DiscreteProbabilitySpace):
         reps, owner, phase = setting._quotient
@@ -220,31 +219,35 @@ def _setting_ops(setting, n: int):
         clip_level = family_row("car")[0] / 2.0
         col_w, row_w = setting.nu, 1.0 - setting.nu
         primal = lambda x: weighted_triple_norm(x, col_w)
-        if n == 1 and setting.is_jordan_wigner:
-            zero = np.zeros((setting.d, 1, 1), dtype=complex)
+        zero = CarElement.zeros(setting.d, n).blocks
 
-            def step(t):
-                z = _scalar_clip(t, clip_level)
-                return z, z
+        def step(t):
+            clipped, z = corrector_car(t, setting, clip_level)
+            return clipped.blocks, z
 
-            def finish(acc):
-                return embed_tuple(setting, acc).toarray(), float(np.linalg.norm(acc))
-        else:
-            zero = CarElement.zeros(setting.d, n).blocks
-
-            def step(t):
-                clipped, z = corrector_car(t, setting, clip_level)
-                return clipped.blocks, z
-
-            def finish(acc):
-                accumulated = CarElement(setting.d, n, acc)
-                return accumulated.toarray(), accumulated.op_norm()
+        def finish(acc):
+            accumulated = CarElement(setting.d, n, acc)
+            return accumulated.toarray(), accumulated.op_norm()
     else:
         raise DimensionMismatch(
             f"setting must be a DiscreteProbabilitySpace or CarSystem, got {type(setting)!r}"
         )
     residual = lambda w: _grams_norm_sqrt(_col_gram(w, col_w), _row_gram(w, row_w))
     return primal, residual, step, zero, finish, clip_level
+
+
+def _scalar_car_lift(xa: np.ndarray, sys: CarSystem):
+    """``(history, lifted, achieved_norm, clip_level)`` of a scalar Jordan-Wigner lift, in closed form."""
+    clip_level = family_row("car")[0] / 2.0
+    target = weighted_triple_norm(xa, sys.nu)
+    norm_x = float(np.linalg.norm(xa))
+    rate = 1.0 - clip_level / max(norm_x / target, clip_level) if target else 0.0
+    history, decay = [target], 1.0
+    while history[-1] > TOL * target and len(history) <= MAX_STEPS:
+        decay *= rate
+        history.append(target * decay)
+    lifted = embed_tuple(sys, (1.0 - decay) * xa).toarray()
+    return history, lifted, (1.0 - decay) * norm_x, clip_level
 
 
 def lift(x, setting) -> LiftReport:
@@ -254,7 +257,9 @@ def lift(x, setting) -> LiftReport:
     accumulating the clipped elements; the corrector acts on the normalized
     residual and is rescaled back, so each step contracts the residual norm
     by :data:`CONTRACTION`.  Stops when the residual falls below
-    ``TOL * norm(x)``, or after :data:`MAX_STEPS` steps.
+    ``TOL * norm(x)``, or after :data:`MAX_STEPS` steps.  A scalar
+    (``n = 1``) tuple over the Jordan-Wigner generators takes no step: its
+    series is summed in closed form, with the same step count.
 
     Raises :class:`NormOverflow` when the primal norm of the finite tuple
     ``x`` is not finite, and :class:`StalledIteration` when a step fails to
@@ -262,42 +267,33 @@ def lift(x, setting) -> LiftReport:
     violated, e.g. noisy sampled moments).
     """
     xa = as_matrix_tuple(x)
-    primal, residual, step, accum, finish, clip_level = _setting_ops(setting, xa.shape[1])
-    target = primal(xa)
-    history = [target]
-
-    w = xa.copy()
-    norm_w = target
-    iterations = 0
-    converged = False
-    for k in range(MAX_STEPS):
-        if norm_w <= TOL * target:
-            converged = True
-            break
-        iterations = k + 1
-        piece, z = step(w / norm_w)
-        accum += norm_w * piece
-        w = w - norm_w * z
-        norm_next = residual(w)
-        if norm_next > (CONTRACTION + STALL_SLACK) * norm_w:
-            raise StalledIteration(
-                f"residual contracted only to {norm_next / norm_w:.4f} of the "
-                f"previous norm at step {iterations} "
-                f"(allowed {CONTRACTION + STALL_SLACK})",
-                step=iterations,
-            )
-        history.append(norm_next)
-        norm_w = norm_next
+    if isinstance(setting, CarSystem) and xa.shape[1] == 1 and setting.is_jordan_wigner:
+        history, lifted, achieved, clip_level = _scalar_car_lift(xa, setting)
     else:
-        converged = norm_w <= TOL * target
-
-    lifted, achieved = finish(accum)
+        primal, residual, step, accum, finish, clip_level = _setting_ops(setting, xa.shape[1])
+        history, w = [primal(xa)], xa.copy()
+        while history[-1] > TOL * history[0] and len(history) <= MAX_STEPS:
+            norm_w = history[-1]
+            piece, z = step(w / norm_w)
+            accum += norm_w * piece
+            w = w - norm_w * z
+            norm_next = residual(w)
+            if norm_next > (CONTRACTION + STALL_SLACK) * norm_w:
+                raise StalledIteration(
+                    f"residual contracted only to {norm_next / norm_w:.4f} of the "
+                    f"previous norm at step {len(history)} "
+                    f"(allowed {CONTRACTION + STALL_SLACK})",
+                    step=len(history),
+                )
+            history.append(norm_next)
+        lifted, achieved = finish(accum)
+    target = history[0]
     return LiftReport(
         lifted=lifted,
         residual_history=np.array(history),
         achieved_norm=achieved,
         target_norm=target,
-        iterations=iterations,
-        converged=converged,
+        iterations=len(history) - 1,
+        converged=history[-1] <= TOL * target,
         clip_level=clip_level,
     )

@@ -347,8 +347,22 @@ class TestVerifyCommand:
     def test_csv_format(self, capsys):
         assert main(["verify", "--suite", "orthogonality", "--d", "2", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("deviation,identity")
-        assert len(lines) > 1
+        assert lines[0] == "d,deviation,identity,pass,suite,tolerance"
+        assert len(lines) > 1 and all(line.startswith("2,") for line in lines[1:])
+
+    @pytest.mark.parametrize("suite,d", [("moments", 11), ("all", 7)])
+    def test_each_row_carries_the_d_it_ran_at(self, suite, d, monkeypatch, capsys):
+        # the moment suite runs at min(d, 6); the fermionic suites at d
+        monkeypatch.delenv("NCK_MAX_DIM", raising=False)
+        assert main(["verify", "--suite", suite, "--d", str(d)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["d"] == d
+        ran = {row["suite"]: row["d"] for row in out["identities"]}
+        assert {label: ran[label] for label in ran if label.startswith("moments")} == {
+            f"moments-{kind}": 6 for kind in ("rademacher", "steinhauss", "lacunary")
+        }
+        assert all(ran[label] == d for label in ran if not label.startswith("moments"))
+        assert len(ran) == (3 if suite == "moments" else 5)
 
 
 class TestConstantsCommand:
@@ -554,18 +568,33 @@ class TestConstantsCommand:
 
 @pytest.mark.parametrize("command", ["norm", "lift", "verify", "constants"])
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-def test_unwritable_out_exit_2(command, target, scalar_file, tmp_path, capsys):
+def test_unwritable_out_exit_2(command, target, scalar_file, tmp_path, monkeypatch, capsys):
+    # the target is checked before the run: nothing is computed, nothing is left behind
     out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
-    argv = {
-        "norm": ["norm", "--file", scalar_file],
-        "lift": ["lift", "--file", scalar_file, "--family", "car"],
-        "verify": ["verify", "--suite", "orthogonality", "--d", "1"],
-        "constants": ["constants", "--experiment", "car-c1"],
+    argv, work = {
+        "norm": (["norm", "--file", scalar_file], "dual_norm"),
+        "lift": (["lift", "--file", scalar_file, "--family", "car"], "lift"),
+        "verify": (["verify", "--suite", "orthogonality", "--d", "1"], "run_verify_suite"),
+        "constants": (["constants", "--experiment", "car-c1"], "car_c1_witness"),
     }[command]
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    before = sorted(tmp_path.rglob("*"))
     assert main(argv + ["--out", str(out)]) == 2
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("nck: error:") and str(out) in captured.err
+
+
+def test_out_failing_after_the_run_exit_2(tmp_path, monkeypatch, capsys):
+    # a target that passed the check but cannot be opened at the end
+    out = tmp_path / "missing" / "r.json"
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    assert main(["constants", "--experiment", "car-c1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nck: error: cannot write --out {out}: No such file or directory\n"
 
 
 @pytest.mark.parametrize(

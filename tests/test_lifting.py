@@ -598,6 +598,49 @@ class TestScalarCarLiftClosedForm:
         readout = extract_coefficients(sys, rep.lifted)
         assert np.abs(readout - (1.0 - rho**k) * x).max() <= 1e-12 * np.abs(x).max()
 
+    def test_hand_built_jordan_wigner_system_takes_no_step(self, monkeypatch):
+        d = 5
+        sys = TestCorrectorCar.hand_built(d, lambda gens: gens)
+        x = random_tuple(d, 1, np.random.default_rng(6))
+        clean = lift(x, car_system(sys.nu))
+        clips = spy_on_the_clip(monkeypatch)
+        embeds = []
+        real_embed = lifting.embed_tuple
+
+        def spy_embed(s, y):
+            embeds.append(y)
+            return real_embed(s, y)
+
+        monkeypatch.setattr("nck.lifting.embed_tuple", spy_embed)
+        rep = lift(x, sys)
+        assert clips == [] and len(embeds) == 1
+        assert np.array_equal(rep.lifted, clean.lifted)
+        assert np.array_equal(rep.residual_history, clean.residual_history)
+        assert (rep.achieved_norm, rep.target_norm, rep.iterations, rep.converged) == (
+            clean.achieved_norm, clean.target_norm, clean.iterations, clean.converged
+        )
+
+    def test_sign_flipped_system_steps_through_the_clip(self, monkeypatch):
+        d = 4
+        sys = TestCorrectorCar.hand_built(d, lambda g: g[:2] + [-g[2]] + g[3:])
+        x = random_tuple(d, 1, np.random.default_rng(8))
+        clips = spy_on_the_clip(monkeypatch)
+        rep = lift(x, sys)
+        iterations, history, _lifted, _achieved = general_clip_lift(x, sys)
+        assert len(clips) == rep.iterations * ((d + 1) // 2)
+        assert rep.iterations == iterations and rep.converged
+        assert np.all(np.abs(rep.residual_history - history) <= 1e-12 * history)
+
+    @pytest.mark.parametrize("d", [1, 6, 12])
+    def test_last_residual_is_the_readout_residual(self, d, monkeypatch):
+        monkeypatch.setenv("NCK_MAX_DIM", "12")
+        rng = np.random.default_rng(700 + d)
+        sys = car_system(rng.uniform(0.02, 0.98, d))
+        x = random_tuple(d, 1, rng)
+        rep = lift(x, sys)
+        residual = weighted_triple_norm(x - extract_coefficients(sys, rep.lifted), sys.nu)
+        assert abs(rep.residual_history[-1] - residual) <= 1e-13 * rep.target_norm
+
 
 # the benchmark's sign-lift shapes: each (family, d) twice, with n two apart
 _SIGN_DIMS = {"rademacher": range(4, 11), "lacunary": range(3, 9), "steinhauss": range(2, 5)}
