@@ -15,6 +15,15 @@ generators are copied into the same form, and
 Building a system, embedding a tuple, reading coefficients off an
 element, evaluating the state and the coefficient functionals, the
 fermionic lift and every identity check need only numpy.
+
+What the generators alone determine is built once per generator set, on
+first use: the entries, whether they are the Jordan-Wigner ones, each
+generator's values on its Jordan-Wigner support (with the off-support
+check), the pairwise products of the identity checks, and the occupation
+table of the density.  :func:`car_system` takes that set from a per-``d``
+cache, so a system at a new ``nu`` builds only what reads ``nu``: the
+density's diagonal and the functional kernels.
+
 The generators satisfy the anticommutation relations
 ``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
 in floating point.  The identity checks take every pairwise product
@@ -169,23 +178,6 @@ def _jw_support(d: int):
     rows = cols ^ (1 << (d - 1 - np.arange(d)))[:, None]
     _read_only(rows, cols)
     return rows, cols
-
-
-@lru_cache(maxsize=8)
-def _jw_entries(d: int) -> tuple:
-    """``(i, u, v, value)`` of every entry of the Jordan-Wigner generators (cached, read-only).
-
-    The entries of ``a_i`` are :func:`_jw_support`'s, in its order, which
-    sorts them by row and column; each value is the sign
-    ``(-1)^(occupied modes j < i)``.
-    """
-    rows, cols = _jw_support(d)
-    # the modes j < i are the bits above bit d - 1 - i
-    parity = np.bitwise_count(cols >> (d - np.arange(d))[:, None]) & 1
-    entries = (np.repeat(np.arange(d), cols.shape[1]), rows.ravel(), cols.ravel(),
-               (1.0 - 2.0 * parity.ravel()).astype(complex))
-    _read_only(*entries)
-    return entries
 
 
 def _check_modes(d: int) -> int:
@@ -391,63 +383,29 @@ def _canonical_entries(generators) -> tuple:
     return len(generators), side, entries
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class CarSystem:
-    """Generators plus the weights of the product state.
+@dataclass(frozen=True, eq=False)
+class _Generators:
+    """What a system's generators alone determine, filled on first use.
 
-    The generators must be dense square matrices of one side, one per
-    weight.  They are kept as read-only entry arrays
-    ``_entries = (i, u, v, value)``, one row per nonzero entry ``a_i[u, v]``,
-    sorted by generator, row and column; :meth:`generator` gives one back
-    densely.  ``nu`` must lie in ``[0, 1]``.  Weights and
-    entries are read-only copies: editing the caller's arrays afterwards
-    changes nothing here.
+    ``entries = (i, u, v, value)`` lists every nonzero ``a_i[u, v]``, sorted
+    by generator, row and column, as read-only arrays; ``dim`` is the side.
+    Nothing here reads the weights, so :func:`car_system` shares one object
+    per ``d`` (:func:`_jw_generators`) among all its systems, and every
+    cached array is read-only.
     """
 
-    nu: np.ndarray
+    d: int
     dim: int
-    _entries: tuple = field(repr=False)
-
-    def __init__(self, nu, generators):
-        d, side, entries = _canonical_entries(generators)
-        self._fill(as_weights(nu), d, side, entries)
-
-    def _fill(self, w: np.ndarray, d: int, side: int, entries) -> None:
-        """Set the fields from weights ``w`` that :func:`nck.norms.as_weights` validated."""
-        if w.shape != (d,):
-            raise DimensionMismatch(f"{w.size} weights for {d} generators")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "nu", w)
-        object.__setattr__(self, "dim", side)
-        object.__setattr__(self, "_entries", entries)
-
-    @property
-    def d(self) -> int:
-        return self.nu.shape[0]
-
-    def generator(self, i: int) -> np.ndarray:
-        """``a_i`` as a new dense ``dim x dim`` complex matrix (built on each call, not cached)."""
-        _check_indices(self, [i])
-        g, u, v, val = self._entries
-        at = g == i
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[u[at], v[at]] = val[at]
-        return out
+    entries: tuple
 
     @cached_property
     def is_jordan_wigner(self) -> bool:
-        """Whether the generators are exactly the Jordan-Wigner ones (compared by value, cached).
-
-        True for every :func:`car_system` system and for a hand-built system
-        whose entries equal :func:`_jw_entries`; a sign-flipped or perturbed
-        generator makes it False.
-        """
+        """Whether the entries equal the Jordan-Wigner ones, compared by value."""
         return self.dim == 1 << self.d and all(
-            np.array_equal(a, b) for a, b in zip(self._entries, _jw_entries(self.d))
+            np.array_equal(a, b) for a, b in zip(self.entries, _jw_generators(self.d).entries)
         )
 
-    def _check_side(self) -> None:
+    def check_side(self) -> None:
         """Raise :class:`IdentityViolation` unless the side is ``2**d``, where the state lives."""
         if self.dim != 1 << self.d:
             raise IdentityViolation(
@@ -457,32 +415,32 @@ class CarSystem:
             )
 
     @cached_property
-    def density_diagonal(self) -> np.ndarray:
-        """The diagonal ``(x)_i (1 - nu_i, nu_i)`` of the density (real, read-only).
+    def occupied(self) -> np.ndarray:
+        """``(2**d, d)``: whether mode ``i`` is occupied in each basis state (read-only).
 
-        The density lives on the ``2**d``-dimensional Jordan-Wigner space, so
-        generators of another side raise :class:`IdentityViolation`, and with
-        it everything that reads the state.
+        Mode ``i`` is bit ``d - 1 - i`` of the state.
         """
-        self._check_side()
+        self.check_side()
         bits = (np.arange(1 << self.d)[:, None] >> (self.d - 1 - np.arange(self.d))) & 1
-        r = np.where(bits == 1, self.nu, 1.0 - self.nu).prod(axis=1)
-        r.setflags(write=False)
-        return r
+        out = bits == 1
+        out.setflags(write=False)
+        return out
 
-    def _on_support(self, values: np.ndarray) -> np.ndarray:
-        """``values``, one per entry of ``_entries``, laid out as ``(d, 2**(d-1))`` (read-only).
+    @cached_property
+    def _support(self) -> tuple:
+        """``(source, target)``: the entries on the Jordan-Wigner support, and where they go.
 
-        Row ``i`` is generator ``i``'s Jordan-Wigner support in
-        :func:`_jw_support`'s order; a support point without an entry gets 0.
-        The particle-number blocks hold exactly the support, so a generator
-        with weight anywhere else (such as ``a_1 + 1e-4 I``) raises
-        :class:`IdentityViolation` naming it and its off-support mass.
+        ``target`` is each such entry's flat position in the
+        ``(d, 2**(d-1))`` layout of :meth:`on_support`: row ``i``, at the
+        rank of column ``v`` among the states with mode ``i`` occupied,
+        which is ``v`` with that bit taken out.  Weight anywhere else (such
+        as ``a_1 + 1e-4 I``) raises :class:`IdentityViolation` naming the
+        first such generator and its off-support mass.
         """
-        self._check_side()
-        d = self.d
-        i, u, v, val = self._entries
-        bit = 1 << (d - 1 - i)
+        self.check_side()
+        i, u, v, val = self.entries
+        shift = self.d - 1 - i
+        bit = 1 << shift
         on = (v & bit != 0) & (u == v ^ bit)
         off = ~on & (val != 0)
         if off.any():
@@ -493,39 +451,33 @@ class CarSystem:
                 "it does not lower the occupation number by one",
                 CheckReport("jordan-wigner-support", 0.0, {f"off-support-generator-{k}": mass}),
             )
-        by_col = np.zeros((d, self.dim), dtype=complex)
-        by_col[i[on], v[on]] = values[on]
-        out = np.take_along_axis(by_col, _jw_support(d)[1], axis=1)
+        source = np.flatnonzero(on)
+        rank = (v >> (shift + 1) << shift) | (v & (bit - 1))
+        target = (i * (self.dim >> 1) + rank)[source]
+        _read_only(source, target)
+        return source, target
+
+    def on_support(self, values: np.ndarray) -> np.ndarray:
+        """``values``, one per entry, laid out as ``(d, 2**(d-1))`` (read-only).
+
+        Row ``i`` is generator ``i``'s Jordan-Wigner support in
+        :func:`_jw_support`'s order; a support point without an entry gets 0.
+        The particle-number blocks hold exactly the support.
+        """
+        source, target = self._support
+        out = np.zeros(self.d * (self.dim >> 1), dtype=complex)
+        out[target] = values[source]
+        out = out.reshape(self.d, -1)
         out.setflags(write=False)
         return out
 
     @cached_property
     def support_values(self) -> np.ndarray:
         """Each generator's entries on its Jordan-Wigner support, ``(d, 2**(d-1))``."""
-        return self._on_support(self._entries[3])
+        return self.on_support(self.entries[3])
 
     @cached_property
-    def kernel_values(self) -> np.ndarray:
-        """``conj(a_i[u, v]) (r_u + r_v)`` per entry of ``_entries`` (read-only).
-
-        With ``r = diag(rho)``, this is the entry of the functional kernel
-        ``K_i = rho a_i* + a_i* rho`` at ``(v, u)``, so
-        ``phi_i(b) = sum conj(a_i[u, v]) (r_u + r_v) b[u, v]``.  Every
-        reader of the kernels takes the values from here.
-        """
-        r = self.density_diagonal
-        _, u, v, val = self._entries
-        k = val.conj() * (r[u] + r[v])
-        k.setflags(write=False)
-        return k
-
-    @cached_property
-    def support_kernel(self) -> np.ndarray:
-        """:attr:`kernel_values` laid out like :attr:`support_values`, ``(d, 2**(d-1))``."""
-        return self._on_support(self.kernel_values)
-
-    @cached_property
-    def _pair_products(self) -> tuple:
+    def pair_products(self) -> tuple:
         """Every ``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j``, from one sparse Gram.
 
         ``L = vstack(a_1, .., a_d, a_1*, .., a_d*)`` times ``L*`` holds
@@ -537,7 +489,7 @@ class CarSystem:
         """
         d, q = self.d, self.dim
         dq = d * q
-        i, u, v, val = self._entries
+        i, u, v, val = self.entries
         r1, r2, prod = _gram_entries(np.concatenate([i * q + u, dq + i * q + v]),
                                      np.concatenate([v, u]),
                                      np.concatenate([val, val.conj()]))
@@ -559,12 +511,147 @@ class CarSystem:
         return tuple(families)
 
 
+@lru_cache(maxsize=8)
+def _jw_generators(d: int) -> _Generators:
+    """The Jordan-Wigner generators for ``d`` modes (cached, one object per ``d``).
+
+    The entries of ``a_i`` are :func:`_jw_support`'s, in its order, which
+    sorts them by row and column; each value is the sign
+    ``(-1)^(occupied modes j < i)``.
+    """
+    rows, cols = _jw_support(d)
+    # the modes j < i are the bits above bit d - 1 - i
+    parity = np.bitwise_count(cols >> (d - np.arange(d))[:, None]) & 1
+    entries = (np.repeat(np.arange(d), cols.shape[1]), rows.ravel(), cols.ravel(),
+               (1.0 - 2.0 * parity.ravel()).astype(complex))
+    _read_only(*entries)
+    return _Generators(d, 1 << d, entries)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class CarSystem:
+    """Generators plus the weights of the product state.
+
+    The generators must be dense square matrices of one side, one per
+    weight.  They are kept as read-only entry arrays
+    ``_entries = (i, u, v, value)``, one row per nonzero entry ``a_i[u, v]``,
+    sorted by generator, row and column; :meth:`generator` gives one back
+    densely.  ``nu`` must lie in ``[0, 1]``.  Weights and
+    entries are read-only copies: editing the caller's arrays afterwards
+    changes nothing here.
+
+    Everything the generators alone determine (:attr:`is_jordan_wigner`,
+    :attr:`support_values`, the support layout and its off-support check,
+    the pairwise products of the identity checks, the occupation table of
+    the density) lives in one generators object, built on first use.
+    :func:`car_system` takes that object from a per-``d`` cache, so a
+    system built for a new ``nu`` pays only for what reads ``nu``:
+    :attr:`density_diagonal`, :attr:`kernel_values` and
+    :attr:`support_kernel`.  A hand-built system has an object of its own.
+    """
+
+    nu: np.ndarray
+    _generators: _Generators = field(repr=False)
+
+    def __init__(self, nu, generators):
+        generators = _Generators(*_canonical_entries(generators))
+        self._fill(as_weights(nu), generators)
+
+    def _fill(self, w: np.ndarray, generators: _Generators) -> None:
+        """Set the fields from weights ``w`` that :func:`nck.norms.as_weights` validated."""
+        if w.shape != (generators.d,):
+            raise DimensionMismatch(f"{w.size} weights for {generators.d} generators")
+        w = w.copy()
+        w.setflags(write=False)
+        object.__setattr__(self, "nu", w)
+        object.__setattr__(self, "_generators", generators)
+
+    @property
+    def d(self) -> int:
+        return self.nu.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self._generators.dim
+
+    @property
+    def _entries(self) -> tuple:
+        return self._generators.entries
+
+    @property
+    def is_jordan_wigner(self) -> bool:
+        """Whether the generators are exactly the Jordan-Wigner ones (compared by value, cached).
+
+        True for every :func:`car_system` system and for a hand-built system
+        whose entries equal the Jordan-Wigner ones; a sign-flipped or
+        perturbed generator makes it False.
+        """
+        return self._generators.is_jordan_wigner
+
+    @property
+    def support_values(self) -> np.ndarray:
+        """Each generator's entries on its Jordan-Wigner support, ``(d, 2**(d-1))`` (read-only).
+
+        A generator with weight off that support raises
+        :class:`IdentityViolation` naming it and its off-support mass.
+        """
+        return self._generators.support_values
+
+    @property
+    def _pair_products(self) -> tuple:
+        """``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j`` as block entries (:class:`_Generators`)."""
+        return self._generators.pair_products
+
+    def generator(self, i: int) -> np.ndarray:
+        """``a_i`` as a new dense ``dim x dim`` complex matrix (built on each call, not cached)."""
+        _check_indices(self, [i])
+        g, u, v, val = self._entries
+        at = g == i
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[u[at], v[at]] = val[at]
+        return out
+
+    @cached_property
+    def density_diagonal(self) -> np.ndarray:
+        """The diagonal ``(x)_i (1 - nu_i, nu_i)`` of the density (real, read-only).
+
+        The density lives on the ``2**d``-dimensional Jordan-Wigner space, so
+        generators of another side raise :class:`IdentityViolation`, and with
+        it everything that reads the state.
+        """
+        r = np.where(self._generators.occupied, self.nu, 1.0 - self.nu).prod(axis=1)
+        r.setflags(write=False)
+        return r
+
+    @cached_property
+    def kernel_values(self) -> np.ndarray:
+        """``conj(a_i[u, v]) (r_u + r_v)`` per entry of ``_entries`` (read-only).
+
+        With ``r = diag(rho)``, this is the entry of the functional kernel
+        ``K_i = rho a_i* + a_i* rho`` at ``(v, u)``, so
+        ``phi_i(b) = sum conj(a_i[u, v]) (r_u + r_v) b[u, v]``.  Every
+        reader of the kernels takes the values from here.
+        """
+        r = self.density_diagonal
+        _, u, v, val = self._entries
+        k = val.conj() * (r[u] + r[v])
+        k.setflags(write=False)
+        return k
+
+    @cached_property
+    def support_kernel(self) -> np.ndarray:
+        """:attr:`kernel_values` laid out like :attr:`support_values`, ``(d, 2**(d-1))``."""
+        return self._generators.on_support(self.kernel_values)
+
+
 def car_system(nu) -> CarSystem:
-    """The system of the Jordan-Wigner generators for weights ``nu`` in ``[0, 1]^d``."""
+    """The system of the Jordan-Wigner generators for weights ``nu`` in ``[0, 1]^d``.
+
+    Every system at one ``d`` shares one cached generators object.
+    """
     w = as_weights(nu)
-    d = _check_modes(w.shape[0])
     sys = CarSystem.__new__(CarSystem)
-    sys._fill(w, d, 1 << d, _jw_entries(d))
+    sys._fill(w, _jw_generators(_check_modes(w.shape[0])))
     return sys
 
 

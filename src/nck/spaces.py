@@ -137,7 +137,22 @@ class DiscreteProbabilitySpace:
 
     def __post_init__(self):
         # read-only copies: the caller's arrays stay theirs and writable
-        w, fam = np.array(self.weights), np.array(self.family)
+        self._adopt(np.array(self.weights), np.array(self.family))
+
+    @classmethod
+    def _taking(cls, kind: str, weights: np.ndarray, family: np.ndarray):
+        """A space that keeps ``weights`` and ``family`` uncopied and makes them read-only.
+
+        For a builder's own new arrays only: nobody else holds them, so the
+        copy a caller's arrays get would only double the build's peak.
+        """
+        space = object.__new__(cls)
+        object.__setattr__(space, "kind", kind)
+        space._adopt(weights, family)
+        return space
+
+    def _adopt(self, w: np.ndarray, fam: np.ndarray) -> None:
+        """Validate ``w`` and ``fam``, lock them and make them the space's arrays."""
         if w.ndim != 1 or fam.ndim != 2 or fam.shape[1] != w.shape[0]:
             raise DimensionMismatch(
                 f"family shape {fam.shape} incompatible with {w.shape[0]} atoms"
@@ -257,7 +272,7 @@ def rademacher_space(d: int) -> DiscreteProbabilitySpace:
     bits = np.indices((2,) * d, dtype=np.int8).reshape(d, -1)
     family = np.array([1.0, -1.0], dtype=complex)[bits]
     weights = np.full(2**d, 2.0**-d)
-    return DiscreteProbabilitySpace("rademacher", weights, family)
+    return DiscreteProbabilitySpace._taking("rademacher", weights, family)
 
 
 def steinhauss_space(d: int) -> DiscreteProbabilitySpace:
@@ -271,7 +286,7 @@ def steinhauss_space(d: int) -> DiscreteProbabilitySpace:
     roots = np.exp(2j * np.pi * np.arange(order) / order)
     family = roots[np.indices((order,) * d, dtype=np.int8).reshape(d, -1)]
     weights = np.full(order**d, float(order) ** -d)
-    return DiscreteProbabilitySpace("steinhauss", weights, family)
+    return DiscreteProbabilitySpace._taking("steinhauss", weights, family)
 
 
 def lacunary_space(d: int) -> DiscreteProbabilitySpace:
@@ -292,7 +307,7 @@ def lacunary_space(d: int) -> DiscreteProbabilitySpace:
     roots = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
     family = roots[(np.arange(n_grid, dtype=np.int32) % (n_grid >> j)) << j]
     weights = np.full(n_grid, 1.0 / n_grid)
-    return DiscreteProbabilitySpace("lacunary", weights, family)
+    return DiscreteProbabilitySpace._taking("lacunary", weights, family)
 
 
 def gaussian_space(d: int, samples: int, seed: int = 0) -> DiscreteProbabilitySpace:
@@ -310,7 +325,7 @@ def gaussian_space(d: int, samples: int, seed: int = 0) -> DiscreteProbabilitySp
     z = rng.standard_normal((2, d, samples))
     family = (z[0] + 1j * z[1]) / np.sqrt(2.0)
     weights = np.full(samples, 1.0 / samples)
-    return DiscreteProbabilitySpace("gaussian-mc", weights, family)
+    return DiscreteProbabilitySpace._taking("gaussian-mc", weights, family)
 
 
 def family_name(name: str) -> str:

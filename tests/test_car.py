@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from functools import reduce
 
@@ -9,6 +10,8 @@ from nck.car import (
     CarElement,
     CarSystem,
     _block_layout,
+    _jw_generators,
+    _jw_support,
     SubspaceModel,
     anticommutation_check,
     car_system,
@@ -31,6 +34,7 @@ from nck.exceptions import (
     NotOrthonormal,
     SizeMismatch,
 )
+from nck.lifting import lift
 from nck.norms import gram_norm, moment_forms, weighted_triple_norm
 from nck.reports import moment_report
 
@@ -254,6 +258,66 @@ class TestCarSystem:
         gens = tuple(np.ones(shape) for shape in shapes)
         with pytest.raises(DimensionMismatch, match="square of one side"):
             CarSystem(nu=np.full(len(gens), 0.5), generators=gens)
+
+
+def bits(x):
+    """``x`` with every array and float by its bytes, so that ``==`` means bit for bit."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (float, complex)):
+        return np.array(x).tobytes()
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return x
+
+
+def values_of(sys, rng_seed=0):
+    """Every cached value of a system, its five identity reports and its lifts at n = 1, 2."""
+    rng = np.random.default_rng(rng_seed)
+    reports = [anticommutation_check(sys), second_moment_check(sys), state_weight_check(sys),
+               orthogonality_check(sys), fourth_moment_check(sys, random_tuple(sys.d, 2, rng))]
+    lifts = [lift(random_tuple(sys.d, n, rng), sys) for n in (1, 2)]
+    return bits((sys.nu, sys.dim, sys._entries, sys.is_jordan_wigner, sys.support_values,
+                 sys.density_diagonal, sys.kernel_values, sys.support_kernel,
+                 sys._pair_products, reports, lifts))
+
+
+class TestGeneratorCache:
+    def test_systems_at_one_d_share_the_generators(self):
+        first, second = car_system([0.2, 0.7, 0.4, 0.9]), car_system([0.6, 0.1, 0.5, 0.3])
+        assert first._generators is second._generators
+        assert first.support_values is second.support_values
+        assert first._pair_products is second._pair_products
+        assert not np.array_equal(first.density_diagonal, second.density_diagonal)
+        generators = first._generators
+        generators.is_jordan_wigner
+        cached = [*generators.entries, generators.occupied, *generators._support,
+                  generators.support_values, *(a for f in generators.pair_products for a in f)]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_hand_built_jordan_wigner_matches_car_system(self, d):
+        nu = np.random.default_rng(d).uniform(0.05, 0.95, d)
+        clean = car_system(nu)
+        hand_built = CarSystem(nu, generators_of(clean))
+        assert hand_built._generators is not clean._generators
+        assert values_of(hand_built) == values_of(clean)
+
+    def test_clearing_the_caches_changes_no_value(self):
+        nu = [0.3, 0.8, 0.15, 0.6, 0.45]
+        before = car_system(nu)
+        want = values_of(before)
+        for cache in (_jw_generators, _jw_support, _block_layout):
+            cache.cache_clear()
+        after = car_system(nu)
+        assert after._generators is not before._generators
+        assert values_of(after) == want
 
 
 class TestState:

@@ -219,17 +219,26 @@ class TestBuilders:
         assert space.family.tobytes() == ((z[0] + 1j * z[1]) / np.sqrt(2.0)).tobytes()
         assert space.weights.tobytes() == np.full(50, 1.0 / 50).tobytes()
 
-    def test_steinhauss_build_holds_two_families_and_small_arrays(self):
-        # the family, its read-only copy, the weights and an int8 grid; an
-        # int64 grid beside them alone is half a family
-        steinhauss_space(6)
+    @pytest.mark.parametrize("make,bound", [
+        (lambda: rademacher_space(12), 1.5),
+        (lambda: steinhauss_space(6), 1.5),
+        (lambda: lacunary_space(10), 1.6),
+        # the sampled normals take a family's bytes, and so does each
+        # temporary of the complex combination
+        (lambda: gaussian_space(4, 20_000), 2.5),
+    ], ids=["rademacher", "steinhauss", "lacunary", "gaussian"])
+    def test_build_holds_one_family_and_small_arrays(self, make, bound):
+        # the space keeps the family the builder made, read-only and
+        # uncopied; a copy alone would put the peak at two families
+        make()
         tracemalloc.start()
         try:
-            space = steinhauss_space(6)
+            space = make()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * space.family.nbytes
+        assert peak <= bound * space.family.nbytes
+        assert not space.family.flags.writeable and not space.weights.flags.writeable
 
 
 class TestDiscreteProbabilitySpace:
@@ -241,6 +250,8 @@ class TestDiscreteProbabilitySpace:
         f[0, 0] = 2.0
         assert sp.weights[0] == 0.5 and sp.family[0, 0] == 1.0
         assert not sp.weights.flags.writeable and not sp.family.flags.writeable
+        assert w.flags.writeable and f.flags.writeable
+        assert not np.shares_memory(sp.weights, w) and not np.shares_memory(sp.family, f)
 
     @pytest.mark.parametrize(
         "weights,family",
