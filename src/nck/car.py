@@ -20,9 +20,16 @@ What the generators alone determine is built once per generator set, on
 first use: the entries, whether they are the Jordan-Wigner ones, each
 generator's values on its Jordan-Wigner support (with the off-support
 check), the pairwise products of the identity checks, and the occupation
-table of the density.  :func:`car_system` takes that set from a per-``d``
-cache, so a system at a new ``nu`` builds only what reads ``nu``: the
-density's diagonal and the functional kernels.
+table of the density.  So is everything the identity checks read of the
+pairwise products: the two anticommutation deviations, which read no
+weight; the on-diagonal entries of ``a_i* a_j`` and ``a_i a_j*``, which the
+second-moment and orthogonality checks weight by ``diag(rho)``; and the
+sparse layout of the orthogonality Gram, each pair of entries that share a
+column with its flat Gram position.  All of these are entry lists, never a
+dense ``(d, d, 2**d)`` array.  :func:`car_system` takes that set from a
+per-``d`` cache, so a system at a new ``nu`` builds only what reads
+``nu``: the density's diagonal and the functional kernels, and a check
+weights the cached entries and builds its report on every call.
 
 The generators satisfy the anticommutation relations
 ``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
@@ -105,6 +112,9 @@ ORTHONORMAL_TOL = 1e-10
 IDENTITY_TOL = 1e-12
 #: tolerance of :func:`fourth_moment_check`
 FOURTH_MOMENT_TOL = 1e-11
+#: values :func:`fourth_moment_check` conjugates at a time (16 MiB), where a
+#: whole sector block or Gram would take up to tens of MB at ``d = 12``
+_BAND_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -338,17 +348,18 @@ def _summed(key: np.ndarray, val: np.ndarray) -> tuple:
     return key[first], np.add.reduceat(val, first)
 
 
-def _gram_entries(row: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple:
-    """Entries ``(r1, r2, value)`` of ``M M*``, for ``M`` with entries ``(row, col, val)``.
+def _column_pairs(col: np.ndarray) -> tuple:
+    """``(e1, e2)``: every ordered pair of entries that share a column.
 
-    ``(M M*)[r1, r2] = sum_c M[r1, c] conj(M[r2, c])``, so every pair of
-    entries ``(e1, e2)`` in one column gives ``(row[e1], row[e2],
-    val[e1] conj(val[e2]))``: the entries are sorted by column, and each
-    ``e1`` is repeated once per entry of its column.  A key ``(r1, r2)``
-    repeats once per column that rows ``r1`` and ``r2`` share; the caller
-    sums the repeats.  The pairs come in the order of ``e1``, each ``e1``'s
-    partners in the order given, so entries given by row yield keys sorted
-    by ``r1`` and, where each row has one entry, by ``(r1, r2)``.
+    Entry ``e`` lies in column ``col[e]``.  For ``M`` with entries
+    ``(row, col, val)``, ``(M M*)[r1, r2] = sum_c M[r1, c] conj(M[r2, c])``,
+    so each pair gives ``(row[e1], row[e2], val[e1] conj(val[e2]))``: the
+    entries are sorted by column, and each ``e1`` is repeated once per
+    entry of its column.  A key ``(r1, r2)`` repeats once per column that
+    rows ``r1`` and ``r2`` share; the caller sums the repeats.  The pairs
+    come in the order of ``e1``, each ``e1``'s partners in the order given,
+    so entries given by row yield keys sorted by ``r1`` and, where each row
+    has one entry, by ``(r1, r2)``.
     """
     by_col = np.argsort(col, kind="stable")
     first = np.flatnonzero(np.diff(col[by_col], prepend=-1))
@@ -357,8 +368,7 @@ def _gram_entries(row: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple:
     start, count = np.empty_like(by_col), np.empty_like(by_col)
     start[by_col], count[by_col] = np.repeat(first, size), np.repeat(size, size)
     at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-    return (np.repeat(row, count), row[by_col][at],
-            np.repeat(val, count) * val.conj()[by_col][at])
+    return np.repeat(np.arange(col.size), count), by_col[at]
 
 
 def _canonical_entries(generators) -> tuple:
@@ -389,9 +399,13 @@ class _Generators:
 
     ``entries = (i, u, v, value)`` lists every nonzero ``a_i[u, v]``, sorted
     by generator, row and column, as read-only arrays; ``dim`` is the side.
-    Nothing here reads the weights, so :func:`car_system` shares one object
-    per ``d`` (:func:`_jw_generators`) among all its systems, and every
-    cached array is read-only.
+    Built once per set: the Jordan-Wigner test, the support layout, the
+    occupation table, the pairwise products, and what the identity checks
+    read of them (:attr:`anticommutation`, :attr:`diagonals`,
+    :attr:`orthogonality_join`), so a check at a new ``nu`` only weights
+    entry lists.  Nothing here reads the weights, so :func:`car_system`
+    shares one object per ``d`` (:func:`_jw_generators`) among all its
+    systems, and every cached array is read-only.
     """
 
     d: int
@@ -490,9 +504,10 @@ class _Generators:
         d, q = self.d, self.dim
         dq = d * q
         i, u, v, val = self.entries
-        r1, r2, prod = _gram_entries(np.concatenate([i * q + u, dq + i * q + v]),
-                                     np.concatenate([v, u]),
-                                     np.concatenate([val, val.conj()]))
+        row = np.concatenate([i * q + u, dq + i * q + v])
+        val = np.concatenate([val, val.conj()])
+        e1, e2 = _column_pairs(np.concatenate([v, u]))
+        r1, r2, prod = row[e1], row[e2], val[e1] * val.conj()[e2]
         kept = (r1 < dq) | (r2 >= dq)
         key, prod = _summed(r1[kept] * (2 * dq) + r2[kept], prod[kept])
         nonzero = prod != 0
@@ -509,6 +524,71 @@ class _Generators:
             families.append((i, j, u, v, prod[at]))
         _read_only(*(a for family in families for a in family))
         return tuple(families)
+
+    @cached_property
+    def anticommutation(self) -> tuple:
+        """``(mixed, plain)``: the largest entries of ``{a_i, a_j*} - delta_ij I`` and ``{a_i, a_j}``.
+
+        They read no weight, so they are found once per generator set.
+        """
+        d, q = self.d, self.dim
+        aa_adj, (ci, cj, cu, cv, c), (pi, pj, pu, pv, p) = self.pair_products
+        # {a_i, a_j*} is the adjoint of {a_j, a_i*}, so the blocks i <= j hold
+        # every entry: a_i a_j* with i <= j, plus a_j* a_i read off a_i* a_j, i >= j
+        upper, lower = aa_adj[0] <= aa_adj[1], ci >= cj
+        mixed = _minus_identity(_joined(tuple(a[upper] for a in aa_adj),
+                                        tuple(a[lower] for a in (cj, ci, cu, cv, c))), np.ones(d), q)
+        # a_i a_j + a_j a_i is symmetric in i and j: filed under block
+        # (min(i, j), max(i, j)), the products sum to it, a_i a_i counting twice
+        plain = (np.minimum(pi, pj), np.maximum(pi, pj), pu, pv, np.where(pi == pj, 2 * p, p))
+        return _max_abs(mixed, d, q), _max_abs(plain, d, q)
+
+    @cached_property
+    def diagonals(self) -> tuple:
+        """The on-diagonal entries of ``a_i* a_j`` and of ``a_i a_j*``, as entry lists.
+
+        Per family, ``(rows, at, value)``: ``rows`` ascending, the blocks
+        ``i d + j`` that have a diagonal entry or ``i = j``, and ``value``
+        is ``B_ij[u, u]`` at flat position ``at`` of the ``(rows.size, 2**d)``
+        array of those blocks' diagonals (:func:`_diagonal_rows`).  The
+        checks weight these by ``diag(rho)``.  Read-only.
+        """
+        d, q = self.d, self.dim
+        out = []
+        for i, j, u, v, val in (self.pair_products[1], self.pair_products[0]):
+            on = u == v
+            block = (i * d + j)[on]
+            rows = np.union1d(block, np.arange(d) * (d + 1))
+            out.append((rows, np.searchsorted(rows, block) * q + u[on], val[on]))
+        _read_only(*(a for family in out for a in family))
+        return tuple(out)
+
+    @cached_property
+    def orthogonality_join(self) -> tuple:
+        """The off-diagonal part of :func:`orthogonality_check`'s Gram, as entry lists.
+
+        ``(values, weight_at, e1, e2, position)``: the off-diagonal entries
+        of ``a_i* a_j`` then of ``a_i a_j*``; the basis state whose
+        ``sqrt(r_u)`` weights each (its column ``v``, its row ``u``); the
+        pairs of weighted entries that share a Gram column
+        (:func:`_column_pairs`); and each pair's flat position in the
+        ``(2 d^2)``-square Gram.  Read-only.
+        """
+        d, q = self.d, self.dim
+        rows, cols, values, weight_at = [], [], [], []
+        for side, (i, j, u, v, val) in enumerate((self.pair_products[1], self.pair_products[0])):
+            apart = u != v
+            rows.append(side * d * d + (i * d + j)[apart])
+            cols.append((side * q + u[apart]) * q + v[apart])
+            values.append(val[apart])
+            # f under (c, d) -> state(d* c) weights columns by sqrt(rho); g under
+            # (c, d) -> state(c d*) weights rows
+            weight_at.append((v if side == 0 else u)[apart])
+        rows, cols, values, weight_at = map(np.concatenate, (rows, cols, values, weight_at))
+        e1, e2 = _column_pairs(cols)
+        out = (values, weight_at, e1, e2, rows[e1] * (2 * d * d) + rows[e2])
+        _read_only(*out)
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -542,8 +622,9 @@ class CarSystem:
 
     Everything the generators alone determine (:attr:`is_jordan_wigner`,
     :attr:`support_values`, the support layout and its off-support check,
-    the pairwise products of the identity checks, the occupation table of
-    the density) lives in one generators object, built on first use.
+    the pairwise products and what the identity checks read of them, the
+    occupation table of the density) lives in one generators object, built
+    on first use.
     :func:`car_system` takes that object from a per-``d`` cache, so a
     system built for a new ``nu`` pays only for what reads ``nu``:
     :attr:`density_diagonal`, :attr:`kernel_values` and
@@ -736,9 +817,12 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
 # --- identity checks --------------------------------------------------------
 
 
-# Every check below reads the pairwise products as block entries
-# ``(i, j, u, v, value)`` (see ``CarSystem._pair_products``).  Swapping ``i``
-# and ``j`` is a block transpose: it pairs ``(i, j)`` with ``(j, i)``.
+# The pairwise products are block entries ``(i, j, u, v, value)`` (see
+# ``_Generators.pair_products``).  Swapping ``i`` and ``j`` is a block
+# transpose: it pairs ``(i, j)`` with ``(j, i)``.  What the checks read of
+# them is built once per generator set (``_Generators.anticommutation``,
+# ``.diagonals`` and ``.orthogonality_join``); a check weights it by the
+# density and builds its report on every call.
 
 
 def _joined(*blocks) -> tuple:
@@ -763,35 +847,28 @@ def _max_abs(blocks, d: int, q: int) -> float:
     return float(np.abs(total).max(initial=0.0))
 
 
-def _block_diagonals(blocks, d: int, q: int) -> np.ndarray:
-    """``D[i, j, u] = B_ij[u, u]``, the diagonals of the blocks, ``(d, d, q)``."""
-    i, j, u, v, val = blocks
-    on = u == v
-    diagonals = np.zeros((d, d, q), dtype=complex)
-    diagonals[i[on], j[on], u[on]] = val[on]
-    return diagonals
+def _diagonal_rows(diagonals, r: np.ndarray, d: int) -> tuple:
+    """``(rows, dense, S)`` of one family of :attr:`_Generators.diagonals`.
 
-
-def _block_states(blocks, r, d: int) -> np.ndarray:
-    """``S[i, j] = Tr(rho B_ij) = sum_u r_u B_ij[u, u]``, with ``r = diag(rho)``."""
-    return (_block_diagonals(blocks, d, r.size) * r).sum(axis=2)
+    ``dense[k] = B_ij[u, u]`` over ``u`` for block ``rows[k] = i d + j``,
+    a new ``(rows.size, 2**d)`` array, and ``S[i, j] = Tr(rho B_ij) =
+    sum_u r_u B_ij[u, u]``, ``(d, d)``, with ``r = diag(rho)``.
+    """
+    rows, at, value = diagonals
+    dense = np.zeros(rows.size * r.size, dtype=complex)
+    dense[at] = value
+    dense = dense.reshape(rows.size, r.size)
+    states = np.zeros(d * d, dtype=complex)
+    states[rows] = (dense * r).sum(axis=1)
+    return rows, dense, states.reshape(d, d)
 
 
 def anticommutation_check(sys: CarSystem) -> CheckReport:
     """``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0``, all pairs at once."""
-    d, q = sys.d, sys.dim
-    aa_adj, (ci, cj, cu, cv, c), (pi, pj, pu, pv, p) = sys._pair_products
-    # {a_i, a_j*} is the adjoint of {a_j, a_i*}, so the blocks i <= j hold
-    # every entry: a_i a_j* with i <= j, plus a_j* a_i read off a_i* a_j, i >= j
-    upper, lower = aa_adj[0] <= aa_adj[1], ci >= cj
-    mixed = _minus_identity(_joined(tuple(a[upper] for a in aa_adj),
-                                    tuple(a[lower] for a in (cj, ci, cu, cv, c))), np.ones(d), q)
-    # a_i a_j + a_j a_i is symmetric in i and j: filed under block
-    # (min(i, j), max(i, j)), the products sum to it, a_i a_i counting twice
-    plain = (np.minimum(pi, pj), np.maximum(pi, pj), pu, pv, np.where(pi == pj, 2 * p, p))
+    mixed, plain = sys._generators.anticommutation
     return checked("anticommutation", IDENTITY_TOL, {
-        "anticommutator-mixed": _max_abs(mixed, d, q),
-        "anticommutator-plain": _max_abs(plain, d, q),
+        "anticommutator-mixed": mixed,
+        "anticommutator-plain": plain,
     })
 
 
@@ -802,10 +879,11 @@ def second_moment_check(sys: CarSystem) -> CheckReport:
     one block of the pairwise products, ``r = diag(rho)``.
     """
     r, nu = sys.density_diagonal, sys.nu
-    aa_adj, adj_a, _ = sys._pair_products
+    creation, annihilation = sys._generators.diagonals
     return checked("second-moments", IDENTITY_TOL, {
-        "two-point-creation": np.abs(_block_states(adj_a, r, sys.d) - np.diag(nu)).max(),
-        "two-point-annihilation": np.abs(_block_states(aa_adj, r, sys.d) - np.diag(1.0 - nu)).max(),
+        "two-point-creation": np.abs(_diagonal_rows(creation, r, sys.d)[2] - np.diag(nu)).max(),
+        "two-point-annihilation":
+            np.abs(_diagonal_rows(annihilation, r, sys.d)[2] - np.diag(1.0 - nu)).max(),
     })
 
 
@@ -839,46 +917,51 @@ def orthogonality_check(sys: CarSystem) -> CheckReport:
     families are the rows of one matrix, a row per monomial and a column
     per matrix entry ``(u, v)``, and the diagonal blocks of its Gram are the
     two forms.  Off the diagonal (``u != v``) a monomial is its product,
-    sparse, and those columns are joined entry by entry; on the diagonal,
-    where ``-delta_ij c_i I`` lands, the rows are dense, and those columns
-    are one matrix product.
+    sparse, and those columns are joined entry by entry, on pairs found
+    once per generator set; on the diagonal, where ``-delta_ij c_i I``
+    lands, the rows are dense, and those columns are one matrix product.
     """
-    d, q, nu = sys.d, sys.dim, sys.nu
+    d, nu = sys.d, sys.nu
     r = sys.density_diagonal
     root = np.sqrt(r)
-    aa_adj, adj_a, _ = sys._pair_products
-    families = (("creation", adj_a, nu), ("annihilation", aa_adj, 1.0 - nu))
-
-    rows, cols, vals = [], [], []
-    for side, (_, (i, j, u, v, val), _) in enumerate(families):
-        apart = u != v
-        rows.append(side * d * d + (i * d + j)[apart])
-        cols.append((side * q + u[apart]) * q + v[apart])
-        # f under (c, d) -> state(d* c) weights columns by sqrt(rho); g under
-        # (c, d) -> state(c d*) weights rows
-        vals.append(val[apart] * root[(v if side == 0 else u)[apart]])
-    r1, r2, prod = _gram_entries(*map(np.concatenate, (rows, cols, vals)))
+    generators = sys._generators
+    values, weight_at, e1, e2, position = generators.orthogonality_join
+    weighted = values * root[weight_at]
+    prod = weighted[e1] * weighted.conj()[e2]
     n = 2 * d * d
-    at = r1 * n + r2
-    gram = (np.bincount(at, prod.real, n * n)
-            + 1j * np.bincount(at, prod.imag, n * n)).reshape(n, n)
+    gram = (np.bincount(position, prod.real, n * n)
+            + 1j * np.bincount(position, prod.imag, n * n)).reshape(n, n)
 
     deviations = {}
     off = ~np.eye(d * d, dtype=bool)
     sq_norms = np.outer(1.0 - nu, nu).ravel()
-    for side, (name, blocks, center) in enumerate(families):
+    families = (("creation", nu), ("annihilation", 1.0 - nu))
+    for side, ((name, center), diagonals) in enumerate(zip(families, generators.diagonals)):
         form = gram[side * d * d:(side + 1) * d * d, side * d * d:(side + 1) * d * d]
-        diagonals = _block_diagonals(blocks, d, q)
-        states = (diagonals * r).sum(axis=2)
-        diagonals[range(d), range(d)] -= center[:, None]
-        dense = diagonals.reshape(d * d, q) * root
+        rows, dense, states = _diagonal_rows(diagonals, r, d)
+        dense[np.searchsorted(rows, np.arange(d) * (d + 1))] -= center[:, None]
+        dense *= root
         # only rows with a diagonal: the d rows i = j for Jordan-Wigner generators
-        used = np.flatnonzero(dense.any(axis=1))
-        form[np.ix_(used, used)] += dense[used] @ dense[used].conj().T
+        used = dense.any(axis=1)
+        form[np.ix_(rows[used], rows[used])] += dense[used] @ dense[used].conj().T
         deviations[f"centered-mean-{name}"] = np.abs(states - np.diag(center)).max()
         deviations[f"pairwise-orthogonality-{name}"] = np.abs(form[off]).max(initial=0.0)
         deviations[f"squared-norms-{name}"] = np.abs(np.diag(form) - sq_norms).max()
     return checked("orthogonality", IDENTITY_TOL, deviations)
+
+
+def _band(height: int) -> int:
+    """Columns of a ``height``-row array that hold about ``_BAND_VALUES`` values."""
+    return max(1, _BAND_VALUES // max(height, 1))
+
+
+def _adjoint_product(b: np.ndarray) -> np.ndarray:
+    """``b* b``, a band of rows at a time, so only a band of ``b``'s columns is conjugated."""
+    out = np.empty((b.shape[1], b.shape[1]), dtype=complex)
+    step = _band(b.shape[0])
+    for start in range(0, b.shape[1], step):
+        np.matmul(b[:, start:start + step].conj().T, b, out=out[start:start + step])
+    return out
 
 
 def fourth_moment_check(sys: CarSystem, y) -> CheckReport:
@@ -894,6 +977,9 @@ def fourth_moment_check(sys: CarSystem, y) -> CheckReport:
     ``B_k B_k*`` on sector ``k - 1``, so each is formed one sector at a
     time.  Their squares are not: for a Hermitian ``M`` on a sector,
     ``(Id (x) state)(M^2) = W W*`` with ``W[p, (a, col)] = sqrt(r_a) M[(p, a), col]``.
+    ``B_k* B_k``, ``B_k B_k* = conj(B_k^T* B_k^T)`` and ``W W*`` are formed
+    in bands of ``_BAND_VALUES`` conjugated values, so no conjugate of a
+    whole block or Gram is made (47 MB for ``B_6`` at ``d = 12, n = 2``).
     """
     ya = as_matrix_tuple(y)
     if ya.shape[0] != sys.d:
@@ -908,14 +994,21 @@ def fourth_moment_check(sys: CarSystem, y) -> CheckReport:
         # square; m is a fresh product, so its rows are weighted in place
         s = sectors[k].size
         rows = m.reshape(n, s, n * s)
-        m2 = np.einsum("a,paqa->pq", r[sectors[k]], rows.reshape(n, s, n, s))
+        m2 = rows.reshape(n, s, n, s).diagonal(axis1=1, axis2=3) @ r[sectors[k]]
         rows *= np.sqrt(r[sectors[k]])[:, None]
         w = rows.reshape(n, s * n * s)
-        return m2, w @ w.conj().T
+        m4 = np.zeros((n, n), dtype=complex)
+        step = _band(n)
+        for start in range(0, w.shape[1], step):
+            part = w[:, start:start + step]
+            m4 += part @ part.conj().T
+        return m2, m4
 
     measured = np.zeros((4, n, n), dtype=complex)
     for k, b in enumerate(big.sector_blocks(), start=1):
-        (m2_col, m4_col), (m2_row, m4_row) = states(b.conj().T @ b, k), states(b @ b.conj().T, k - 1)
+        m2_col, m4_col = states(_adjoint_product(b), k)
+        # B B* = conj(B^T* B^T), so its states are the conjugates
+        m2_row, m4_row = np.conj(states(_adjoint_product(b.T), k - 1))
         measured += (m2_col, m2_row, m4_col, m4_row)
 
     nu = sys.nu

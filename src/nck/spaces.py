@@ -119,8 +119,9 @@ PHASE_TOL = 1e-14
 #: grid, relative to the family's largest value, on which the quotient's
 #: grouping keys are rounded; grouping only proposes, ``PHASE_TOL`` decides
 _KEY_STEP = 2.0**-30
-#: atoms per chunk of :func:`moment_identity_check`'s sums: its Gram
-#: temporaries take a few chunks' worth of blocks, not the whole space's
+#: atoms per chunk of :func:`moment_identity_check`'s sums and of the phase
+#: quotient's grouping: their temporaries take a few chunks' worth of
+#: values, not the whole space's
 _MOMENT_CHUNK = 1024
 
 
@@ -197,31 +198,43 @@ class DiscreteProbabilitySpace:
             cols.setflags(write=False)
             phase.setflags(write=False)
             return self, cols, phase
-        size = np.abs(fam).max(axis=0, initial=0.0)
-        # the first nonzero value names the atom's phase; on a zero atom
-        # that is the appended 1
-        lead = np.vstack([fam, np.ones(atoms)])
-        lead = lead[np.argmax(lead != 0.0, axis=0), cols]
-        unit = lead / np.abs(lead)
-        scaled = fam * unit.conj() / (size.max(initial=0.0) or 1.0)
-        keys = np.rint(np.concatenate([scaled.real, scaled.imag]).T / _KEY_STEP).astype(np.int32)
-        # the keys are integers, so -0.0 and 0.0 agree; each atom's candidate
-        # representative is the first atom with its key
-        first = {}
-        cand = np.array([first.setdefault(key.tobytes(), w) for w, key in enumerate(keys)])
-        near = fam[:, cand]
-        # equal atoms, each atom and itself among them, get phase exactly 1
-        phase = np.where((near == fam).all(axis=0), 1.0, unit * unit[cand].conj())
-        near *= phase
-        near -= fam
-        merged = np.abs(near).max(axis=0, initial=0.0) <= PHASE_TOL * size
+        # every step is per atom, so it runs over chunks of atoms and holds
+        # no family-sized temporary beside the family
+        chunks = [slice(start, start + _MOMENT_CHUNK) for start in range(0, atoms, _MOMENT_CHUNK)]
+        size = np.concatenate([np.abs(fam[:, at]).max(axis=0, initial=0.0) for at in chunks])
+        scale = size.max(initial=0.0) or 1.0
+        # the first nonzero value names the atom's phase; on a zero atom it is 1
+        unit = np.empty(atoms, dtype=np.result_type(fam.dtype, np.float64))
+        first, cand = {}, np.empty(atoms, dtype=np.intp)
+        keys = np.empty((min(atoms, _MOMENT_CHUNK), 2 * fam.shape[0]), dtype=np.int32)
+        for at in chunks:
+            part = fam[:, at]
+            nonzero = part != 0.0
+            lead = part[np.argmax(nonzero, axis=0), np.arange(part.shape[1])]
+            lead = np.where(nonzero.any(axis=0), lead, 1.0)
+            unit[at] = lead / np.abs(lead)
+            scaled = part * unit[at].conj() / scale
+            key = keys[:part.shape[1]]
+            key[:, :fam.shape[0]] = np.rint(scaled.real.T / _KEY_STEP)
+            key[:, fam.shape[0]:] = np.rint(scaled.imag.T / _KEY_STEP)
+            # the keys are integers, so -0.0 and 0.0 agree; each atom's
+            # candidate representative is the first atom with its key
+            cand[at] = [first.setdefault(k.tobytes(), w) for w, k in enumerate(key, at.start)]
+        phase, merged = np.empty_like(unit), np.empty(atoms, dtype=bool)
+        for at in chunks:
+            part, near = fam[:, at], fam[:, cand[at]]
+            # equal atoms, each atom and itself among them, get phase exactly 1
+            phase[at] = np.where((near == part).all(axis=0), 1.0, unit[at] * unit[cand[at]].conj())
+            near *= phase[at]
+            near -= part
+            merged[at] = np.abs(near).max(axis=0, initial=0.0) <= PHASE_TOL * size[at]
         cand = np.where(merged, cand, cols)
         phase = np.where(merged, phase, 1.0)
         reps = np.flatnonzero(cand == cols)
         owner = np.searchsorted(reps, cand)
         owner.setflags(write=False)
         phase.setflags(write=False)
-        space = DiscreteProbabilitySpace(
+        space = DiscreteProbabilitySpace._taking(
             self.kind, np.bincount(owner, self.weights, reps.size), fam[:, reps]
         )
         return space, owner, phase
@@ -429,6 +442,32 @@ def sup_norm(elem: RandomElement) -> float:
     return float(np.linalg.svd(elem.blocks, compute_uv=False)[:, 0].max())
 
 
+def _gram_sums(b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum_m w_m G_m`` and ``sum_m w_m G_m^2`` for ``G_m = b_m* b_m`` and for ``G_m = b_m b_m*``.
+
+    Returned as ``(col2, row2, col4, row4)``, ``(4, n, n)``, for blocks ``b``
+    of shape ``(m, n, n)``.  The per-atom Grams take one outer product of a
+    row (column) of ``b_m`` per inner index; the second moments are then
+    one product ``w @ G`` and the fourth one ``(n, m n) @ (m n, n)`` per Gram.
+    """
+    m, n = b.shape[:2]
+    grams = np.zeros((2, m, n, n), dtype=complex)
+    for k in range(n):
+        row, col = b[:, k, :], b[:, :, k]
+        grams[0] += row.conj()[:, :, None] * row[:, None, :]
+        grams[1] += col[:, :, None] * col.conj()[:, None, :]
+    out = np.empty((4, n, n), dtype=complex)
+    out[:2] = (w @ grams.reshape(2, m, n * n)).reshape(2, n, n)
+    # sum_m w_m G_m G_m = L @ R with R = vstack(G_1 .. G_m) and
+    # L = [w_1 G_1 .. w_m G_m], which is (W R)* for W = diag(w_m) per row,
+    # since every G_m is Hermitian; complex weights spare the product a
+    # cast buffer
+    weighted = np.conjugate(grams)
+    weighted *= w.astype(complex)[:, None, None]
+    out[2:] = weighted.reshape(2, m * n, n).transpose(0, 2, 1) @ grams.reshape(2, m * n, n)
+    return out
+
+
 def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
     """Verify second/fourth moment identities of ``Y = sum y_i (x) family_i``.
 
@@ -444,7 +483,10 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
     The weighted sums of the Grams ``Y*Y`` and ``YY*`` and of their squares
     are accumulated over chunks of ``_MOMENT_CHUNK`` atoms, so beside the
     embedded element the check holds a few chunks' worth of blocks, never a
-    whole-space Gram stack.
+    whole-space Gram stack.  Per chunk they are matrix products: the
+    per-atom Grams ``G_m`` take one outer product per inner index, then
+    ``sum_m w_m G_m`` is one product ``w @ G`` and ``sum_m w_m G_m^2`` one
+    ``(n, m n) @ (m n, n)`` product per Gram (:func:`_gram_sums`).
 
     Deviations are normalized by ``1 + norm(target)``.  Raises
     :class:`IdentityViolation` when the worst deviation exceeds the
@@ -456,17 +498,10 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
     blocks = element_from_tuple(ya, space).blocks
     w = space.weights
 
-    # (col2, row2, col4, row4): sum_m w_m G_m and sum_m w_m G_m^2 for the
-    # column Gram Y*Y and the row Gram YY*, accumulated chunk by chunk
+    # (col2, row2, col4, row4), accumulated chunk by chunk
     sums = np.zeros((4,) + blocks.shape[1:], dtype=complex)
     for start in range(0, space.atoms, _MOMENT_CHUNK):
-        b = blocks[start:start + _MOMENT_CHUNK]
-        wb = w[start:start + _MOMENT_CHUNK]
-        bc = b.conj()
-        grams = np.einsum("mba,mbc->mac", bc, b), np.einsum("mab,mcb->mac", b, bc)
-        for i, g in enumerate(grams):
-            sums[i] += np.einsum("m,mac->ac", wb, g)
-            sums[i + 2] += np.einsum("m,mab,mbc->ac", wb, g, g)
+        sums += _gram_sums(blocks[start:start + _MOMENT_CHUNK], w[start:start + _MOMENT_CHUNK])
 
     d = ya.shape[0]
     ones = np.ones(d)

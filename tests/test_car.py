@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,9 +9,14 @@ import pytest
 
 from nck import caps
 from nck.car import (
+    IDENTITY_TOL,
     CarElement,
     CarSystem,
     _block_layout,
+    _column_pairs,
+    _joined,
+    _max_abs,
+    _minus_identity,
     _jw_generators,
     _jw_support,
     SubspaceModel,
@@ -36,7 +43,7 @@ from nck.exceptions import (
 )
 from nck.lifting import lift
 from nck.norms import gram_norm, moment_forms, weighted_triple_norm
-from nck.reports import moment_report
+from nck.reports import checked, moment_report
 
 RNG = np.random.default_rng(2718)
 
@@ -286,6 +293,84 @@ def values_of(sys, rng_seed=0):
                  sys._pair_products, reports, lifts))
 
 
+def _block_diagonals(blocks, d, q):
+    """``D[i, j, u] = B_ij[u, u]``, the diagonals of the blocks, ``(d, d, q)``."""
+    i, j, u, v, val = blocks
+    on = u == v
+    diagonals = np.zeros((d, d, q), dtype=complex)
+    diagonals[i[on], j[on], u[on]] = val[on]
+    return diagonals
+
+
+def _pair_product_reports(sys):
+    """The anticommutation, second-moment and orthogonality reports, from ``_pair_products`` alone.
+
+    Every step on every call, over dense ``(d, d, 2**d)`` block diagonals:
+    the checks as they were before their generator-only parts were kept
+    per generator set.  Each report is a :class:`CheckReport` or the one an
+    :class:`IdentityViolation` carries.
+    """
+    d, q, nu = sys.d, sys.dim, sys.nu
+    aa_adj, adj_a, (pi, pj, pu, pv, p) = sys._pair_products
+    ci, cj, cu, cv, c = adj_a
+    upper, lower = aa_adj[0] <= aa_adj[1], ci >= cj
+    mixed = _minus_identity(_joined(tuple(a[upper] for a in aa_adj),
+                                    tuple(a[lower] for a in (cj, ci, cu, cv, c))), np.ones(d), q)
+    plain = (np.minimum(pi, pj), np.maximum(pi, pj), pu, pv, np.where(pi == pj, 2 * p, p))
+    anticommutation = {"anticommutator-mixed": _max_abs(mixed, d, q),
+                       "anticommutator-plain": _max_abs(plain, d, q)}
+
+    r = sys.density_diagonal
+    root = np.sqrt(r)
+    families = (("creation", adj_a, nu), ("annihilation", aa_adj, 1.0 - nu))
+    second = {
+        f"two-point-{name}": np.abs((_block_diagonals(blocks, d, q) * r).sum(axis=2)
+                                    - np.diag(center)).max()
+        for name, blocks, center in families
+    }
+    rows, cols, vals = [], [], []
+    for side, (_, (i, j, u, v, val), _) in enumerate(families):
+        apart = u != v
+        rows.append(side * d * d + (i * d + j)[apart])
+        cols.append((side * q + u[apart]) * q + v[apart])
+        vals.append(val[apart] * root[(v if side == 0 else u)[apart]])
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    e1, e2 = _column_pairs(cols)
+    n = 2 * d * d
+    at = rows[e1] * n + rows[e2]
+    prod = np.repeat(vals, np.bincount(e1, minlength=vals.size)) * vals.conj()[e2]
+    gram = (np.bincount(at, prod.real, n * n)
+            + 1j * np.bincount(at, prod.imag, n * n)).reshape(n, n)
+    orthogonality = {}
+    off = ~np.eye(d * d, dtype=bool)
+    sq_norms = np.outer(1.0 - nu, nu).ravel()
+    for side, (name, blocks, center) in enumerate(families):
+        form = gram[side * d * d:(side + 1) * d * d, side * d * d:(side + 1) * d * d]
+        diagonals = _block_diagonals(blocks, d, q)
+        states = (diagonals * r).sum(axis=2)
+        diagonals[range(d), range(d)] -= center[:, None]
+        dense = diagonals.reshape(d * d, q) * root
+        used = np.flatnonzero(dense.any(axis=1))
+        form[np.ix_(used, used)] += dense[used] @ dense[used].conj().T
+        orthogonality[f"centered-mean-{name}"] = np.abs(states - np.diag(center)).max()
+        orthogonality[f"pairwise-orthogonality-{name}"] = np.abs(form[off]).max(initial=0.0)
+        orthogonality[f"squared-norms-{name}"] = np.abs(np.diag(form) - sq_norms).max()
+    return [_report_or_violation(lambda: checked(name, IDENTITY_TOL, deviations))
+            for name, deviations in (("anticommutation", anticommutation),
+                                     ("second-moments", second),
+                                     ("orthogonality", orthogonality))]
+
+
+def _report_or_violation(call):
+    try:
+        return call()
+    except IdentityViolation as exc:
+        return exc.report
+
+
+PAIR_PRODUCT_CHECKS = (anticommutation_check, second_moment_check, orthogonality_check)
+
+
 class TestGeneratorCache:
     def test_systems_at_one_d_share_the_generators(self):
         first, second = car_system([0.2, 0.7, 0.4, 0.9]), car_system([0.6, 0.1, 0.5, 0.3])
@@ -300,6 +385,51 @@ class TestGeneratorCache:
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+    def test_check_structure_is_shared_and_read_only(self):
+        first, second = car_system([0.2, 0.7, 0.4, 0.9]), car_system([0.6, 0.1, 0.5, 0.3])
+        for check in PAIR_PRODUCT_CHECKS:
+            check(first)
+            check(second)
+        generators = first._generators
+        assert second._generators.anticommutation is generators.anticommutation
+        assert second._generators.diagonals is generators.diagonals
+        assert second._generators.orthogonality_join is generators.orthogonality_join
+        cached = [*(a for f in generators.diagonals for a in f), *generators.orthogonality_join]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        # entry lists: the diagonals hold one row per block i = i, never d x d x 2**d values
+        rows, at, value = generators.diagonals[0]
+        assert np.array_equal(rows, np.arange(4) * 5) and value.size == 4 * 2**3
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_reports_equal_the_pair_product_reference_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        edges = rng.uniform(0.0, 1.0, d)
+        edges[0], edges[-1] = 0.0, 1.0
+        for nu in (rng.uniform(0.05, 0.95, d), np.full(d, 0.5), edges):
+            sys = car_system(nu)
+            got = [_report_or_violation(lambda: check(sys)) for check in PAIR_PRODUCT_CHECKS]
+            assert bits(got) == bits(_pair_product_reports(sys))
+
+    @pytest.mark.parametrize("kind", ["empty-generator", "repeated-entries", "cancelling-products",
+                                      "unequal-columns"])
+    def test_hand_built_reports_equal_the_pair_product_reference_bit_for_bit(self, kind):
+        rng = np.random.default_rng(len(kind))
+        sys = CarSystem(nu=rng.uniform(0.05, 0.95, 3), generators=stress_generators(kind, rng))
+        got = [_report_or_violation(lambda: check(sys)) for check in PAIR_PRODUCT_CHECKS]
+        assert bits(got) == bits(_pair_product_reports(sys))
+
+    def test_failing_set_raises_on_every_call(self):
+        clean = car_system([0.3, 0.6])
+        gens = generators_of(clean)
+        gens[0] = gens[0] + 1e-3 * np.eye(clean.dim)
+        corrupted = CarSystem(nu=clean.nu, generators=gens)
+        for _ in range(2):
+            with pytest.raises(IdentityViolation) as exc:
+                anticommutation_check(corrupted)
+            assert exc.value.report.deviations["anticommutator-mixed"] > 1e-3
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_hand_built_jordan_wigner_matches_car_system(self, d):
@@ -834,6 +964,30 @@ class TestFourthMoment:
         for got, m in zip(captured[0], (cc, rr, cc @ cc, rr @ rr)):
             want = np.einsum("a,paqa->pq", sys.density_diagonal, m.reshape(n, q, n, q))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_sector_grams_conjugate_a_band_at_a_time(self, monkeypatch):
+        # B_5 at d = 9, n = 2 is a 252-square, and so is each of its Grams;
+        # in bands of 256 values the check holds the element, one Gram and
+        # band temporaries, where a whole-block conjugate or a conjugate of
+        # a Gram would add a block's bytes
+        d, n = 9, 2
+        rng = np.random.default_rng(9)
+        sys = car_system(rng.uniform(0.05, 0.95, d))
+        y = random_tuple(d, n, rng)
+        wide = fourth_moment_check(sys, y)
+        monkeypatch.setattr("nck.car._BAND_VALUES", 256)
+        fourth_moment_check(sys, y)
+        tracemalloc.start()
+        try:
+            banded = fourth_moment_check(sys, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        element = embed_tuple(sys, y).blocks.nbytes
+        block = (n * math.comb(d, 4)) ** 2 * 16
+        assert peak <= element + block + block // 2
+        for tag, dev in wide.deviations.items():
+            assert abs(banded.deviations[tag] - dev) <= 1e-14, tag
 
     def test_corrupted_generator_detected(self):
         sys = random_system(2)

@@ -240,6 +240,26 @@ class TestBuilders:
         assert peak <= bound * space.family.nbytes
         assert not space.family.flags.writeable and not space.weights.flags.writeable
 
+    @pytest.mark.parametrize("make", [
+        lambda: rademacher_space(12),
+        lambda: steinhauss_space(6),
+        lambda: lacunary_space(10),
+    ], ids=["rademacher", "steinhauss", "lacunary"])
+    def test_quotient_holds_its_representatives_and_small_arrays(self, make):
+        # the quotient's family (a half or a fifth of the space's), per-atom
+        # arrays, the grouping keys and chunk temporaries; a family-sized
+        # temporary of the grouping would put the peak above 2.5 families
+        make()._quotient
+        space = make()
+        tracemalloc.start()
+        try:
+            reps = space._quotient[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * space.family.nbytes
+        assert not reps.family.flags.writeable
+
 
 class TestDiscreteProbabilitySpace:
     def test_callers_arrays_stay_writable(self):
@@ -645,8 +665,9 @@ class TestMomentChunks:
         ],
         ids=lambda sp: f"{sp.kind}-{sp.atoms}",
     )
-    def test_sums_and_verdict_match_the_whole_space_sums(self, space, monkeypatch):
-        y = random_tuple(space.d, 3, np.random.default_rng(space.atoms))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sums_and_verdict_match_the_whole_space_sums(self, space, n, monkeypatch):
+        y = random_tuple(space.d, n, np.random.default_rng(space.atoms))
         calls = []
 
         def recording(*args):
