@@ -19,17 +19,19 @@ fermionic lift and every identity check need only numpy.
 What the generators alone determine is built once per generator set, on
 first use: the entries, whether they are the Jordan-Wigner ones, each
 generator's values on its Jordan-Wigner support (with the off-support
-check), the pairwise products of the identity checks, and the occupation
-table of the density.  So is everything the identity checks read of the
-pairwise products: the two anticommutation deviations, which read no
-weight; the on-diagonal entries of ``a_i* a_j`` and ``a_i a_j*``, which the
-second-moment and orthogonality checks weight by ``diag(rho)``; and the
-sparse layout of the orthogonality Gram, each pair of entries that share a
-column with its flat Gram position.  All of these are entry lists, never a
-dense ``(d, d, 2**d)`` array.  :func:`car_system` takes that set from a
-per-``d`` cache, so a system at a new ``nu`` builds only what reads
-``nu``: the density's diagonal and the functional kernels, and a check
-weights the cached entries and builds its report on every call.
+check), and the occupation table of the density.  So is everything the
+identity checks read of the pairwise products: the two anticommutation
+deviations, which read no weight; the on-diagonal entries of ``a_i* a_j``
+and ``a_i a_j*``, which the second-moment and orthogonality checks weight
+by ``diag(rho)``; and the sparse layout of the orthogonality Gram, each
+pair of entries that share a column with its flat Gram position.  All of
+these are entry lists, never a dense ``(d, d, 2**d)`` array.  The pairwise
+products themselves are formed only to build them, and not kept.
+:func:`car_system` takes that set from a per-``d`` cache, the only place
+the Jordan-Wigner entries and their support are built, so a system at a
+new ``nu`` builds only what reads ``nu``: the density's diagonal and the
+functional kernels, and a check weights the cached entries and builds its
+report on every call.
 
 The generators satisfy the anticommutation relations
 ``a_i a_j* + a_j* a_i = delta_ij I`` and ``a_i a_j + a_j a_i = 0`` exactly
@@ -172,24 +174,6 @@ def _read_only(*arrays) -> None:
         a.setflags(write=False)
 
 
-@lru_cache(maxsize=8)
-def _jw_support(d: int):
-    """Where the Jordan-Wigner generators can be nonzero, by bit arithmetic.
-
-    Mode ``i`` is bit ``d - 1 - i`` of a basis state (the first tensor
-    factor is the most significant bit); a set bit is an occupied mode.
-    ``a_i`` takes each state with mode ``i`` occupied to the same state with
-    it empty, with sign ``(-1)^(occupied modes j < i)``.  Returns
-    ``(rows, cols)``, each ``(d, 2**(d-1))``: ``a_i[rows[i, e], cols[i, e]]``
-    are the entries of ``a_i`` that may be nonzero.
-    """
-    states = np.arange(1 << d)
-    cols = np.stack([states[(states >> (d - 1 - i)) & 1 == 1] for i in range(d)])
-    rows = cols ^ (1 << (d - 1 - np.arange(d)))[:, None]
-    _read_only(rows, cols)
-    return rows, cols
-
-
 def _check_modes(d: int) -> int:
     if d < 1:
         raise InvalidParameter(f"need d >= 1, got {d}")
@@ -264,7 +248,8 @@ def _block_layout(d: int, n: int) -> _BlockLayout:
             pairs.append((offset, offset + size, (1,) + shape))
         offset = pairs[-1][1]
 
-    rows, cols = _jw_support(d)
+    _, u, v, _ = _jw_generators(d).entries
+    rows, cols = u.reshape(d, -1), v.reshape(d, -1)
     sector_of = count[cols]
     support = np.empty(rows.shape + (n, n), dtype=np.intp)
     layout = _BlockLayout(n, tuple(pairs), tuple(blocks[1:]), offset, sectors, support)
@@ -400,12 +385,13 @@ class _Generators:
     ``entries = (i, u, v, value)`` lists every nonzero ``a_i[u, v]``, sorted
     by generator, row and column, as read-only arrays; ``dim`` is the side.
     Built once per set: the Jordan-Wigner test, the support layout, the
-    occupation table, the pairwise products, and what the identity checks
-    read of them (:attr:`anticommutation`, :attr:`diagonals`,
-    :attr:`orthogonality_join`), so a check at a new ``nu`` only weights
-    entry lists.  Nothing here reads the weights, so :func:`car_system`
-    shares one object per ``d`` (:func:`_jw_generators`) among all its
-    systems, and every cached array is read-only.
+    occupation table, and what the identity checks read of the pairwise
+    products (:attr:`anticommutation` and :attr:`weighted_lists`), so a
+    check at a new ``nu`` only weights entry lists.  The products
+    (:func:`_pair_products`) are not kept.  Nothing here reads the weights,
+    so :func:`car_system` shares one object per ``d``
+    (:func:`_jw_generators`) among all its systems, and every cached array
+    is read-only.
     """
 
     d: int
@@ -474,9 +460,9 @@ class _Generators:
     def on_support(self, values: np.ndarray) -> np.ndarray:
         """``values``, one per entry, laid out as ``(d, 2**(d-1))`` (read-only).
 
-        Row ``i`` is generator ``i``'s Jordan-Wigner support in
-        :func:`_jw_support`'s order; a support point without an entry gets 0.
-        The particle-number blocks hold exactly the support.
+        Row ``i`` is generator ``i``'s Jordan-Wigner support in the order
+        of :func:`_jw_generators`' entries; a support point without an
+        entry gets 0.  The particle-number blocks hold exactly the support.
         """
         source, target = self._support
         out = np.zeros(self.d * (self.dim >> 1), dtype=complex)
@@ -491,48 +477,13 @@ class _Generators:
         return self.on_support(self.entries[3])
 
     @cached_property
-    def pair_products(self) -> tuple:
-        """Every ``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j``, from one sparse Gram.
-
-        ``L = vstack(a_1, .., a_d, a_1*, .., a_d*)`` times ``L*`` holds
-        ``a_i a_j*`` at block ``(i, j)`` (the ``vstack(a_i)`` part times its
-        adjoint), ``a_i* a_j`` at ``(d+i, d+j)`` (the Gram of
-        ``hstack(a_i)``) and ``a_i a_j`` at ``(i, d+j)``; the fourth quarter
-        is dropped.  Each family is returned as read-only block entries
-        ``(i, j, u, v, value)``, without the entries that sum to zero.
-        """
-        d, q = self.d, self.dim
-        dq = d * q
-        i, u, v, val = self.entries
-        row = np.concatenate([i * q + u, dq + i * q + v])
-        val = np.concatenate([val, val.conj()])
-        e1, e2 = _column_pairs(np.concatenate([v, u]))
-        r1, r2, prod = row[e1], row[e2], val[e1] * val.conj()[e2]
-        kept = (r1 < dq) | (r2 >= dq)
-        key, prod = _summed(r1[kept] * (2 * dq) + r2[kept], prod[kept])
-        nonzero = prod != 0
-        r1, r2 = np.divmod(key[nonzero], 2 * dq)
-        prod = prod[nonzero]
-        # r1 ascends: the rows of the a_i* part, all in block (d+i, d+j), come last
-        bottom = np.searchsorted(r1, dq)
-        left = np.flatnonzero(r2[:bottom] < dq)
-        right = np.flatnonzero(r2[:bottom] >= dq)
-        families = []
-        for at, shift in ((left, (0, 0)), (slice(bottom, None), (dq, dq)), (right, (0, dq))):
-            i, u = np.divmod(r1[at] - shift[0], q)
-            j, v = np.divmod(r2[at] - shift[1], q)
-            families.append((i, j, u, v, prod[at]))
-        _read_only(*(a for family in families for a in family))
-        return tuple(families)
-
-    @cached_property
     def anticommutation(self) -> tuple:
         """``(mixed, plain)``: the largest entries of ``{a_i, a_j*} - delta_ij I`` and ``{a_i, a_j}``.
 
         They read no weight, so they are found once per generator set.
         """
         d, q = self.d, self.dim
-        aa_adj, (ci, cj, cu, cv, c), (pi, pj, pu, pv, p) = self.pair_products
+        aa_adj, (ci, cj, cu, cv, c), (pi, pj, pu, pv, p) = _pair_products(self)
         # {a_i, a_j*} is the adjoint of {a_j, a_i*}, so the blocks i <= j hold
         # every entry: a_i a_j* with i <= j, plus a_j* a_i read off a_i* a_j, i >= j
         upper, lower = aa_adj[0] <= aa_adj[1], ci >= cj
@@ -544,40 +495,32 @@ class _Generators:
         return _max_abs(mixed, d, q), _max_abs(plain, d, q)
 
     @cached_property
-    def diagonals(self) -> tuple:
-        """The on-diagonal entries of ``a_i* a_j`` and of ``a_i a_j*``, as entry lists.
+    def weighted_lists(self) -> tuple:
+        """``(diagonals, orthogonality_join)``: what the checks weight by ``diag(rho)``.
 
-        Per family, ``(rows, at, value)``: ``rows`` ascending, the blocks
-        ``i d + j`` that have a diagonal entry or ``i = j``, and ``value``
-        is ``B_ij[u, u]`` at flat position ``at`` of the ``(rows.size, 2**d)``
-        array of those blocks' diagonals (:func:`_diagonal_rows`).  The
-        checks weight these by ``diag(rho)``.  Read-only.
-        """
-        d, q = self.d, self.dim
-        out = []
-        for i, j, u, v, val in (self.pair_products[1], self.pair_products[0]):
-            on = u == v
-            block = (i * d + j)[on]
-            rows = np.union1d(block, np.arange(d) * (d + 1))
-            out.append((rows, np.searchsorted(rows, block) * q + u[on], val[on]))
-        _read_only(*(a for family in out for a in family))
-        return tuple(out)
-
-    @cached_property
-    def orthogonality_join(self) -> tuple:
-        """The off-diagonal part of :func:`orthogonality_check`'s Gram, as entry lists.
-
+        Both come from one formation of the pair products, as read-only
+        entry lists.  ``diagonals`` holds the on-diagonal entries of
+        ``a_i* a_j`` and of ``a_i a_j*``, per family ``(rows, at, value)``:
+        ``rows`` ascending, the blocks ``i d + j`` that have a diagonal entry
+        or ``i = j``, and ``value`` is ``B_ij[u, u]`` at flat position ``at``
+        of the ``(rows.size, 2**d)`` array of those blocks' diagonals
+        (:func:`_diagonal_rows`).  ``orthogonality_join`` is the off-diagonal
+        part of :func:`orthogonality_check`'s Gram,
         ``(values, weight_at, e1, e2, position)``: the off-diagonal entries
         of ``a_i* a_j`` then of ``a_i a_j*``; the basis state whose
         ``sqrt(r_u)`` weights each (its column ``v``, its row ``u``); the
         pairs of weighted entries that share a Gram column
         (:func:`_column_pairs`); and each pair's flat position in the
-        ``(2 d^2)``-square Gram.  Read-only.
+        ``(2 d^2)``-square Gram.
         """
         d, q = self.d, self.dim
-        rows, cols, values, weight_at = [], [], [], []
-        for side, (i, j, u, v, val) in enumerate((self.pair_products[1], self.pair_products[0])):
-            apart = u != v
+        aa_adj, adj_a, _ = _pair_products(self)
+        diagonals, rows, cols, values, weight_at = [], [], [], [], []
+        for side, (i, j, u, v, val) in enumerate((adj_a, aa_adj)):
+            on, apart = u == v, u != v
+            block = (i * d + j)[on]
+            kept = np.union1d(block, np.arange(d) * (d + 1))
+            diagonals.append((kept, np.searchsorted(kept, block) * q + u[on], val[on]))
             rows.append(side * d * d + (i * d + j)[apart])
             cols.append((side * q + u[apart]) * q + v[apart])
             values.append(val[apart])
@@ -586,20 +529,62 @@ class _Generators:
             weight_at.append((v if side == 0 else u)[apart])
         rows, cols, values, weight_at = map(np.concatenate, (rows, cols, values, weight_at))
         e1, e2 = _column_pairs(cols)
-        out = (values, weight_at, e1, e2, rows[e1] * (2 * d * d) + rows[e2])
-        _read_only(*out)
-        return out
+        join = (values, weight_at, e1, e2, rows[e1] * (2 * d * d) + rows[e2])
+        _read_only(*(a for family in diagonals for a in family), *join)
+        return tuple(diagonals), join
+
+
+def _pair_products(generators: _Generators) -> tuple:
+    """Every ``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j`` of a set, from one sparse Gram.
+
+    ``L = vstack(a_1, .., a_d, a_1*, .., a_d*)`` times ``L*`` holds
+    ``a_i a_j*`` at block ``(i, j)`` (the ``vstack(a_i)`` part times its
+    adjoint), ``a_i* a_j`` at ``(d+i, d+j)`` (the Gram of ``hstack(a_i)``)
+    and ``a_i a_j`` at ``(i, d+j)``; the fourth quarter is dropped.  Each
+    family is returned as new block entries ``(i, j, u, v, value)``,
+    without the entries that sum to zero.  Nothing keeps them: the
+    generator set caches only what the identity checks read of them.
+    """
+    d, q = generators.d, generators.dim
+    dq = d * q
+    i, u, v, val = generators.entries
+    row = np.concatenate([i * q + u, dq + i * q + v])
+    val = np.concatenate([val, val.conj()])
+    e1, e2 = _column_pairs(np.concatenate([v, u]))
+    r1, r2, prod = row[e1], row[e2], val[e1] * val.conj()[e2]
+    kept = (r1 < dq) | (r2 >= dq)
+    key, prod = _summed(r1[kept] * (2 * dq) + r2[kept], prod[kept])
+    nonzero = prod != 0
+    r1, r2 = np.divmod(key[nonzero], 2 * dq)
+    prod = prod[nonzero]
+    # r1 ascends: the rows of the a_i* part, all in block (d+i, d+j), come last
+    bottom = np.searchsorted(r1, dq)
+    left = np.flatnonzero(r2[:bottom] < dq)
+    right = np.flatnonzero(r2[:bottom] >= dq)
+    families = []
+    for at, shift in ((left, (0, 0)), (slice(bottom, None), (dq, dq)), (right, (0, dq))):
+        i, u = np.divmod(r1[at] - shift[0], q)
+        j, v = np.divmod(r2[at] - shift[1], q)
+        families.append((i, j, u, v, prod[at]))
+    return tuple(families)
 
 
 @lru_cache(maxsize=8)
 def _jw_generators(d: int) -> _Generators:
     """The Jordan-Wigner generators for ``d`` modes (cached, one object per ``d``).
 
-    The entries of ``a_i`` are :func:`_jw_support`'s, in its order, which
-    sorts them by row and column; each value is the sign
-    ``(-1)^(occupied modes j < i)``.
+    Built by bit arithmetic.  Mode ``i`` is bit ``d - 1 - i`` of a basis
+    state (the first tensor factor is the most significant bit); a set bit
+    is an occupied mode.  ``a_i`` takes each state with mode ``i`` occupied
+    to the same state with it empty, with sign
+    ``(-1)^(occupied modes j < i)``.  Generator ``i``'s entries are row
+    ``i`` of ``(rows, cols)``, each ``(d, 2**(d-1))``, sorted by row and
+    column; this is the one support every sector layout and the dense
+    read-out take (``u`` and ``v`` reshaped to ``(d, 2**(d-1))``).
     """
-    rows, cols = _jw_support(d)
+    states = np.arange(1 << d)
+    cols = np.stack([states[(states >> (d - 1 - i)) & 1 == 1] for i in range(d)])
+    rows = cols ^ (1 << (d - 1 - np.arange(d)))[:, None]
     # the modes j < i are the bits above bit d - 1 - i
     parity = np.bitwise_count(cols >> (d - np.arange(d))[:, None]) & 1
     entries = (np.repeat(np.arange(d), cols.shape[1]), rows.ravel(), cols.ravel(),
@@ -622,9 +607,9 @@ class CarSystem:
 
     Everything the generators alone determine (:attr:`is_jordan_wigner`,
     :attr:`support_values`, the support layout and its off-support check,
-    the pairwise products and what the identity checks read of them, the
-    occupation table of the density) lives in one generators object, built
-    on first use.
+    what the identity checks read of the pairwise products, the occupation
+    table of the density) lives in one generators object, built on first
+    use; the pairwise products themselves are not kept.
     :func:`car_system` takes that object from a per-``d`` cache, so a
     system built for a new ``nu`` pays only for what reads ``nu``:
     :attr:`density_diagonal`, :attr:`kernel_values` and
@@ -677,11 +662,6 @@ class CarSystem:
         :class:`IdentityViolation` naming it and its off-support mass.
         """
         return self._generators.support_values
-
-    @property
-    def _pair_products(self) -> tuple:
-        """``a_i a_j*``, ``a_i* a_j`` and ``a_i a_j`` as block entries (:class:`_Generators`)."""
-        return self._generators.pair_products
 
     def generator(self, i: int) -> np.ndarray:
         """``a_i`` as a new dense ``dim x dim`` complex matrix (built on each call, not cached)."""
@@ -809,7 +789,8 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
         )
     # the kernel first: it raises unless the side is the 2**d the support indexes
     kernel = sys.support_kernel
-    rows, cols = _jw_support(sys.d)
+    _, u, v, _ = _jw_generators(sys.d).entries
+    rows, cols = u.reshape(sys.d, -1), v.reshape(sys.d, -1)
     n = a.shape[0] // q
     return np.einsum("ie,iepq->ipq", kernel, a.reshape(n, q, n, q)[:, rows, :, cols])
 
@@ -818,11 +799,12 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
 
 
 # The pairwise products are block entries ``(i, j, u, v, value)`` (see
-# ``_Generators.pair_products``).  Swapping ``i`` and ``j`` is a block
-# transpose: it pairs ``(i, j)`` with ``(j, i)``.  What the checks read of
-# them is built once per generator set (``_Generators.anticommutation``,
-# ``.diagonals`` and ``.orthogonality_join``); a check weights it by the
-# density and builds its report on every call.
+# ``_pair_products``).  Swapping ``i`` and ``j`` is a block transpose: it
+# pairs ``(i, j)`` with ``(j, i)``.  What the checks read of them is built
+# once per generator set (``_Generators.anticommutation`` and
+# ``.weighted_lists``), and the products themselves are not kept;
+# a check weights the cached lists by the density and builds its report on
+# every call.
 
 
 def _joined(*blocks) -> tuple:
@@ -848,7 +830,7 @@ def _max_abs(blocks, d: int, q: int) -> float:
 
 
 def _diagonal_rows(diagonals, r: np.ndarray, d: int) -> tuple:
-    """``(rows, dense, S)`` of one family of :attr:`_Generators.diagonals`.
+    """``(rows, dense, S)`` of one family of diagonals of :attr:`_Generators.weighted_lists`.
 
     ``dense[k] = B_ij[u, u]`` over ``u`` for block ``rows[k] = i d + j``,
     a new ``(rows.size, 2**d)`` array, and ``S[i, j] = Tr(rho B_ij) =
@@ -879,7 +861,7 @@ def second_moment_check(sys: CarSystem) -> CheckReport:
     one block of the pairwise products, ``r = diag(rho)``.
     """
     r, nu = sys.density_diagonal, sys.nu
-    creation, annihilation = sys._generators.diagonals
+    (creation, annihilation), _ = sys._generators.weighted_lists
     return checked("second-moments", IDENTITY_TOL, {
         "two-point-creation": np.abs(_diagonal_rows(creation, r, sys.d)[2] - np.diag(nu)).max(),
         "two-point-annihilation":
@@ -924,8 +906,7 @@ def orthogonality_check(sys: CarSystem) -> CheckReport:
     d, nu = sys.d, sys.nu
     r = sys.density_diagonal
     root = np.sqrt(r)
-    generators = sys._generators
-    values, weight_at, e1, e2, position = generators.orthogonality_join
+    all_diagonals, (values, weight_at, e1, e2, position) = sys._generators.weighted_lists
     weighted = values * root[weight_at]
     prod = weighted[e1] * weighted.conj()[e2]
     n = 2 * d * d
@@ -936,7 +917,7 @@ def orthogonality_check(sys: CarSystem) -> CheckReport:
     off = ~np.eye(d * d, dtype=bool)
     sq_norms = np.outer(1.0 - nu, nu).ravel()
     families = (("creation", nu), ("annihilation", 1.0 - nu))
-    for side, ((name, center), diagonals) in enumerate(zip(families, generators.diagonals)):
+    for side, ((name, center), diagonals) in enumerate(zip(families, all_diagonals)):
         form = gram[side * d * d:(side + 1) * d * d, side * d * d:(side + 1) * d * d]
         rows, dense, states = _diagonal_rows(diagonals, r, d)
         dense[np.searchsorted(rows, np.arange(d) * (d + 1))] -= center[:, None]

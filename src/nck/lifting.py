@@ -16,9 +16,11 @@ read-out and the accumulated element are all taken block by block, one
 batched clip per pair of sectors; the dense matrix is formed once, for
 :attr:`LiftReport.lifted`, and the achieved norm is the largest block
 norm.  Scalar coefficients (``n = 1``) over the Jordan-Wigner generators
-(:attr:`nck.car.CarSystem.is_jordan_wigner`) need no step at all.  The CAR
-relations make every nonzero singular value of ``Y(y)`` equal ``|y|_2``,
-so the clip is the rescaling ``y -> (C / max(|y|_2, C)) y``.  Each
+(:attr:`nck.car.CarSystem.is_jordan_wigner`) need no step at all, and the
+corrector keeps no branch for them.  The CAR relations give ``Y^2 = 0``
+and ``Y*Y + YY* = |y|^2 I`` for ``Y = Y(y) = sum y_i a_i``, so every
+nonzero singular value of ``Y(y)`` equals ``|y|_2``, and the clip is the
+rescaling ``y -> (C / max(|y|_2, C)) y``.  Each
 normalized residual is then ``x / t`` with ``t`` the primal norm of ``x``,
 so every step rescales the residual by one ``q = 1 - C / max(|x|_2 / t, C)``,
 which lies in ``[1 - C, 1/2]`` as ``t <= |x|_2 <= sqrt(2) t``.  The lift is
@@ -157,34 +159,19 @@ def corrector_commutative(y, space: DiscreteProbabilitySpace, clip_level: float)
     return clipped, conditional_expectation(clipped)
 
 
-def _scalar_clip(y: np.ndarray, clip_level: float) -> np.ndarray:
-    """The tuple ``(c / max(|y|_2, c)) y`` of the clipped scalar Jordan-Wigner element."""
-    return (clip_level / max(float(np.linalg.norm(y)), clip_level)) * y
-
-
 def corrector_car(y, sys: CarSystem, clip_level: float):
     """One truncation step in the fermionic algebra.
 
     Same contract as :func:`corrector_commutative` with the weighted primal
     norm; returns ``(Z, z)`` with ``Z`` a :class:`nck.car.CarElement` and
     ``Z.op_norm() <= clip_level``.  The clip acts on each sector pair in one
-    batched call, which equals clipping the dense element.
-
-    Scalar coefficients (``n = 1``) over the Jordan-Wigner generators
-    (:attr:`nck.car.CarSystem.is_jordan_wigner`) need no eigendecomposition
-    and no read-out: the CAR relations give ``Y^2 = 0`` and
-    ``Y*Y + YY* = |y|^2 I`` for ``Y = sum y_i a_i``, so ``Y*Y`` is
-    ``|y|^2`` times a projection, every nonzero singular value of ``Y`` is
-    ``|y| = |y|_2``, and the clip is ``Z = Y(z)`` with
-    ``z = (c / max(|y|, c)) y``.  Any other system or ``n`` takes the
-    batched clip.
+    batched call, which equals clipping the dense element.  Every system and
+    every ``n`` take this clip; :func:`lift` never calls the corrector for
+    scalar coefficients over the Jordan-Wigner generators, whose series it
+    sums in closed form.
     """
     check_clip_level(clip_level)
-    ya = as_matrix_tuple(y)
-    if ya.shape[1] == 1 and sys.is_jordan_wigner:
-        z = _scalar_clip(ya, clip_level)
-        return embed_tuple(sys, z), z
-    clipped = embed_tuple(sys, ya).map_pairs(lambda pair: truncate_offdiag(pair, clip_level))
+    clipped = embed_tuple(sys, y).map_pairs(lambda pair: truncate_offdiag(pair, clip_level))
     return clipped, extract_coefficients(sys, clipped)
 
 

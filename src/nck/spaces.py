@@ -402,14 +402,18 @@ def l1_s1_norm(x, space: DiscreteProbabilitySpace):
     Summed over the space's phase quotient: the trace norm of ``phi Y`` is
     that of ``Y`` when ``|phi| = 1``, and a sampled space is its own
     quotient.  Exact for the finite kinds, whose standard error is zero.
+    A sampled space needs at least 2 atoms, since the standard error is
+    taken with one degree of freedom removed; fewer raise
+    :class:`InvalidParameter`.
     """
+    sampled = space.kind == "gaussian-mc"
+    if sampled and space.atoms < 2:
+        raise InvalidParameter("need a sampled space of >= 2 atoms for a standard error, "
+                               f"got {space.atoms}")
     atoms = space._quotient[0]
     tn = np.linalg.svd(element_from_tuple(x, atoms).blocks, compute_uv=False).sum(axis=1)
     value = float(atoms.weights @ tn)
-    if space.kind == "gaussian-mc" and space.atoms > 1:
-        stderr = float(tn.std(ddof=1) / np.sqrt(space.atoms))
-    else:
-        stderr = 0.0
+    stderr = float(tn.std(ddof=1) / np.sqrt(space.atoms)) if sampled else 0.0
     return value, stderr
 
 

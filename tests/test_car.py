@@ -18,7 +18,7 @@ from nck.car import (
     _max_abs,
     _minus_identity,
     _jw_generators,
-    _jw_support,
+    _pair_products,
     SubspaceModel,
     anticommutation_check,
     car_system,
@@ -290,7 +290,7 @@ def values_of(sys, rng_seed=0):
     lifts = [lift(random_tuple(sys.d, n, rng), sys) for n in (1, 2)]
     return bits((sys.nu, sys.dim, sys._entries, sys.is_jordan_wigner, sys.support_values,
                  sys.density_diagonal, sys.kernel_values, sys.support_kernel,
-                 sys._pair_products, reports, lifts))
+                 _pair_products(sys._generators), reports, lifts))
 
 
 def _block_diagonals(blocks, d, q):
@@ -303,7 +303,7 @@ def _block_diagonals(blocks, d, q):
 
 
 def _pair_product_reports(sys):
-    """The anticommutation, second-moment and orthogonality reports, from ``_pair_products`` alone.
+    """The anticommutation, second-moment and orthogonality reports, from the pair products alone.
 
     Every step on every call, over dense ``(d, d, 2**d)`` block diagonals:
     the checks as they were before their generator-only parts were kept
@@ -311,7 +311,7 @@ def _pair_product_reports(sys):
     :class:`IdentityViolation` carries.
     """
     d, q, nu = sys.d, sys.dim, sys.nu
-    aa_adj, adj_a, (pi, pj, pu, pv, p) = sys._pair_products
+    aa_adj, adj_a, (pi, pj, pu, pv, p) = _pair_products(sys._generators)
     ci, cj, cu, cv, c = adj_a
     upper, lower = aa_adj[0] <= aa_adj[1], ci >= cj
     mixed = _minus_identity(_joined(tuple(a[upper] for a in aa_adj),
@@ -376,12 +376,11 @@ class TestGeneratorCache:
         first, second = car_system([0.2, 0.7, 0.4, 0.9]), car_system([0.6, 0.1, 0.5, 0.3])
         assert first._generators is second._generators
         assert first.support_values is second.support_values
-        assert first._pair_products is second._pair_products
         assert not np.array_equal(first.density_diagonal, second.density_diagonal)
         generators = first._generators
         generators.is_jordan_wigner
         cached = [*generators.entries, generators.occupied, *generators._support,
-                  generators.support_values, *(a for f in generators.pair_products for a in f)]
+                  generators.support_values]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -393,15 +392,25 @@ class TestGeneratorCache:
             check(second)
         generators = first._generators
         assert second._generators.anticommutation is generators.anticommutation
-        assert second._generators.diagonals is generators.diagonals
-        assert second._generators.orthogonality_join is generators.orthogonality_join
-        cached = [*(a for f in generators.diagonals for a in f), *generators.orthogonality_join]
+        assert second._generators.weighted_lists is generators.weighted_lists
+        diagonals, join = generators.weighted_lists
+        cached = [*(a for f in diagonals for a in f), *join]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
         # entry lists: the diagonals hold one row per block i = i, never d x d x 2**d values
-        rows, at, value = generators.diagonals[0]
+        rows, at, value = diagonals[0]
         assert np.array_equal(rows, np.arange(4) * 5) and value.size == 4 * 2**3
+
+    def test_the_set_keeps_no_pair_products(self):
+        # after all five checks, the set holds only what the checks read of
+        # the products, never the products themselves
+        sys = car_system([0.2, 0.7, 0.4, 0.9, 0.35])
+        values_of(sys)
+        generators = sys._generators
+        assert set(vars(generators)) == {"d", "dim", "entries", "is_jordan_wigner", "occupied",
+                                         "_support", "support_values", "anticommutation",
+                                         "weighted_lists"}
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_reports_equal_the_pair_product_reference_bit_for_bit(self, d):
@@ -443,7 +452,7 @@ class TestGeneratorCache:
         nu = [0.3, 0.8, 0.15, 0.6, 0.45]
         before = car_system(nu)
         want = values_of(before)
-        for cache in (_jw_generators, _jw_support, _block_layout):
+        for cache in (_jw_generators, _block_layout):
             cache.cache_clear()
         after = car_system(nu)
         assert after._generators is not before._generators
@@ -627,8 +636,8 @@ class TestFunctionalKernels:
 
     def test_cached_arrays_are_read_only(self):
         sys = random_system(3)
-        cached = [*sys._entries, *(a for family in sys._pair_products for a in family)]
-        cached += [sys.kernel_values, sys.support_kernel, sys.support_values, sys.density_diagonal]
+        cached = [*sys._entries, sys.kernel_values, sys.support_kernel, sys.support_values,
+                  sys.density_diagonal]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[:] = 0
@@ -1104,7 +1113,8 @@ class TestPairProductJoin:
         adj = [g.conj().T for g in dense]
         cancelled = 0
         # a_i a_j*, a_i* a_j and a_i a_j
-        for family, (left, right) in zip(sys._pair_products, ((dense, adj), (adj, dense), (dense, dense))):
+        products = _pair_products(sys._generators)
+        for family, (left, right) in zip(products, ((dense, adj), (adj, dense), (dense, dense))):
             reference = np.array([[a @ b for b in right] for a in left])
             i, j, u, v, val = family
             got = np.zeros_like(reference)

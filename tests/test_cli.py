@@ -544,6 +544,16 @@ class TestConstantsCommand:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert row["family"] == "gaussian" and row["c1"] == 1.0 / np.sqrt(2.0)
 
+    def test_search_over_one_sample_exit_2(self, tmp_path, capsys):
+        # one sampled atom has no standard error: a usage error, not a failed check
+        out = tmp_path / "search.json"
+        code = main(["constants", "--experiment", "search", "--family", "gaussian", "--samples",
+                     "1", "--d", "1", "--n", "1", "--trials", "2", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "2 atoms" in captured.err
+        assert not out.exists()
+
     def test_search_passes_whenever_the_search_returns(self, capsys):
         # the search accepts these ratios with its Monte Carlo slack of three
         # standard errors; the row reports that verdict, not a second one

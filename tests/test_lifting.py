@@ -323,18 +323,20 @@ class TestCorrectorCar:
     @pytest.mark.parametrize("d", [1, 4, 10, 12])
     @pytest.mark.parametrize("over", [3.0, 0.5])
     def test_scalar_clip_is_a_rescaling(self, d, over, monkeypatch):
-        # at n = 1 the corrector rescales; the general clip, one
-        # eigendecomposition per block, must give the same element, and
-        # leave an element under the level as it is
+        # at n = 1 over the Jordan-Wigner generators every nonzero singular
+        # value of Y(y) is |y|_2, so the clip, one eigendecomposition per
+        # block, is the rescaling (c / max(|y|, c)) y, and leaves an element
+        # under the level as it is
         monkeypatch.setenv("NCK_MAX_DIM", "12")
         rng = np.random.default_rng(d)
         sys = car_system(rng.uniform(0.05, 0.95, d))
         c = family_row("car")[0] / 2.0
         y = random_tuple(d, 1, rng)
         y *= over * c / np.linalg.norm(y)
-        clipped, _z = corrector_car(y, sys, c)
-        expected = embed_tuple(sys, y).map_pairs(lambda p: truncate_offdiag(p, c)).blocks
-        assert np.abs(clipped.blocks - expected).max() <= 1e-13
+        clipped, z = corrector_car(y, sys, c)
+        rescaled = (c / max(np.linalg.norm(y), c)) * y
+        assert np.abs(z - rescaled).max() <= 1e-13
+        assert np.abs(clipped.blocks - embed_tuple(sys, rescaled).blocks).max() <= 1e-13
 
     @staticmethod
     def hand_built(d, change):
@@ -342,21 +344,21 @@ class TestCorrectorCar:
         nu = np.random.default_rng(d).uniform(0.05, 0.95, d)
         return CarSystem(nu, change(dense_generators(car_system(nu))))
 
-    def test_hand_built_jordan_wigner_is_rescaled(self, monkeypatch):
+    def test_hand_built_jordan_wigner_is_rescaled(self):
+        # the corrector takes the batched clip at n = 1 too, which over
+        # generators equal to the Jordan-Wigner ones is the rescaling
         d = 4
         sys = self.hand_built(d, lambda gens: gens)
         assert sys.is_jordan_wigner
         with pytest.raises(AttributeError):
             sys.is_jordan_wigner = False
+        c = 1 / SQRT2
         y = random_tuple(d, 1, np.random.default_rng(2))
-        clean = corrector_car(y, car_system(sys.nu), 1 / SQRT2)
-        calls = spy_on_the_clip(monkeypatch)
-        clipped, z = corrector_car(y, sys, 1 / SQRT2)
-        assert calls == []
-        assert np.array_equal(clipped.blocks, clean[0].blocks) and np.array_equal(z, clean[1])
-        # n = 2 keeps the clip
-        corrector_car(random_tuple(d, 2), sys, 1 / SQRT2)
-        assert len(calls) == (d + 1) // 2
+        assert np.linalg.norm(y) > c
+        clipped, z = corrector_car(y, sys, c)
+        rescaled = (c / max(np.linalg.norm(y), c)) * y
+        assert np.abs(z - rescaled).max() <= 1e-14
+        assert np.abs(clipped.blocks - embed_tuple(sys, rescaled).blocks).max() <= 1e-14
 
     @pytest.mark.parametrize(
         "change",
@@ -640,6 +642,35 @@ class TestScalarCarLiftClosedForm:
         rep = lift(x, sys)
         residual = weighted_triple_norm(x - extract_coefficients(sys, rep.lifted), sys.nu)
         assert abs(rep.residual_history[-1] - residual) <= 1e-13 * rep.target_norm
+
+
+class TestModeRotationOracle:
+    """At ``nu = 1/2`` a lift needs only as many modes as its tuple spans.
+
+    The state at equal weights ``1/2`` is invariant under a unitary rotation
+    of the modes, and so are the weighted primal norm and the norm of every
+    element.  Rotating a tuple's modes by the left singular vectors of its
+    ``d x n^2`` coefficient matrix leaves ``r = min(d, n^2)`` nonzero modes,
+    so the ``d``-mode lift and the ``r``-mode lift of the rotated tuple take
+    the same steps.  An oracle only: with unequal weights, only rotations
+    that commute with ``diag(nu)`` keep the state, and the lift has no such
+    second path.  ``d = 12, n = 2`` is a full lift at the cap, left out.
+    """
+
+    @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (12, 1), (6, 2), (7, 2), (8, 2), (5, 3)])
+    def test_lift_equals_the_lift_over_the_spanned_modes(self, d, n, monkeypatch):
+        monkeypatch.setenv("NCK_MAX_DIM", "12")
+        x = random_tuple(d, n, np.random.default_rng(100 * d + n))
+        left, _, _ = np.linalg.svd(x.reshape(d, n * n))
+        r = min(d, n * n)
+        rotated = np.einsum("ik,ipq->kpq", left.conj(), x)
+        assert np.abs(rotated[r:]).max(initial=0.0) <= 1e-14 * np.abs(x).max()
+        full = lift(x, car_system(np.full(d, 0.5)))
+        spanned = lift(rotated[:r], car_system(np.full(r, 0.5)))
+        assert full.converged and full.iterations == spanned.iterations
+        history = full.residual_history
+        assert np.all(np.abs(history - spanned.residual_history) <= 1e-13 * history)
+        assert abs(full.achieved_norm - spanned.achieved_norm) <= 1e-13 * full.achieved_norm
 
 
 # the benchmark's sign-lift shapes: each (family, d) twice, with n two apart

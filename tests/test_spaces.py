@@ -412,6 +412,14 @@ class TestL1S1Norm:
         assert abs(value - np.sqrt(np.pi) / 2.0) <= 3.0 * stderr
         assert np.sqrt(np.pi) / 2.0 == pytest.approx(0.886227, abs=1e-6)
 
+    def test_sampled_space_needs_two_atoms(self):
+        # a standard error with one degree of freedom removed needs two atoms;
+        # one atom would report stderr 0 and so drop the Monte Carlo slack
+        x = [[[1.0 + 0j]]]
+        with pytest.raises(InvalidParameter, match="2 atoms"):
+            l1_s1_norm(x, gaussian_space(1, 1, seed=0))
+        assert l1_s1_norm(x, gaussian_space(1, 2, seed=0))[1] > 0.0
+
     def test_diagonal_units_rademacher(self):
         # oracle: brute force |r1| + |r2| = 2 on every atom
         x = np.zeros((2, 2, 2), dtype=complex)
