@@ -4,7 +4,7 @@ Lower constant 1/sqrt(2): a closed-form sequence sqrt(m+1)/sqrt(2m+1) of
 upper bounds decreases to it, and the one-mode weighted witness attains it
 exactly.  Upper constant 1: the first-column tuples push the ratio of the
 expected trace norm to the dual norm arbitrarily close to 1, both for
-Gaussians (expected vector length over sqrt(d)) and in the fermionic
+Gaussians (expected vector length over sqrt(d), exact) and in the fermionic
 algebra at weights 1/2 (a binomial sum over occupation patterns).
 
 Random search over tuple ensembles confirms that no tested tuple leaves
@@ -32,11 +32,9 @@ w = car_c1_witness()
 print(f"functional norm {w.functional_norm:.8f}, weighted dual {w.dual_value:.8f}, "
       f"ratio {w.ratio:.8f} = 1/sqrt(2)")
 
-print("\n--- Gaussian ratio toward the upper constant 1 ---")
-for d in (1, 4, 16):
-    value, stderr = c2_witness_gaussian(d, samples=100_000, seed=d)
-    exact = gamma_ratio(d) / np.sqrt(d)
-    print(f"d={d:2d}: MC {value:.5f} +- {stderr:.5f}, exact {exact:.5f}")
+print("\n--- Gaussian ratio toward 1: Gamma(d+1/2)/(Gamma(d) sqrt(d)), exact ---")
+for d in (1, 4, 16, 64, 256):
+    print(f"d={d:3d}: {c2_witness_gaussian(d):.12f}   (expected length {gamma_ratio(d):.6f})")
 
 print("\n--- fermionic ratio toward 1: matrix trace vs binomial sum ---")
 print("  d   matrix          binomial        (sequence increases to 1)")

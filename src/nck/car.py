@@ -25,8 +25,10 @@ deviations, which read no weight; the on-diagonal entries of ``a_i* a_j``
 and ``a_i a_j*``, which the second-moment and orthogonality checks weight
 by ``diag(rho)``; and the sparse layout of the orthogonality Gram, each
 pair of entries that share a column with its flat Gram position.  All of
-these are entry lists, never a dense ``(d, d, 2**d)`` array.  The pairwise
-products themselves are formed only to build them, and not kept.
+these are entry lists, never a dense ``(d, d, 2**d)`` array, and each is
+built by its first reader: the orthogonality layout, the largest, only
+when the orthogonality check first runs.  The pairwise products
+themselves are formed once for each of the three, and not kept.
 :func:`car_system` takes that set from a per-``d`` cache, the only place
 the Jordan-Wigner entries and their support are built, so a system at a
 new ``nu`` builds only what reads ``nu``: the density's diagonal and the
@@ -386,8 +388,9 @@ class _Generators:
     by generator, row and column, as read-only arrays; ``dim`` is the side.
     Built once per set: the Jordan-Wigner test, the support layout, the
     occupation table, and what the identity checks read of the pairwise
-    products (:attr:`anticommutation` and :attr:`weighted_lists`), so a
-    check at a new ``nu`` only weights entry lists.  The products
+    products (:attr:`anticommutation`, :attr:`diagonals` and
+    :attr:`orthogonality_join`, each on its first reader), so a check at a
+    new ``nu`` only weights entry lists.  The products
     (:func:`_pair_products`) are not kept.  Nothing here reads the weights,
     so :func:`car_system` shares one object per ``d``
     (:func:`_jw_generators`) among all its systems, and every cached array
@@ -495,32 +498,44 @@ class _Generators:
         return _max_abs(mixed, d, q), _max_abs(plain, d, q)
 
     @cached_property
-    def weighted_lists(self) -> tuple:
-        """``(diagonals, orthogonality_join)``: what the checks weight by ``diag(rho)``.
+    def diagonals(self) -> tuple:
+        """The on-diagonal entries of ``a_i* a_j`` and ``a_i a_j*``, read-only.
 
-        Both come from one formation of the pair products, as read-only
-        entry lists.  ``diagonals`` holds the on-diagonal entries of
-        ``a_i* a_j`` and of ``a_i a_j*``, per family ``(rows, at, value)``:
-        ``rows`` ascending, the blocks ``i d + j`` that have a diagonal entry
-        or ``i = j``, and ``value`` is ``B_ij[u, u]`` at flat position ``at``
-        of the ``(rows.size, 2**d)`` array of those blocks' diagonals
-        (:func:`_diagonal_rows`).  ``orthogonality_join`` is the off-diagonal
-        part of :func:`orthogonality_check`'s Gram,
+        The checks weight them by ``diag(rho)``.  Per family
+        ``(rows, at, value)``: ``rows`` ascending, the blocks ``i d + j``
+        that have a diagonal entry or ``i = j``, and ``value`` is
+        ``B_ij[u, u]`` at flat position ``at`` of the ``(rows.size, 2**d)``
+        array of those blocks' diagonals (:func:`_diagonal_rows`).
+        """
+        d, q = self.d, self.dim
+        aa_adj, adj_a, _ = _pair_products(self)
+        diagonals = []
+        for i, j, u, v, val in (adj_a, aa_adj):
+            on = u == v
+            block = (i * d + j)[on]
+            kept = np.union1d(block, np.arange(d) * (d + 1))
+            diagonals.append((kept, np.searchsorted(kept, block) * q + u[on], val[on]))
+        _read_only(*(a for family in diagonals for a in family))
+        return tuple(diagonals)
+
+    @cached_property
+    def orthogonality_join(self) -> tuple:
+        """The off-diagonal part of :func:`orthogonality_check`'s Gram, as read-only entry lists.
+
         ``(values, weight_at, e1, e2, position)``: the off-diagonal entries
         of ``a_i* a_j`` then of ``a_i a_j*``; the basis state whose
         ``sqrt(r_u)`` weights each (its column ``v``, its row ``u``); the
         pairs of weighted entries that share a Gram column
         (:func:`_column_pairs`); and each pair's flat position in the
-        ``(2 d^2)``-square Gram.
+        ``(2 d^2)``-square Gram.  Only that check reads it, so it forms the
+        pair products again rather than sharing a formation with
+        :attr:`diagonals`, which the second-moment check keeps resident.
         """
         d, q = self.d, self.dim
         aa_adj, adj_a, _ = _pair_products(self)
-        diagonals, rows, cols, values, weight_at = [], [], [], [], []
+        rows, cols, values, weight_at = [], [], [], []
         for side, (i, j, u, v, val) in enumerate((adj_a, aa_adj)):
-            on, apart = u == v, u != v
-            block = (i * d + j)[on]
-            kept = np.union1d(block, np.arange(d) * (d + 1))
-            diagonals.append((kept, np.searchsorted(kept, block) * q + u[on], val[on]))
+            apart = u != v
             rows.append(side * d * d + (i * d + j)[apart])
             cols.append((side * q + u[apart]) * q + v[apart])
             values.append(val[apart])
@@ -530,8 +545,8 @@ class _Generators:
         rows, cols, values, weight_at = map(np.concatenate, (rows, cols, values, weight_at))
         e1, e2 = _column_pairs(cols)
         join = (values, weight_at, e1, e2, rows[e1] * (2 * d * d) + rows[e2])
-        _read_only(*(a for family in diagonals for a in family), *join)
-        return tuple(diagonals), join
+        _read_only(*join)
+        return join
 
 
 def _pair_products(generators: _Generators) -> tuple:
@@ -615,6 +630,9 @@ class CarSystem:
     :attr:`density_diagonal`, :attr:`kernel_values` and
     :attr:`support_kernel`.  A hand-built system has an object of its own.
     """
+
+    #: the setting's family name: its row of :data:`nck.spaces.FAMILIES`
+    kind = "car"
 
     nu: np.ndarray
     _generators: _Generators = field(repr=False)
@@ -801,8 +819,8 @@ def extract_coefficients(sys: CarSystem, x) -> np.ndarray:
 # The pairwise products are block entries ``(i, j, u, v, value)`` (see
 # ``_pair_products``).  Swapping ``i`` and ``j`` is a block transpose: it
 # pairs ``(i, j)`` with ``(j, i)``.  What the checks read of them is built
-# once per generator set (``_Generators.anticommutation`` and
-# ``.weighted_lists``), and the products themselves are not kept;
+# once per generator set (``_Generators.anticommutation``, ``.diagonals``
+# and ``.orthogonality_join``), and the products themselves are not kept;
 # a check weights the cached lists by the density and builds its report on
 # every call.
 
@@ -830,7 +848,7 @@ def _max_abs(blocks, d: int, q: int) -> float:
 
 
 def _diagonal_rows(diagonals, r: np.ndarray, d: int) -> tuple:
-    """``(rows, dense, S)`` of one family of diagonals of :attr:`_Generators.weighted_lists`.
+    """``(rows, dense, S)`` of one family of :attr:`_Generators.diagonals`.
 
     ``dense[k] = B_ij[u, u]`` over ``u`` for block ``rows[k] = i d + j``,
     a new ``(rows.size, 2**d)`` array, and ``S[i, j] = Tr(rho B_ij) =
@@ -861,7 +879,7 @@ def second_moment_check(sys: CarSystem) -> CheckReport:
     one block of the pairwise products, ``r = diag(rho)``.
     """
     r, nu = sys.density_diagonal, sys.nu
-    (creation, annihilation), _ = sys._generators.weighted_lists
+    creation, annihilation = sys._generators.diagonals
     return checked("second-moments", IDENTITY_TOL, {
         "two-point-creation": np.abs(_diagonal_rows(creation, r, sys.d)[2] - np.diag(nu)).max(),
         "two-point-annihilation":
@@ -906,7 +924,8 @@ def orthogonality_check(sys: CarSystem) -> CheckReport:
     d, nu = sys.d, sys.nu
     r = sys.density_diagonal
     root = np.sqrt(r)
-    all_diagonals, (values, weight_at, e1, e2, position) = sys._generators.weighted_lists
+    all_diagonals = sys._generators.diagonals
+    values, weight_at, e1, e2, position = sys._generators.orthogonality_join
     weighted = values * root[weight_at]
     prod = weighted[e1] * weighted.conj()[e2]
     n = 2 * d * d

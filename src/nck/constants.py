@@ -27,7 +27,7 @@ from .exceptions import DTooLarge, IdentityViolation, InvalidParameter
 from .linalg import trace_norm
 from .norms import dual_norm
 from .reports import CheckReport
-from .spaces import build, family_name, family_row, gaussian_space, l1_s1_norm
+from .spaces import build, family_row, gamma_ratio, l1_s1_norm
 
 __all__ = [
     "ConstantReport",
@@ -58,28 +58,19 @@ def gaussian_c1_bound_sequence(m: int) -> float:
     return math.sqrt((m + 1.0) / (2.0 * m + 1.0))
 
 
-def c2_witness_gaussian(d: int, samples: int = 100_000, seed: int = 0):
-    """Ratio ``E(sum |g_i|^2)^(1/2) / sqrt(d)`` for the first-column tuple.
+def c2_witness_gaussian(d: int) -> float:
+    """Ratio ``E(sum |g_i|^2)^(1/2) / sqrt(d)`` for the first-column tuple, exactly.
 
-    The tuple ``x_i = e_{i1}`` has dual norm at most ``sqrt(d)`` while the
-    expected trace norm of its Gaussian average is the expected Euclidean
-    length of the Gaussian vector, so the ratio is a lower witness for the
-    upper constant; it increases to 1.  Returns ``(value, stderr)``, a
-    sampled estimate of the closed form
-    :func:`nck.spaces.gamma_ratio` ``(d) / sqrt(d)``.
-    Sampling needs ``samples >= 2``, since the standard error is taken with
-    one degree of freedom removed.
+    The tuple ``x_i = e_{i1}`` has dual norm at most ``sqrt(d)``, and the
+    trace norm of ``sum_i g_i e_{i1}`` is the column length
+    ``(sum |g_i|^2)^(1/2)``, so the expected trace norm of the tuple's
+    Gaussian average is the expected Euclidean length of a standard
+    complex Gaussian vector, :func:`nck.spaces.gamma_ratio` ``(d)``.  The
+    ratio ``gamma_ratio(d) / sqrt(d)`` is a lower witness for the upper
+    constant and increases strictly to 1.  ``d < 1`` raises
+    :class:`InvalidParameter`.
     """
-    if d < 1:
-        raise InvalidParameter(f"need d >= 1, got {d}")
-    if samples < 2:
-        raise InvalidParameter(f"need samples >= 2 for a standard error, got {samples}")
-    space = gaussian_space(d, samples, seed)
-    # trace norm of sum_i gamma_i e_{i1} is the column length (sum |gamma_i|^2)^(1/2)
-    lengths = np.sqrt((np.abs(space.family) ** 2).sum(axis=0))
-    value = float(lengths.mean()) / math.sqrt(d)
-    stderr = float(lengths.std(ddof=1) / np.sqrt(samples)) / math.sqrt(d)
-    return value, stderr
+    return gamma_ratio(d) / math.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -189,7 +180,7 @@ def _random_tuple(rng: np.random.Generator, ensemble: str, d: int, n: int) -> np
 
 
 def random_search_ratio(
-    kind: str,
+    family: str,
     n: int,
     d: int,
     trials: int,
@@ -205,12 +196,13 @@ def random_search_ratio(
     lower constant minus :data:`SEARCH_TOL` (minus three standard errors for
     sampled spaces) and at most 1 plus :data:`SEARCH_TOL`; a ratio outside
     raises :class:`IdentityViolation` with a ``sandwich`` report, so a
-    returned report has passed.
+    returned report has passed.  ``family`` is a :data:`nck.spaces.FAMILIES`
+    key with a probability space.
     """
     if min(n, d, trials) < 1:
         raise InvalidParameter(f"need n, d, trials >= 1, got n={n}, d={d}, trials={trials}")
-    space = build(kind, d, samples=samples, seed=seed)
-    c1, c2 = 1.0 / family_row(space.kind)[0], 1.0
+    space = build(family, d, samples=samples, seed=seed)
+    c1, c2 = 1.0 / family_row(family)[0], 1.0
     rng = np.random.default_rng(seed)
 
     ensembles = ("gaussian", "isometry", "matrix-unit")
@@ -225,7 +217,7 @@ def random_search_ratio(
         value, stderr = l1_s1_norm(x, space)
         dres = dual_norm(x)
         ratio = value / dres.value
-        slack = SEARCH_TOL + (3.0 * stderr / dres.value if space.kind == "gaussian-mc" else 0.0)
+        slack = SEARCH_TOL + (0.0 if space.is_exact else 3.0 * stderr / dres.value)
         if ratio < c1 - slack or ratio > c2 + slack:
             raise IdentityViolation(
                 f"{space.kind}: ratio {ratio:.8f} outside [{c1:.6f}, {c2:.6f}] "
@@ -237,7 +229,7 @@ def random_search_ratio(
         hi = max(hi, ratio)
 
     return ConstantReport(
-        family=family_name(kind),
+        family=family,
         lower_witness=float(lo),
         upper_witness=float(hi),
         theoretical=(c1, c2),

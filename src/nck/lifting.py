@@ -43,9 +43,10 @@ with norm at most ``C / (1 - delta)``.  The input is validated once, by the
 primal norm of ``x`` (a tuple whose norm overflows raises
 :class:`NormOverflow`); the residual norms of the steps are taken from the
 Grams directly, bit for bit the same numbers.  Every number here is fixed
-by the paper: ``delta`` is :data:`CONTRACTION`, and the lift reads its setting's
-lift constant ``K`` from :data:`nck.spaces.FAMILIES` and clips at
-``C = K / 2``, so the bound ``C / (1 - delta)`` is ``K`` exactly:
+by the paper: ``delta`` is :data:`CONTRACTION`, and the lift reads its
+setting's lift constant ``K`` once, from the :data:`nck.spaces.FAMILIES`
+row of the setting's ``kind``, and clips at ``C = K / 2``, so the bound
+``C / (1 - delta)`` is ``K`` exactly:
 
     commutative circular families  K = sqrt(2)  ->  C = sqrt(2)/2
     sign families                  K = sqrt(3)  ->  C = sqrt(3)/2
@@ -175,8 +176,8 @@ def corrector_car(y, sys: CarSystem, clip_level: float):
     return clipped, extract_coefficients(sys, clipped)
 
 
-def _setting_ops(setting, n: int):
-    """``(primal, residual, step, zero, finish, clip_level)`` of a lifting setting.
+def _setting_ops(setting, n: int, clip_level: float):
+    """``(primal, residual, step, zero, finish)`` of a lifting setting that clips at ``clip_level``.
 
     ``primal`` is the public norm that validates the input tuple;
     ``residual`` is the same norm of a step's residual, taken from the Grams
@@ -184,12 +185,10 @@ def _setting_ops(setting, n: int):
     lift accumulates, starting from ``zero``, and the corrected tuple ``z``.
     ``finish`` turns the accumulated array into ``(lifted, achieved_norm)``.
     A probability space is lifted on its phase quotient, and ``finish``
-    expands the accumulated representatives to every atom.  ``clip_level``
-    is half the setting's lift constant ``K``.
+    expands the accumulated representatives to every atom.
     """
     if isinstance(setting, DiscreteProbabilitySpace):
         reps, owner, phase = setting._quotient
-        clip_level = family_row(setting.kind)[0] / 2.0
         primal, col_w, row_w = triple_norm, None, None
         zero = np.zeros((reps.atoms, n, n), dtype=complex)
 
@@ -202,8 +201,7 @@ def _setting_ops(setting, n: int):
                 RandomElement(setting, phase[:, None, None] * acc[owner]),
                 sup_norm(RandomElement(reps, acc)),
             )
-    elif isinstance(setting, CarSystem):
-        clip_level = family_row("car")[0] / 2.0
+    else:
         col_w, row_w = setting.nu, 1.0 - setting.nu
         primal = lambda x: weighted_triple_norm(x, col_w)
         zero = CarElement.zeros(setting.d, n).blocks
@@ -215,17 +213,12 @@ def _setting_ops(setting, n: int):
         def finish(acc):
             accumulated = CarElement(setting.d, n, acc)
             return accumulated.toarray(), accumulated.op_norm()
-    else:
-        raise DimensionMismatch(
-            f"setting must be a DiscreteProbabilitySpace or CarSystem, got {type(setting)!r}"
-        )
     residual = lambda w: _grams_norm_sqrt(_col_gram(w, col_w), _row_gram(w, row_w))
-    return primal, residual, step, zero, finish, clip_level
+    return primal, residual, step, zero, finish
 
 
-def _scalar_car_lift(xa: np.ndarray, sys: CarSystem):
-    """``(history, lifted, achieved_norm, clip_level)`` of a scalar Jordan-Wigner lift, in closed form."""
-    clip_level = family_row("car")[0] / 2.0
+def _scalar_car_lift(xa: np.ndarray, sys: CarSystem, clip_level: float):
+    """``(history, lifted, achieved_norm)`` of a scalar Jordan-Wigner lift, in closed form."""
     target = weighted_triple_norm(xa, sys.nu)
     norm_x = float(np.linalg.norm(xa))
     rate = 1.0 - clip_level / max(norm_x / target, clip_level) if target else 0.0
@@ -234,7 +227,7 @@ def _scalar_car_lift(xa: np.ndarray, sys: CarSystem):
         decay *= rate
         history.append(target * decay)
     lifted = embed_tuple(sys, (1.0 - decay) * xa).toarray()
-    return history, lifted, (1.0 - decay) * norm_x, clip_level
+    return history, lifted, (1.0 - decay) * norm_x
 
 
 def lift(x, setting) -> LiftReport:
@@ -254,10 +247,15 @@ def lift(x, setting) -> LiftReport:
     violated, e.g. noisy sampled moments).
     """
     xa = as_matrix_tuple(x)
+    if not isinstance(setting, (DiscreteProbabilitySpace, CarSystem)):
+        raise DimensionMismatch(
+            f"setting must be a DiscreteProbabilitySpace or CarSystem, got {type(setting)!r}"
+        )
+    clip_level = family_row(setting.kind)[0] / 2.0
     if isinstance(setting, CarSystem) and xa.shape[1] == 1 and setting.is_jordan_wigner:
-        history, lifted, achieved, clip_level = _scalar_car_lift(xa, setting)
+        history, lifted, achieved = _scalar_car_lift(xa, setting, clip_level)
     else:
-        primal, residual, step, accum, finish, clip_level = _setting_ops(setting, xa.shape[1])
+        primal, residual, step, accum, finish = _setting_ops(setting, xa.shape[1], clip_level)
         history, w = [primal(xa)], xa.copy()
         while history[-1] > TOL * history[0] and len(history) <= MAX_STEPS:
             norm_w = history[-1]

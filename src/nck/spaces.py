@@ -20,17 +20,18 @@ Four kinds of space are provided:
     ``k = 2^j m mod N`` at grid point ``m``, so no argument rounding grows
     with the frequency.
 
-``gaussian-mc``
+``gaussian``
     Independent standard complex Gaussians, sampled: equal-weight atoms from
     a seeded generator.  Estimates carry a standard error and nothing is
     exact.
 
 One table, :data:`FAMILIES`, holds every family the toolkit names: the
 four above and ``car``, the fermionic (weighted) setting of :mod:`nck.car`.
-Each row stores the family's lift constant ``K`` once; the lift clips at
-``K / 2`` (:func:`nck.lifting.lift`) and ``1 / K`` is the proved
-lower constant (:func:`nck.constants.random_search_ratio`).  :func:`build`
-maps a family name (``gaussian`` for ``gaussian-mc``) to its space.
+A family has one name: it is the ``kind`` of every space :func:`build`
+makes for it, and :attr:`nck.car.CarSystem.kind` is ``car``.  Each row
+stores the family's lift constant ``K`` once; the lift clips at ``K / 2``
+(:func:`nck.lifting.lift`) and ``1 / K`` is the proved lower constant
+(:func:`nck.constants.random_search_ratio`).
 
 A tuple of coefficients ``y`` (shape ``(d, n, n)``) embeds as the random
 matrix ``Y(w) = sum_i y_i * family[i, w]``; conditional expectation
@@ -80,9 +81,7 @@ __all__ = [
     "lacunary_space",
     "gaussian_space",
     "FAMILIES",
-    "family_name",
     "family_row",
-    "family_kind",
     "build",
     "check_value_budget",
     "element_from_tuple",
@@ -93,18 +92,17 @@ __all__ = [
     "moment_identity_check",
 ]
 
-#: per family name: ``(K, kind, exact)``.  ``K`` is the norm bound of the
-#: constructive lift, so ``1 / K`` is the proved lower constant (1/sqrt(3)
-#: for signs is a guarantee, not known to be sharp); ``kind`` is the kind of
-#: the space :func:`build` makes (``None``: the fermionic setting, which has
-#: no probability space); ``exact`` says whether that setting's moments are
-#: exact
+#: per family name, which is also the ``kind`` of its setting: ``(K, exact)``.
+#: ``K`` is the norm bound of the constructive lift, so ``1 / K`` is the
+#: proved lower constant (1/sqrt(3) for signs is a guarantee, not known to
+#: be sharp); ``exact`` says whether the setting's moments are exact.
+#: ``car``, the fermionic setting, has no probability space
 FAMILIES = {
-    "rademacher": (math.sqrt(3.0), "rademacher", True),
-    "steinhauss": (math.sqrt(2.0), "steinhauss", True),
-    "lacunary": (math.sqrt(2.0), "lacunary", True),
-    "gaussian": (math.sqrt(2.0), "gaussian-mc", False),
-    "car": (math.sqrt(2.0), None, True),
+    "rademacher": (math.sqrt(3.0), True),
+    "steinhauss": (math.sqrt(2.0), True),
+    "lacunary": (math.sqrt(2.0), True),
+    "gaussian": (math.sqrt(2.0), False),
+    "car": (math.sqrt(2.0), True),
 }
 
 #: root-of-unity order of the Steinhaus space: its moment identities'
@@ -177,7 +175,7 @@ class DiscreteProbabilitySpace:
 
     @property
     def is_exact(self) -> bool:
-        return family_row(self.kind)[2]
+        return family_row(self.kind)[1]
 
     @cached_property
     def _quotient(self):
@@ -338,50 +336,31 @@ def gaussian_space(d: int, samples: int, seed: int = 0) -> DiscreteProbabilitySp
     z = rng.standard_normal((2, d, samples))
     family = (z[0] + 1j * z[1]) / np.sqrt(2.0)
     weights = np.full(samples, 1.0 / samples)
-    return DiscreteProbabilitySpace._taking("gaussian-mc", weights, family)
-
-
-def family_name(name: str) -> str:
-    """The :data:`FAMILIES` key of a family name or of a space kind."""
-    for family, row in FAMILIES.items():
-        if name in (family, row[1]):
-            return family
-    raise InvalidParameter(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+    return DiscreteProbabilitySpace._taking("gaussian", weights, family)
 
 
 def family_row(name: str) -> tuple:
-    """The :data:`FAMILIES` row ``(K, kind, exact)`` of a family name.
-
-    A space kind is accepted as the name of its family.
-    """
-    return FAMILIES[family_name(name)]
-
-
-def family_kind(family: str) -> str:
-    """The ``kind`` of the space :func:`build` makes for a family name.
-
-    ``gaussian`` names the sampled ``gaussian-mc`` kind; a kind is accepted
-    as its own name.
-    """
-    kind = family_row(family)[1]
-    if kind is None:
-        raise InvalidParameter(f"family {family!r} has no probability space")
-    return kind
+    """The :data:`FAMILIES` row ``(K, exact)`` of a family name, which is also a setting's kind."""
+    if name not in FAMILIES:
+        raise InvalidParameter(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+    return FAMILIES[name]
 
 
 def build(family: str, d: int, *, samples: int = 0, seed: int = 0) -> DiscreteProbabilitySpace:
-    """The probability space of a family with ``d`` variables.
+    """The probability space of a family with ``d`` variables; its ``kind`` is ``family``.
 
     ``samples`` and ``seed`` are read only by the sampled Gaussian family.
     """
-    kind = family_kind(family)
-    if kind == "rademacher":
+    family_row(family)
+    if family == "rademacher":
         return rademacher_space(d)
-    if kind == "steinhauss":
+    if family == "steinhauss":
         return steinhauss_space(d)
-    if kind == "lacunary":
+    if family == "lacunary":
         return lacunary_space(d)
-    return gaussian_space(d, samples, seed)
+    if family == "gaussian":
+        return gaussian_space(d, samples, seed)
+    raise InvalidParameter(f"family {family!r} has no probability space")
 
 
 def element_from_tuple(y, space: DiscreteProbabilitySpace) -> RandomElement:
@@ -406,7 +385,7 @@ def l1_s1_norm(x, space: DiscreteProbabilitySpace):
     taken with one degree of freedom removed; fewer raise
     :class:`InvalidParameter`.
     """
-    sampled = space.kind == "gaussian-mc"
+    sampled = not space.is_exact
     if sampled and space.atoms < 2:
         raise InvalidParameter("need a sampled space of >= 2 atoms for a standard error, "
                                f"got {space.atoms}")
@@ -438,8 +417,8 @@ def conditional_expectation(elem: RandomElement) -> np.ndarray:
 def sup_norm(elem: RandomElement) -> float:
     """Largest operator norm over atoms.
 
-    For ``gaussian-mc`` this is a lower estimate of the essential supremum,
-    since only sampled atoms are seen.
+    For a sampled ``gaussian`` space this is a lower estimate of the
+    essential supremum, since only sampled atoms are seen.
     """
     if elem.blocks.size == 0:
         return 0.0
@@ -477,7 +456,7 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
 
     Moments are evaluated by direct atom summation and compared with the
     closed form :func:`nck.norms.moment_forms` that the fermionic check
-    shares, weighted for the kind: ``pair_w = 1`` for sampled Gaussians
+    shares, weighted for the kind: ``pair_w = 1`` for ``gaussian``
     (``E|g|^4 = 2``), ``1 - I`` otherwise, and the sign term ``1 - I`` for
     real signs only.  The fourth moments must also sit below the second
     moments scaled by the appropriate norm factor (factor
@@ -497,7 +476,8 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
     tolerance: :data:`MOMENT_TOL` for exact kinds, ``50/sqrt(atoms)`` for
     sampled Gaussians.
     """
-    kind = family_kind(space.kind)
+    kind = space.kind
+    tol = MOMENT_TOL if space.is_exact else 50.0 / np.sqrt(space.atoms)
     ya = as_matrix_tuple(y)
     blocks = element_from_tuple(ya, space).blocks
     w = space.weights
@@ -510,13 +490,12 @@ def moment_identity_check(y, space: DiscreteProbabilitySpace) -> CheckReport:
     d = ya.shape[0]
     ones = np.ones(d)
     off = 1.0 - np.eye(d)
-    pair_w = np.ones((d, d)) if kind == "gaussian-mc" else off
+    pair_w = np.ones((d, d)) if kind == "gaussian" else off
     sign_w = off if kind == "rademacher" else np.zeros((d, d))
     closed = moment_forms(ya, ones, ones, pair_w, sign_w)
     n_col, n_row = gram_norm(closed[0]), gram_norm(closed[1])
     factor = 3.0 * max(n_col, n_row) if kind == "rademacher" else n_col + n_row
 
-    tol = MOMENT_TOL if space.is_exact else 50.0 / np.sqrt(space.atoms)
     return moment_report(
         f"moments[{space.kind}]", tol, tuple(sums), closed, factor
     )

@@ -195,10 +195,10 @@ def test_criterion_4_khintchine_sandwich_rademacher():
 
 
 def test_criterion_5_gaussian_constants_statistical():
-    # witness at d = 16 against the exact ratio formula
-    value, stderr = c2_witness_gaussian(16, samples=100_000, seed=55)
+    # witness at d = 16: exactly the ratio formula
+    value = c2_witness_gaussian(16)
     target = gamma_ratio(16) / 4.0
-    witness_ok = abs(value - target) <= 3.0 * stderr
+    witness_ok = value == target
 
     # Monte Carlo expected vector length matches the ratio formula
     mc_ok = True
@@ -231,7 +231,7 @@ def test_criterion_5_gaussian_constants_statistical():
     report(
         "criterion 5 (Gaussian constants, statistical)",
         passed,
-        f"witness d=16 dev {abs(value - target):.2e} <= 3se={3 * stderr:.2e}; "
+        f"witness d=16 {value:.12f} == {target:.12f}; "
         f"lengths {', '.join(details)}; bound limit gap {abs(values[-1] - 1 / SQRT2):.2e}; "
         f"search min {search_min:.4f}",
     )

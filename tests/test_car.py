@@ -392,8 +392,9 @@ class TestGeneratorCache:
             check(second)
         generators = first._generators
         assert second._generators.anticommutation is generators.anticommutation
-        assert second._generators.weighted_lists is generators.weighted_lists
-        diagonals, join = generators.weighted_lists
+        assert second._generators.diagonals is generators.diagonals
+        assert second._generators.orthogonality_join is generators.orthogonality_join
+        diagonals, join = generators.diagonals, generators.orthogonality_join
         cached = [*(a for f in diagonals for a in f), *join]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -410,7 +411,22 @@ class TestGeneratorCache:
         generators = sys._generators
         assert set(vars(generators)) == {"d", "dim", "entries", "is_jordan_wigner", "occupied",
                                          "_support", "support_values", "anticommutation",
-                                         "weighted_lists"}
+                                         "diagonals", "orthogonality_join"}
+
+    def test_the_orthogonality_join_waits_for_its_check(self):
+        # the car-identities checks read the diagonals only; the join, the
+        # set's largest list, is built when the orthogonality check first runs
+        shared = car_system([0.2, 0.7, 0.4, 0.9, 0.35])
+        sys = CarSystem(shared.nu, [shared.generator(i) for i in range(shared.d)])
+        y = random_tuple(sys.d, 2, np.random.default_rng(3))
+        reports = [anticommutation_check(sys), second_moment_check(sys), state_weight_check(sys),
+                   fourth_moment_check(sys, y)]
+        assert "diagonals" in vars(sys._generators)
+        assert "orthogonality_join" not in vars(sys._generators)
+        assert bits(reports) == bits([anticommutation_check(shared), second_moment_check(shared),
+                                      state_weight_check(shared), fourth_moment_check(shared, y)])
+        assert bits(orthogonality_check(sys)) == bits(orthogonality_check(shared))
+        assert "orthogonality_join" in vars(sys._generators)
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_reports_equal_the_pair_product_reference_bit_for_bit(self, d):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import nck.cli as cli
 from nck.cli import main
 from nck.exceptions import NonFinite, ParseError
-from nck.spaces import FAMILIES
+from nck.spaces import FAMILIES, gamma_ratio
 from nck.tupleio import load_tuple_file, render_report, save_tuple_file
 
 RNG = np.random.default_rng(33)
@@ -268,6 +269,29 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "car-identities", "--nu", "0.5,0.5"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["nu"] == [0.5, 0.5]
+        assert out["d"] == 2 and {row["d"] for row in out["identities"]} == {2}
+
+    def test_d_equal_to_the_weights_is_accepted(self, capsys):
+        argv = ["verify", "--suite", "car-identities", "--nu", "0.5,0.5"]
+        assert main(argv) == 0
+        implicit = capsys.readouterr().out
+        assert main(argv + ["--d", "2"]) == 0
+        assert capsys.readouterr().out == implicit
+
+    @pytest.mark.parametrize("d", ["5", "1", "0"])
+    def test_d_other_than_the_weights_exit_2(self, d, monkeypatch, capsys):
+        # --d is not dropped when --nu is given: a mismatch is a usage error
+        # raised before any row is computed
+        calls = []
+        monkeypatch.setattr(cli, "run_verify_suite", lambda *a, **k: calls.append(a))
+        assert main(["verify", "--suite", "car-identities", "--d", d, "--nu", "0.5,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == "" and "nck: error:" in captured.err
+
+    def test_default_d_is_three(self, capsys):
+        assert main(["verify", "--suite", "orthogonality"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["d"] == 3 and out["nu"] is None
 
     @pytest.mark.parametrize("suite", ["moments", "car-identities", "all"])
     @pytest.mark.parametrize("nu", ["nan,0.5", "0.5,inf", "-0.1,0.5", "0.5,1.5", ","])
@@ -442,7 +466,7 @@ class TestConstantsCommand:
     def test_unread_flags_are_the_ones_named(self):
         unread = {e: ALL_CONSTANTS_FLAGS - read for e, read in CONSTANTS_FLAGS.items()}
         assert unread == {
-            "gauss-c2": {"family", "n", "trials"},
+            "gauss-c2": {"family", "n", "trials", "samples"},
             "car-c2": {"family", "n", "trials", "samples"},
             "car-c1": {"family", "d", "n", "trials", "samples"},
             "search": set(),
@@ -465,15 +489,6 @@ class TestConstantsCommand:
         cli._read_flags(args, tables[0], tables, "here")
         assert (args.d, args.samples, args.m) == (3, 10, None)
 
-    def test_gauss_c2_checks_the_budget_before_any_row(self, monkeypatch, capsys):
-        # d = 1 fits 2**20 + 1 samples, d = 16 does not
-        calls = []
-        monkeypatch.setattr(cli, "c2_witness_gaussian", lambda *a, **k: calls.append(a))
-        assert main(["constants", "--experiment", "gauss-c2", "--samples", str(2**20 + 1)]) == 2
-        captured = capsys.readouterr()
-        assert calls == [] and captured.out == ""
-        assert "1048577 samples at d=16 exceed the budget" in captured.err
-
     def test_defaults_come_from_the_table(self, capsys):
         assert main(["constants", "--experiment", "car-c2"]) == 0
         assert [r["d"] for r in json.loads(capsys.readouterr().out)["rows"]] == list(range(1, 11))
@@ -482,22 +497,24 @@ class TestConstantsCommand:
         assert (row["family"], row["trials"]) == ("rademacher", 50)
 
     def test_default_samples_is_applied_where_read(self, capsys):
-        argv = ["constants", "--experiment", "gauss-c2", "--d", "1", "--seed", "2"]
+        argv = ["constants", "--experiment", "search", "--family", "gaussian", "--d", "1",
+                "--n", "1", "--trials", "1", "--seed", "2"]
         assert main(argv) == 0
         implicit = capsys.readouterr().out
         assert main(argv + ["--samples", str(cli.DEFAULT_SAMPLES)]) == 0
         assert capsys.readouterr().out == implicit
 
     def test_gauss_c2_small(self, capsys):
-        code = main(
-            ["constants", "--experiment", "gauss-c2", "--d", "3", "--samples", "20000", "--seed", "1"]
-        )
+        code = main(["constants", "--experiment", "gauss-c2", "--d", "3", "--seed", "1"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         witness_rows = [r for r in out["rows"] if r["experiment"] == "gauss-c2"]
-        assert len(witness_rows) == 3
-        for row in witness_rows:
-            assert abs(row["value"] - row["target"]) <= 3.0 * row["stderr"] + 1e-12
+        # the exact witness gamma_ratio(d) / sqrt(d), rising toward the upper constant 1
+        assert witness_rows == [
+            {"experiment": "gauss-c2", "d": d, "value": gamma_ratio(d) / math.sqrt(d),
+             "target": 1.0, "pass": True}
+            for d in (1, 2, 3)
+        ]
         bound_rows = [r for r in out["rows"] if r["experiment"] == "gauss-c1-bound"]
         assert len(bound_rows) == 6 and all(r["pass"] for r in bound_rows)
         assert all(r["target"] == 1.0 / FAMILIES["gaussian"][0] for r in bound_rows)
@@ -512,18 +529,34 @@ class TestConstantsCommand:
     )
     def test_gauss_c1_bound_rows_assert(self, sequence, passes, monkeypatch, capsys):
         monkeypatch.setattr(cli, "gaussian_c1_bound_sequence", sequence)
-        code = main(["constants", "--experiment", "gauss-c2", "--d", "1", "--samples", "2000"])
+        code = main(["constants", "--experiment", "gauss-c2", "--d", "1"])
         assert code == 1
         out = json.loads(capsys.readouterr().out)
         assert all(r["pass"] for r in out["rows"] if r["experiment"] == "gauss-c2")
         assert [r["pass"] for r in out["rows"] if r["experiment"] == "gauss-c1-bound"] == passes
 
-    @pytest.mark.parametrize("samples", ["1", "0"])
-    def test_gauss_c2_fewer_than_two_samples_exit_2(self, samples, capsys):
-        code = main(["constants", "--experiment", "gauss-c2", "--d", "2", "--samples", samples])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "witness,passes",
+        [
+            (lambda d: 0.9, [True, False, False]),  # not increasing
+            (lambda d: 0.9 + 0.04 * d, [True, True, False]),  # passes 1
+        ],
+        ids=["constant", "passes-one"],
+    )
+    def test_gauss_c2_rows_assert(self, witness, passes, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "c2_witness_gaussian", witness)
+        assert main(["constants", "--experiment", "gauss-c2", "--d", "3"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert [r["pass"] for r in out["rows"] if r["experiment"] == "gauss-c2"] == passes
+
+    def test_gauss_c2_reads_no_samples(self, monkeypatch, capsys):
+        # the witness is exact, so a sample count is a usage error, before any row
+        calls = []
+        monkeypatch.setattr(cli, "c2_witness_gaussian", lambda d: calls.append(d))
+        assert main(["constants", "--experiment", "gauss-c2", "--samples", "5"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "samples" in captured.err
+        assert calls == [] and captured.out == ""
+        assert "--samples is not read by --experiment gauss-c2" in captured.err
 
     def test_family_choices_come_from_the_table(self):
         assert family_choices("lift") == list(FAMILIES)
@@ -612,9 +645,8 @@ def test_out_failing_after_the_run_exit_2(tmp_path, monkeypatch, capsys):
     [
         ["lift", "--family", "gaussian"],
         ["constants", "--experiment", "search", "--family", "gaussian"],
-        ["constants", "--experiment", "gauss-c2"],
     ],
-    ids=["lift", "search", "gauss-c2"],
+    ids=["lift", "search"],
 )
 def test_sampled_space_over_budget_exit_2(argv, scalar_file, capsys):
     file = ["--file", scalar_file] if argv[0] == "lift" else []

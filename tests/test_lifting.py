@@ -107,9 +107,15 @@ class TestPresets:
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_clip_level_is_half_the_table_constant(self, family):
         k = FAMILIES[family][0]
-        rep = lift(random_tuple(2, 2, np.random.default_rng(0)), family_setting(family))
+        setting = family_setting(family)
+        rep = lift(random_tuple(2, 2, np.random.default_rng(0)), setting)
         assert rep.bound == k
         assert rep.clip_level == k / 2.0
+        # one name per family: the setting's kind names the row the lift read
+        assert setting.kind == family and family_row(setting.kind)[0] == rep.bound
+
+    def test_the_fermionic_kind_is_a_class_constant(self):
+        assert CarSystem.kind == "car"
 
     # the clip levels the presets used before they were derived from K:
     # 1/sqrt(2) sits one ulp below sqrt(2)/2

@@ -25,7 +25,6 @@ from nck.spaces import (
     build,
     conditional_expectation,
     element_from_tuple,
-    family_kind,
     family_row,
     gamma_ratio,
     gaussian_space,
@@ -167,16 +166,26 @@ def test_counts_below_one_are_invalid_parameters(make):
 
 class TestFamilyTable:
     @pytest.mark.parametrize(
-        "space",
-        [rademacher_space(2), steinhauss_space(1), lacunary_space(2), gaussian_space(2, 4)],
-        ids=lambda sp: sp.kind,
+        "family,space",
+        [pytest.param(family, space, id=family) for family, space in (
+            ("rademacher", rademacher_space(2)), ("steinhauss", steinhauss_space(1)),
+            ("lacunary", lacunary_space(2)), ("gaussian", gaussian_space(2, 4)))],
     )
-    def test_every_builder_kind_has_a_row(self, space):
-        family = next(f for f, row in FAMILIES.items() if row[1] == space.kind)
-        assert family_row(space.kind) is FAMILIES[family]
-        assert family_kind(family) == space.kind
-        assert space.is_exact == FAMILIES[family][2]
-        assert build(family, space.d, samples=4).kind == space.kind
+    def test_every_builder_kind_has_a_row(self, family, space):
+        # one name per family: a space's kind is the FAMILIES key it is built from
+        assert space.kind == family
+        assert family_row(family) is FAMILIES[family]
+        assert space.is_exact == FAMILIES[family][1]
+        assert build(family, space.d, samples=4).kind == family
+
+    def test_rows_hold_the_constant_and_exactness(self):
+        assert {name: len(row) for name, row in FAMILIES.items()} == dict.fromkeys(FAMILIES, 2)
+
+    @pytest.mark.parametrize("name", ["gaussian-mc", "bernoulli"])
+    def test_unknown_name_is_invalid_parameter(self, name):
+        # the sampled Gaussian's kind is gaussian; gaussian-mc is no name at all
+        with pytest.raises(InvalidParameter, match="unknown family"):
+            family_row(name)
 
     @pytest.mark.parametrize("name", ["car", "bernoulli"])
     def test_build_rejects_a_family_without_a_space(self, name):
